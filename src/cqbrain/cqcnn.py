@@ -31,6 +31,7 @@ from .neuralkernel import (
     dense_backward,
     dropout,
     dropout_backward,
+    glorot,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
@@ -52,15 +53,11 @@ class CqcnnConfig:
     conv1_out: int = 2
     conv2_out: int = 4
     kernel: int = 5
-    stride: int = 1
     dropout_rate: float = 0.5
     n_qubits: int = 2
     fc_width: int | None = None  # None: matches n_qubits
     head: str = HEAD_QUANTUM
     seed: int = 0
-    lr: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 1
 
     def __post_init__(self):
         if self.head not in (HEAD_QUANTUM, HEAD_CLASSICAL):
@@ -108,11 +105,6 @@ def param_count(config: CqcnnConfig) -> int:
     return trunk + 2 * config.fc_out + 2
 
 
-def _glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(np.float32)
-
-
 class CqcnnModel:
     """Holds parameters and per-sample forward cache for backprop."""
 
@@ -124,18 +116,18 @@ class CqcnnModel:
         flat = config.shape_trace()["flat"][0]
         # biases start slightly positive so constant/low-contrast inputs cannot
         # kill every ReLU channel at initialization
-        self.conv1_w = _glorot(rng.derive("init:conv1_w"), (c1, 1, k, k), k * k, c1 * k * k)
+        self.conv1_w = glorot(rng.derive("init:conv1_w"), (c1, 1, k, k), k * k, c1 * k * k)
         self.conv1_b = np.full(c1, 0.01, np.float32)
-        self.conv2_w = _glorot(rng.derive("init:conv2_w"), (c2, c1, k, k), c1 * k * k, c2 * k * k)
+        self.conv2_w = glorot(rng.derive("init:conv2_w"), (c2, c1, k, k), c1 * k * k, c2 * k * k)
         self.conv2_b = np.full(c2, 0.01, np.float32)
-        self.fc_w = _glorot(rng.derive("init:fc_w"), (fc, flat), flat, fc)
+        self.fc_w = glorot(rng.derive("init:fc_w"), (fc, flat), flat, fc)
         self.fc_b = np.full(fc, 0.01, np.float32)
         # quantum head: scalar affine on the circuit probability, then ansatz angles
         self.w_out = np.array(1.0, np.float32)
         self.b_out = np.array(0.0, np.float32)
         self.theta = (rng.derive("init:theta").uniform(config.n_qubits) * np.pi).astype(np.float32)
         # classical baseline head
-        self.head_w = _glorot(rng.derive("init:head_w"), (2, fc), fc, 2)
+        self.head_w = glorot(rng.derive("init:head_w"), (2, fc), fc, 2)
         self.head_b = np.zeros(2, np.float32)
         self._cache: dict | None = None
 
@@ -162,10 +154,10 @@ class CqcnnModel:
         if img.shape != (size, size):
             raise ShapeMismatch(f"expected {size}x{size} image, got {img.shape}")
         x0 = img[None]  # (1, H, W)
-        z1 = conv2d(x0, self.conv1_w, self.conv1_b, self.config.stride)
+        z1 = conv2d(x0, self.conv1_w, self.conv1_b)
         a1 = relu(z1)
         p1 = maxpool2x2(a1)
-        z2 = conv2d(p1, self.conv2_w, self.conv2_b, self.config.stride)
+        z2 = conv2d(p1, self.conv2_w, self.conv2_b)
         a2 = relu(z2)
         p2 = maxpool2x2(a2)
         d, mask = dropout(p2, self.config.dropout_rate, mode, rng)
@@ -223,20 +215,16 @@ class CqcnnModel:
         dp2 = dropout_backward(dd, c["mask"], cfg.dropout_rate)
         da2 = maxpool2x2_backward(dp2, c["a2"])
         dz2 = relu_backward(da2, c["z2"])
-        dp1, dconv2_w, dconv2_b = conv2d_backward(dz2, c["p1"], self.conv2_w, cfg.stride)
+        dp1, dconv2_w, dconv2_b = conv2d_backward(dz2, c["p1"], self.conv2_w)
         da1 = maxpool2x2_backward(dp1, c["a1"])
         dz1 = relu_backward(da1, c["z1"])
-        _, dconv1_w, dconv1_b = conv2d_backward(dz1, c["x0"], self.conv1_w, cfg.stride)
+        _, dconv1_w, dconv1_b = conv2d_backward(dz1, c["x0"], self.conv1_w)
 
         grads = {"conv1_w": dconv1_w, "conv1_b": dconv1_b,
                  "conv2_w": dconv2_w, "conv2_b": dconv2_b,
                  "fc_w": dfc_w, "fc_b": dfc_b}
         grads.update(grads_head)
         return grads
-
-
-def forward(model: CqcnnModel, img: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
-    return model.forward(img, mode, rng)
 
 
 def backward(model: CqcnnModel, img: np.ndarray, y: np.ndarray,
@@ -247,26 +235,23 @@ def backward(model: CqcnnModel, img: np.ndarray, y: np.ndarray,
     return loss, model.backward(y)
 
 
-def classical_baseline_forward(model: CqcnnModel, img: np.ndarray, mode: str = "eval",
-                               rng: Rng | None = None) -> np.ndarray:
-    if model.config.head != HEAD_CLASSICAL:
-        raise ShapeMismatch("model was not configured with the classical softmax head")
-    return model.forward(img, mode, rng)
+@dataclass
+class EvalResult:
+    counts: ConfusionCounts
+    metrics: dict[str, float]
+    loss: float
 
 
 @dataclass
 class EpochReport:
     epoch: int
     loss: float
-    train_acc: float
+    train_eval: EvalResult  # eval-mode pass over the training set after the epoch's last update
     wall_time_s: float
 
-
-@dataclass
-class EvalResult:
-    counts: ConfusionCounts
-    metrics: dict[str, float]
-    loss: float
+    @property
+    def train_acc(self) -> float:
+        return self.train_eval.metrics["accuracy"]
 
 
 def _one_hot(label: int) -> np.ndarray:
@@ -322,5 +307,5 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
             optimizer.step(params, batch_grads)
             batch_grads, in_batch = None, 0
 
-    train_acc = evaluate(model, dataset).metrics["accuracy"]
-    return EpochReport(epoch, total_loss / len(dataset), train_acc, time.perf_counter() - start)
+    train_eval = evaluate(model, dataset)
+    return EpochReport(epoch, total_loss / len(dataset), train_eval, time.perf_counter() - start)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadTimestep, EmptyBatch, ShapeMismatch
-from .neuralkernel import Optimizer
+from .neuralkernel import Optimizer, glorot
 from .rng import Rng
 from .skullnet import UNet, UNetConfig
 
@@ -134,8 +134,7 @@ class NoisePredictor:
         rng = rng if rng is not None else Rng(0)
         self.unet = UNet(config.unet_config(), rng.derive("unet"))
         c_b = self.unet.config.bottleneck_channels
-        bound = np.sqrt(6.0 / (config.emb_dim + c_b))
-        self.temb_w = ((rng.derive("init:temb").uniform((c_b, config.emb_dim)) * 2.0 - 1.0) * bound).astype(np.float32)
+        self.temb_w = glorot(rng.derive("init:temb"), (c_b, config.emb_dim), config.emb_dim, c_b)
         self.temb_b = np.zeros(c_b, np.float32)
         self._emb: np.ndarray | None = None
 

@@ -13,6 +13,7 @@ from .ops import (
     dense_backward,
     dropout,
     dropout_backward,
+    glorot,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
@@ -37,7 +38,7 @@ from .metrics import ConfusionCounts, classify_metrics, dice_iou
 
 __all__ = [
     "conv2d", "conv2d_backward", "conv_transpose2x2", "conv_transpose2x2_backward",
-    "dense", "dense_backward", "dropout", "dropout_backward",
+    "dense", "dense_backward", "dropout", "dropout_backward", "glorot",
     "maxpool2x2", "maxpool2x2_backward", "relu", "relu_backward",
     "sigmoid", "sigmoid_backward",
     "cross_entropy", "cross_entropy_grad",

@@ -1,4 +1,4 @@
-"""Layer kernels: conv, pool, dense, dropout, activations.
+"""Layer kernels (conv, pool, dense, dropout, activations) and weight init.
 
 All kernels accept a single item (channel-first, e.g. (C, H, W)) or a
 leading batch axis, compute in float32, and keep reductions in a fixed
@@ -12,6 +12,12 @@ from ..errors import ShapeMismatch
 from ..rng import Rng
 
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major tie-break order
+
+
+def glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform float32 weights: U(-b, b) with b = sqrt(6 / (fan_in + fan_out))."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(np.float32)
 
 
 def _as_f32(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Layout, little-endian, no padding:
   magic "CQCK" | u32 version = 1 | u32 tensor count |
   per tensor: u16 name length, UTF-8 name, u8 ndim, ndim x u32 dims,
   prod(dims) x f32 values.
+Nothing may follow the last tensor.
 
 Tensors are written in sorted name order so identical contents always
 produce identical bytes.
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadMagic, BadVersion, DuplicateName, Truncated
+from ..errors import BadFormat, BadMagic, BadVersion, DuplicateName, Truncated
 
 MAGIC = b"CQCK"
 VERSION = 1
@@ -69,6 +70,8 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
         raw = take(4 * n_values)
         arr = np.frombuffer(raw, dtype="<f4", count=n_values).reshape(dims)
         tensors[name] = arr.copy()  # writable, native layout
+    if pos != len(data):
+        raise BadFormat(f"{len(data) - pos} trailing bytes after the last tensor at offset {pos}")
     return tensors
 
 

@@ -339,9 +339,6 @@ def cmd_train(cfg: dict) -> dict:
         fc_width=cfg["fc_width"] if cfg["fc_width"] > 0 else None,
         head=head,
         seed=cfg["seed"],
-        lr=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
     )
     model = CqcnnModel(model_cfg, Rng(cfg["seed"]).derive("init"))
     optimizer = make_optimizer("adam", lr=cfg["lr"])
@@ -354,9 +351,8 @@ def cmd_train(cfg: dict) -> dict:
     for epoch in range(cfg["epochs"]):
         report = train_epoch(model, train_set, optimizer, cfg["seed"], epoch, cfg["batch_size"])
         elapsed = 0.0 if cfg["timing"] == "zero" else report.wall_time_s
-        train_eval = evaluate(model, train_set)
         test_eval = evaluate(model, test_set) if test_set else None
-        rows.append(_metric_row(train_eval, "train",
+        rows.append(_metric_row(report.train_eval, "train",
                                 {**base, "epoch": epoch, "epoch_time_s": f"{elapsed:.3f}",
                                  "loss": f"{report.loss:.6f}"}))
         if test_eval is not None:

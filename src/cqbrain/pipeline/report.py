@@ -17,8 +17,6 @@ SUMMARY_COLUMNS = (["plane", "skull_stripped", "qubits", "n_runs"]
                    + ["train_time", "train_time_std", "epochs_to_threshold_mean",
                       "epochs_to_threshold_std"])
 
-CONVERGENCE_COLUMNS = ["head", "qubits", "seed", "epochs_to_threshold", "final_train_accuracy"]
-
 
 def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
     buf = io.StringIO()

@@ -6,11 +6,17 @@ single-qubit Ry ansatz, and a full-parity Z measurement mapped to a
 probability. Gradients come from the two-point parameter-shift rule applied
 per gate occurrence, with the chain rule onto features and ansatz angles.
 
+`pqc_forward` and `pqc_backward` share one closed-form evaluator that runs a
+stack of circuits (the base circuit, or all its +-pi/2 shifts) as one array.
+The gate-level simulator (`StateVector`, `apply_*`) and the dense-matrix
+oracle in the tests are the references it is checked against.
+
 Qubit 0 is the least-significant bit of the basis index. Simulation is
 complex128 throughout; the register is capped at 12 qubits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,7 +124,7 @@ def apply_zz_phase(s: StateVector, q1: int, q2: int, phi: float) -> StateVector:
     return StateVector(s.n_qubits, out)
 
 
-# circuit construction -------------------------------------------------
+# head circuit ---------------------------------------------------------
 
 def _validated(x, n: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -131,35 +137,47 @@ def _validated(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def _encoding_ops(x: np.ndarray) -> list[tuple]:
-    """Gate list (kind, qubits, angle) for the data-encoding stage."""
-    n = x.size
-    ops: list[tuple] = [("h", (q,), None) for q in range(n)]
-    ops += [("p", (q,), 2.0 * x[q]) for q in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ops.append(("zz", (i, j), 2.0 * (math.pi - x[i]) * (math.pi - x[j])))
-    return ops
+@functools.lru_cache(maxsize=None)
+def _bit_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(table, parity signs, pair firsts, pair seconds) of the n-qubit head circuit.
+
+    Row b of the table marks the encoding gates that put their phase on basis
+    amplitude b: bit q of b for each qubit's phase gate, then bit i XOR bit j
+    for each pairwise phase, pairs i < j in lexicographic order. The arrays
+    are shared between calls and read-only.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    first, second = np.triu_indices(n, 1)
+    table = np.concatenate([bits, bits[:, first] ^ bits[:, second]], axis=1).astype(np.float64)
+    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+    for arr in (table, signs, first, second):
+        arr.flags.writeable = False
+    return table, signs, first, second
 
 
-def _ansatz_ops(theta: np.ndarray) -> list[tuple]:
-    return [("ry", (q,), theta[q]) for q in range(theta.size)]
+def _encoding_angles(x: np.ndarray) -> np.ndarray:
+    """Phase-gate angles 2 x_q, then pairwise angles 2 (pi - x_i)(pi - x_j)."""
+    _, _, first, second = _bit_table(x.size)
+    return np.concatenate([2.0 * x, 2.0 * (math.pi - x[first]) * (math.pi - x[second])])
 
 
-def _run(n: int, ops: list[tuple]) -> StateVector:
-    s = StateVector.zero(n)
-    for kind, qubits, angle in ops:
-        if kind == "h":
-            s = apply_h(s, qubits[0])
-        elif kind == "p":
-            s = apply_p(s, qubits[0], angle)
-        elif kind == "zz":
-            s = apply_zz_phase(s, qubits[0], qubits[1], angle)
-        elif kind == "ry":
-            s = apply_ry(s, qubits[0], angle)
-        else:  # pragma: no cover - internal construction only
-            raise ValueError(kind)
-    return s
+def _parity_expectations(n: int, rows: np.ndarray) -> np.ndarray:
+    """<Z x ... x Z> of the head circuit for each row of (encoding angles, Ry angles).
+
+    After the Hadamard layer the encoding is diagonal, so the encoded state is
+    2^{-n/2} exp(i * table . angles); the Ry layer is one real rotation per
+    tensor axis, qubit 0 (the least-significant bit) first.
+    """
+    table, signs, _, _ = _bit_table(n)
+    amps = np.exp(1j * (rows[:, :-n] @ table.T)) * 2.0 ** (-n / 2.0)
+    half = rows[:, -n:] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    for q in range(n):
+        c, s = cos[:, q, None, None], sin[:, q, None, None]
+        pairs = amps.reshape(len(rows), -1, 2, 2**q)  # axis 2 is bit q
+        a0, a1 = pairs[:, :, 0], pairs[:, :, 1]
+        amps = np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=2)
+    return (signs * np.abs(amps.reshape(len(rows), -1)) ** 2).sum(axis=1)
 
 
 def encode_zz(x) -> StateVector:
@@ -170,7 +188,8 @@ def encode_zz(x) -> StateVector:
     amplitude has magnitude 2^{-n/2}.
     """
     x = _validated(x)
-    return _run(x.size, _encoding_ops(x))
+    table = _bit_table(x.size)[0]
+    return StateVector(x.size, np.exp(1j * (table @ _encoding_angles(x))) * 2.0 ** (-x.size / 2.0))
 
 
 def apply_ansatz(s: StateVector, theta) -> StateVector:
@@ -183,65 +202,41 @@ def apply_ansatz(s: StateVector, theta) -> StateVector:
 
 def expectation_parity(s: StateVector) -> float:
     """<Z x ... x Z>: sum of (+-1 by bit parity) times basis probabilities."""
-    idx = np.arange(s.amps.size, dtype=np.uint64)
-    parity = 1.0 - 2.0 * (np.bitwise_count(idx).astype(np.float64) % 2.0)
-    return float(np.sum(parity * np.abs(s.amps) ** 2))
+    return float(np.sum(_bit_table(s.n_qubits)[1] * np.abs(s.amps) ** 2))
 
 
 def pqc_forward(x, theta) -> float:
     """Probability output (parity expectation + 1) / 2, in [0, 1]."""
     x = _validated(x)
     theta = _validated(theta, x.size)
-    state = apply_ansatz(encode_zz(x), theta)
-    return (expectation_parity(state) + 1.0) / 2.0
-
-
-def _shift_gradients(n: int, ops: list[tuple]) -> list[float]:
-    """d<parity>/d(angle) for each parameterized gate occurrence.
-
-    Two-point rule with shift pi/2 and divisor 2; valid for all three gate
-    families here (Ry generator eigenvalues +-1/2, phase generators {0, 1}).
-    """
-    grads = []
-    for k, (kind, qubits, angle) in enumerate(ops):
-        if kind == "h":
-            continue
-        shifted = list(ops)
-        shifted[k] = (kind, qubits, angle + math.pi / 2.0)
-        f_plus = expectation_parity(_run(n, shifted))
-        shifted[k] = (kind, qubits, angle - math.pi / 2.0)
-        f_minus = expectation_parity(_run(n, shifted))
-        grads.append((f_plus - f_minus) / 2.0)
-    return grads
+    row = np.concatenate([_encoding_angles(x), theta])
+    return (float(_parity_expectations(x.size, row[None])[0]) + 1.0) / 2.0
 
 
 def pqc_backward(x, theta, upstream: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Parameter-shift gradients of the probability output.
 
-    Returns (grad_x, grad_theta), each scaled by `upstream` times the 1/2
-    factor from mapping the expectation to a probability. Feature gradients
-    chain through every gate occurrence the feature enters: d(angle)/dx_i is
-    2 for its own phase gate and -2(pi - x_j) for each pairwise phase.
+    Every parameterized gate (phase, pairwise phase, Ry) gets the two-point
+    rule with shift pi/2 and divisor 2, valid for all three families (Ry
+    generator eigenvalues +-1/2, phase generators {0, 1}); all 2G shifted
+    circuits are evaluated in one call. Returns (grad_x, grad_theta), each
+    scaled by `upstream` times the 1/2 factor from mapping the expectation
+    to a probability. Feature gradients chain through every gate occurrence
+    the feature enters: d(angle)/dx_i is 2 for its own phase gate and
+    -2(pi - x_j) for each pairwise phase.
     """
     x = _validated(x)
     theta = _validated(theta, x.size)
     n = x.size
-    ops = _encoding_ops(x) + _ansatz_ops(theta)
-    per_gate = iter(_shift_gradients(n, ops))
+    base = np.concatenate([_encoding_angles(x), theta])
+    shift = np.eye(base.size) * (math.pi / 2.0)
+    f = _parity_expectations(n, np.concatenate([base + shift, base - shift]))
+    d = (f[: base.size] - f[base.size :]) / 2.0
 
-    grad_x = np.zeros(n)
-    grad_theta = np.zeros(n)
-    for kind, qubits, _ in ops:
-        if kind == "h":
-            continue
-        d = next(per_gate)
-        if kind == "p":
-            grad_x[qubits[0]] += d * 2.0
-        elif kind == "zz":
-            i, j = qubits
-            grad_x[i] += d * (-2.0 * (math.pi - x[j]))
-            grad_x[j] += d * (-2.0 * (math.pi - x[i]))
-        else:  # ry
-            grad_theta[qubits[0]] += d
+    grad_x = 2.0 * d[:n]
+    _, _, first, second = _bit_table(n)
+    for k, (i, j) in enumerate(zip(first, second), start=n):
+        grad_x[i] += d[k] * (-2.0 * (math.pi - x[j]))
+        grad_x[j] += d[k] * (-2.0 * (math.pi - x[i]))
     scale = 0.5 * upstream
-    return grad_x * scale, grad_theta * scale
+    return grad_x * scale, d[-n:] * scale

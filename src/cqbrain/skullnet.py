@@ -27,6 +27,7 @@ from .neuralkernel import (
     conv_transpose2x2,
     conv_transpose2x2_backward,
     dice_iou,
+    glorot,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
@@ -69,11 +70,6 @@ class UNetConfig:
         return self.scaled_widths[-1]
 
 
-def _glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(np.float32)
-
-
 class UNet:
     """Configurable-depth U-Net with explicit hand-written backprop."""
 
@@ -84,7 +80,7 @@ class UNet:
         self.params: dict[str, np.ndarray] = {}
 
         def conv_init(name: str, c_out: int, c_in: int, k: int) -> None:
-            self.params[f"{name}_w"] = _glorot(rng.derive(f"init:{name}"), (c_out, c_in, k, k),
+            self.params[f"{name}_w"] = glorot(rng.derive(f"init:{name}"), (c_out, c_in, k, k),
                                                c_in * k * k, c_out * k * k)
             self.params[f"{name}_b"] = np.full(c_out, 0.01, np.float32)
 
@@ -95,7 +91,7 @@ class UNet:
             prev = width
         for lvl in range(config.depth - 2, -1, -1):
             name = f"up{lvl}"
-            self.params[f"{name}_w"] = _glorot(rng.derive(f"init:{name}"), (w[lvl + 1], w[lvl], 2, 2),
+            self.params[f"{name}_w"] = glorot(rng.derive(f"init:{name}"), (w[lvl + 1], w[lvl], 2, 2),
                                                w[lvl + 1] * 4, w[lvl] * 4)
             self.params[f"{name}_b"] = np.full(w[lvl], 0.01, np.float32)
             conv_init(f"dec{lvl}_c1", w[lvl], 2 * w[lvl], 3)

@@ -68,6 +68,13 @@ class TestWireFormat:
         with pytest.raises(Truncated):
             deserialize_tensors(data[:-4])
 
+    def test_trailing_bytes_rejected(self):
+        data = serialize_tensors({"w": np.ones((2, 2), np.float32)})
+        with pytest.raises(BadFormat):
+            deserialize_tensors(data + b"\x00")
+        with pytest.raises(BadFormat):
+            deserialize_tensors(serialize_tensors({}) + b"CQCK")
+
     def test_truncated_header(self):
         with pytest.raises(Truncated):
             deserialize_tensors(b"CQCK\x01\x00")

@@ -7,9 +7,7 @@ from cqbrain.cqcnn import (
     CqcnnConfig,
     CqcnnModel,
     backward,
-    classical_baseline_forward,
     evaluate,
-    forward,
     param_count,
     train_epoch,
 )
@@ -115,7 +113,7 @@ class TestForward:
         img = np.random.default_rng(2).random((16, 16)).astype(np.float32)
         quantum.forward(img)
         flat_q = quantum._cache["flat"].copy()
-        classical_baseline_forward(classical, img)
+        classical.forward(img)
         assert np.array_equal(flat_q, classical._cache["flat"])
 
     def test_quantum_head_periodic_in_theta(self):
@@ -124,10 +122,6 @@ class TestForward:
         base = model.forward(img).copy()
         model.theta = model.theta + np.float32(2.0 * math.pi)
         assert np.allclose(model.forward(img), base, atol=1e-6)
-
-    def test_baseline_guard(self):
-        with pytest.raises(ShapeMismatch):
-            classical_baseline_forward(CqcnnModel(_small_config()), np.zeros((16, 16), np.float32))
 
 
 class TestBackward:
