@@ -13,12 +13,13 @@ positive class for confusion counts.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch
+from .errors import Diverged, EmptyDataset, ShapeMismatch
 from .neuralkernel import (
     ConfusionCounts,
     Optimizer,
@@ -163,6 +164,8 @@ class CqcnnModel:
         d, mask = dropout(p2, self.config.dropout_rate, mode, rng)
         flat = d.reshape(-1)
         fc_out = dense(flat, self.fc_w, self.fc_b)
+        if not np.isfinite(fc_out).all():
+            raise Diverged("head input is not finite")
         cache = {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2,
                  "p2": p2, "mask": mask, "flat": flat, "fc_out": fc_out}
 
@@ -218,7 +221,7 @@ class CqcnnModel:
         dp1, dconv2_w, dconv2_b = conv2d_backward(dz2, c["p1"], self.conv2_w)
         da1 = maxpool2x2_backward(dp1, c["a1"])
         dz1 = relu_backward(da1, c["z1"])
-        _, dconv1_w, dconv1_b = conv2d_backward(dz1, c["x0"], self.conv1_w)
+        _, dconv1_w, dconv1_b = conv2d_backward(dz1, c["x0"], self.conv1_w, input_grad=False)
 
         grads = {"conv1_w": dconv1_w, "conv1_b": dconv1_b,
                  "conv2_w": dconv2_w, "conv2_b": dconv2_b,
@@ -273,6 +276,11 @@ def evaluate(model: CqcnnModel, dataset: Dataset) -> EvalResult:
     return EvalResult(counts, classify_metrics(counts), total_loss / len(dataset))
 
 
+def _diverged(epoch: int, pos: int, idx: int, why: str) -> Diverged:
+    return Diverged(f"training diverged at epoch {epoch}, shuffled position {pos} "
+                    f"(dataset index {int(idx)}): {why}")
+
+
 def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
                 seed: int, epoch: int = 0, batch_size: int = 1) -> EpochReport:
     """One seeded-shuffled pass with per-batch updates; mutates the model.
@@ -293,7 +301,12 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
     in_batch = 0
     for pos, idx in enumerate(order):
         img, label = dataset[int(idx)]
-        loss, grads = backward(model, img, _one_hot(label), mode="train", rng=drop_rng)
+        try:
+            loss, grads = backward(model, img, _one_hot(label), mode="train", rng=drop_rng)
+        except Diverged as exc:
+            raise _diverged(epoch, pos, idx, str(exc)) from exc
+        if not math.isfinite(loss):
+            raise _diverged(epoch, pos, idx, f"loss is {loss}")
         total_loss += loss
         if batch_grads is None:
             batch_grads = {k: v.astype(np.float32).copy() for k, v in grads.items()}

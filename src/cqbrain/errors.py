@@ -85,6 +85,10 @@ class BadTimestep(CqbrainError):
 
 # -- datasets / training ------------------------------------------------
 
+class Diverged(CqbrainError):
+    """A training step produced a non-finite head input or loss."""
+
+
 class EmptyDataset(CqbrainError):
     """Training or evaluation set has no samples."""
 

@@ -3,6 +3,15 @@
 All kernels accept a single item (channel-first, e.g. (C, H, W)) or a
 leading batch axis, compute in float32, and keep reductions in a fixed
 serial order so repeated runs are bit-identical.
+
+Backward kernels compute only what their caller uses:
+`conv2d_backward(..., input_grad=False)` returns None in place of dx and
+skips its GEMM and col2im (for a first layer, whose input is the data).
+
+Max-pool tie rule: `maxpool2x2_backward` routes each window's upstream
+gradient to the first of its maxima in row-major order
+((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
+holding a NaN has no element equal to its max and receives no gradient.
 """
 from __future__ import annotations
 
@@ -93,15 +102,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
     c_out, c_in, k, h_out, w_out = _conv_geometry(xb, w, b, stride, padding)
     xp = _pad_same(xb, k) if padding == "same" else xb
     cols = _im2col(xp, k, stride, h_out, w_out)
-    y = np.matmul(w.reshape(c_out, -1), cols)  # (N, C_out, L)
-    y = y.reshape(xb.shape[0], c_out, h_out, w_out) + b[:, None, None]
+    y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
+    y = y.astype(np.result_type(y, b), copy=False)
+    y += b[:, None, None]  # in place: no second output-sized temporary
     return y[0] if single else y
 
 
 def conv2d_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: str = "valid"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of conv2d for upstream dy."""
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: str = "valid",
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of conv2d for upstream dy; dx is None unless input_grad."""
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
@@ -114,6 +125,8 @@ def conv2d_backward(
 
     db = dy_mat.sum(axis=(0, 2))
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if not input_grad:
+        return None, dw, db
     dcols = np.matmul(w.reshape(c_out, -1).T, dy_mat)
     dxp = _col2im(dcols, xp.shape, k, stride, h_out, w_out)
     if padding == "same":
@@ -160,30 +173,43 @@ def conv_transpose2x2_backward(
     return (dx[0] if single else dx), dw, db
 
 
+def _pool_windows(xb: np.ndarray) -> list[np.ndarray]:
+    """The four strided views of 2x2 windows, in row-major tie-break order."""
+    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
+    return [xb[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di, dj in _WINDOW_OFFSETS]
+
+
+def _window_max(views: list[np.ndarray]) -> np.ndarray:
+    y = np.maximum(views[0], views[1])
+    np.maximum(y, views[2], out=y)
+    np.maximum(y, views[3], out=y)
+    return y
+
+
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
     """Per-window max over 2x2 tiles; odd trailing row/column dropped."""
     x = _as_f32(x)
     xb, single = _batched(x, 3)
-    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
-    stack = np.stack([xb[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di, dj in _WINDOW_OFFSETS])
-    y = stack.max(axis=0)
+    y = _window_max(_pool_windows(xb))
     return y[0] if single else y
 
 
 def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Routes dy to each window's argmax (row-major first on ties)."""
+    """Routes dy to each window's first max in row-major order (see module docstring)."""
     x, dy = _as_f32(x), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
-    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
-    if dyb.shape[1:] != (xb.shape[1], h2, w2):
+    if dyb.shape[1:] != (xb.shape[1], xb.shape[2] // 2, xb.shape[3] // 2):
         raise ShapeMismatch(f"upstream shape {dyb.shape} does not match pooled {xb.shape}")
-    stack = np.stack([xb[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di, dj in _WINDOW_OFFSETS])
-    winner = stack.argmax(axis=0)  # argmax returns the first max: row-major tie-break
+    views = _pool_windows(xb)
+    y = _window_max(views)
     dx = np.zeros_like(xb)
-    for idx, (di, dj) in enumerate(_WINDOW_OFFSETS):
-        view = dx[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2]
-        np.copyto(view, dyb, where=(winner == idx))
+    unclaimed = np.ones(y.shape, dtype=bool)
+    for view, dx_view in zip(views, _pool_windows(dx)):
+        hit = view == y
+        hit &= unclaimed
+        np.copyto(dx_view, dyb, where=hit)
+        unclaimed ^= hit
     return dx[0] if single else dx
 
 

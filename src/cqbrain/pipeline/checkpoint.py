@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import BadFormat, BadMagic, BadVersion, DuplicateName, Truncated
+from .atomic import write_atomic
 
 MAGIC = b"CQCK"
 VERSION = 1
@@ -77,7 +78,7 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> bytes:
     data = serialize_tensors(tensors)
-    Path(path).write_bytes(data)
+    write_atomic(path, data)
     return data
 
 

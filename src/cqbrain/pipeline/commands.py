@@ -27,6 +27,7 @@ from ..neuralkernel import make_optimizer
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_apply, train_segmenter
 from ..volio import Image2D, Plane, read_pgm, resize_bilinear, write_pgm
+from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import Field
 from .dataset import DatasetManifest, build_dataset, load_split
@@ -197,8 +198,8 @@ def cmd_slice(cfg: dict) -> dict:
             }
         manifest["volumes"][vol_path.name] = record
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                           encoding="utf-8")
+    write_atomic(out_dir / "manifest.json",
+                 json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     return manifest
 
 
@@ -297,16 +298,19 @@ def cmd_build_dataset(cfg: dict) -> DatasetManifest:
 
 
 def _strip_dataset(data: list[tuple[np.ndarray, int]], ckpt: Path | None) -> list:
+    """Skull-strip every image; images keep their size, whatever the U-Net's input size."""
     if ckpt is None:
         raise ConfigError("skull_strip = true needs skullnet_ckpt")
     model = unpack_unet(load_checkpoint(ckpt))
+    size = model.config.input_size
     out = []
     for img, label in data:
-        if img.shape != (model.config.input_size,) * 2:
-            pic = resize_bilinear(Image2D(img.shape[1], img.shape[0], img),
-                                  model.config.input_size, model.config.input_size)
-            img = pic.pixels
+        height, width = img.shape
+        if img.shape != (size, size):
+            img = resize_bilinear(Image2D(width, height, img), size, size).pixels
         _, stripped = segment_apply(model, img)
+        if stripped.shape != (height, width):
+            stripped = resize_bilinear(Image2D(size, size, stripped), width, height).pixels
         out.append((stripped, label))
     return out
 
@@ -363,10 +367,10 @@ def cmd_train(cfg: dict) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.cqck", pack_cqcnn(model))
     write_csv(out_dir / "curves.csv", CURVE_COLUMNS, rows)
-    (out_dir / "run.json").write_text(json.dumps(
+    write_atomic(out_dir / "run.json", json.dumps(
         {"run": cfg["run"], "plane": manifest.plane, "qubits": qubits_label,
          "head": cfg["head"], "seed": cfg["seed"], "skull_strip": bool(cfg["skull_strip"]),
-         "epochs": cfg["epochs"]}, indent=2, sort_keys=True), encoding="utf-8")
+         "epochs": cfg["epochs"]}, indent=2, sort_keys=True).encode("utf-8"))
     return {"rows": rows, "model": model}
 
 

@@ -18,6 +18,7 @@ from ..diffusion import build_schedule, sample
 from ..errors import BadFormat, EmptyInput, MissingDiffusionModel
 from ..rng import Rng
 from ..volio import Image2D, read_pgm, resize_bilinear, write_pgm
+from .atomic import write_atomic
 from .checkpoint import load_checkpoint
 from .modelio import unpack_predictor
 
@@ -86,7 +87,7 @@ class DatasetManifest:
         return manifest
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_atomic(path, self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":

@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 from ..errors import NoRuns
+from .atomic import write_atomic
 
 CURVE_COLUMNS = ["run", "plane", "skull_stripped", "qubits", "seed", "epoch", "split",
                  "loss", "accuracy", "precision", "recall", "f1", "specificity", "epoch_time_s"]
@@ -24,7 +25,7 @@ def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_csv(path: str | Path) -> list[dict]:

@@ -110,3 +110,23 @@ def dense_circuit_state(n: int, ops: list[tuple]) -> np.ndarray:
     for kind, qubits, angle in ops:
         state = dense_gate_matrix(kind, n, qubits, angle) @ state
     return state
+
+
+def maxpool2x2_backward_argmax(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Max-pool gradient routed by argmax over the stacked 2x2 windows.
+
+    argmax returns the first maximum, so ties go to the row-major first
+    element of the window; odd trailing rows/columns get zero gradient.
+    """
+    x = np.asarray(x)
+    dy = np.asarray(dy, dtype=x.dtype)
+    single = x.ndim == 3
+    xb, dyb = (x[None], dy[None]) if single else (x, dy)
+    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    stack = np.stack([xb[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di, dj in offsets])
+    winner = stack.argmax(axis=0)
+    dx = np.zeros_like(xb)
+    for idx, (di, dj) in enumerate(offsets):
+        np.copyto(dx[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2], dyb, where=(winner == idx))
+    return dx[0] if single else dx

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cqbrain import cqcnn
 from cqbrain.cqcnn import (
+    HEAD_CLASSICAL,
+    HEAD_QUANTUM,
     CqcnnConfig,
     CqcnnModel,
     backward,
@@ -11,8 +14,9 @@ from cqbrain.cqcnn import (
     param_count,
     train_epoch,
 )
-from cqbrain.errors import EmptyDataset, ShapeMismatch
+from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
 from cqbrain.neuralkernel import cross_entropy, make_optimizer
+from cqbrain.rng import Rng
 
 from oracles import finite_difference_grad, grads_close
 
@@ -174,6 +178,22 @@ class TestBackward:
         _, g2 = backward(model, img, y, mode="eval")
         assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_only_conv1_skips_its_input_gradient(self, head, monkeypatch):
+        calls = []
+        real = cqcnn.conv2d_backward
+
+        def spy(dy, x, w, *args, **kwargs):
+            calls.append((w.shape, kwargs.get("input_grad", True)))
+            return real(dy, x, w, *args, **kwargs)
+
+        monkeypatch.setattr(cqcnn, "conv2d_backward", spy)
+        model = CqcnnModel(_small_config(head=head))
+        img = np.random.default_rng(3).random((16, 16)).astype(np.float32)
+        grads = backward(model, img, np.array([0.0, 1.0], np.float32))[1]
+        assert calls == [(model.conv2_w.shape, True), (model.conv1_w.shape, False)]
+        assert grads["conv1_w"].shape == model.conv1_w.shape
+
 
 class TestTraining:
     def test_zero_learning_rate_keeps_params_and_matches_eval_loss(self):
@@ -218,6 +238,21 @@ class TestTraining:
         model = CqcnnModel(_small_config(seed=7))
         report = train_epoch(model, _toy_dataset(8), make_optimizer("adam", lr=1e-3), seed=7, batch_size=4)
         assert np.isfinite(report.loss)
+
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_nan_weight_raises_diverged_naming_epoch_and_sample(self, head):
+        model = CqcnnModel(_small_config(head=head))
+        model.conv1_w[0, 0, 0, 0] = np.nan
+        ds = _toy_dataset(3)
+        first = int(Rng(5).derive("epoch:2").derive("shuffle").permutation(len(ds))[0])
+        with pytest.raises(Diverged, match=rf"epoch 2, shuffled position 0 \(dataset index {first}\)"):
+            train_epoch(model, ds, make_optimizer("adam"), seed=5, epoch=2)
+
+    def test_non_finite_loss_raises_diverged(self):
+        model = CqcnnModel(_small_config())
+        model.w_out[...] = np.nan  # finite head input, non-finite output
+        with pytest.raises(Diverged, match="epoch 0, shuffled position 0 .*: loss is nan"):
+            train_epoch(model, _toy_dataset(2), make_optimizer("adam"), seed=0)
 
     def test_empty_dataset_rejected(self):
         model = CqcnnModel(_small_config())

@@ -22,7 +22,7 @@ from cqbrain.neuralkernel import (
 )
 from cqbrain.rng import Rng
 
-from oracles import finite_difference_grad, grads_close, separated_values
+from oracles import finite_difference_grad, grads_close, maxpool2x2_backward_argmax, separated_values
 
 N_GRADCHECK_SEEDS = 20
 LAYER_TOL = 1e-3
@@ -95,6 +95,20 @@ class TestConv2d:
             num = finite_difference_grad(lambda _: float((conv2d(x, w, b, stride, padding).astype(np.float64) * up).sum()), arr)
             assert grads_close(analytic, num, LAYER_TOL)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_skipping_input_grad_keeps_weight_grads(self, padding, batched, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(((3,) if batched else ()) + (2, 9, 9)).astype(dtype)
+        w = rng.standard_normal((4, 2, 3, 3)).astype(dtype)
+        up = rng.standard_normal(conv2d(x, w, np.zeros(4, dtype), 1, padding).shape).astype(dtype)
+        dx_full, dw_full, db_full = conv2d_backward(up, x, w, 1, padding)
+        dx, dw, db = conv2d_backward(up, x, w, 1, padding, input_grad=False)
+        assert dx is None and dx_full.shape == x.shape
+        assert dw.dtype == dw_full.dtype == dtype
+        assert np.array_equal(dw, dw_full) and np.array_equal(db, db_full)
+
 
 class TestConvTranspose:
     def test_doubles_spatial_size(self):
@@ -149,6 +163,33 @@ class TestMaxPool:
         dx = maxpool2x2_backward(up, x)
         num = finite_difference_grad(lambda _: float((maxpool2x2(x).astype(np.float64) * up).sum()), x)
         assert grads_close(dx, num, LAYER_TOL)
+
+    @staticmethod
+    def _assert_matches_argmax_oracle(x, dy):
+        dx = maxpool2x2_backward(dy, x)
+        expected = maxpool2x2_backward_argmax(dy, x)
+        assert dx.shape == expected.shape
+        assert dx.tobytes() == expected.tobytes()  # also compares the sign of zeros
+        windows = [x[..., di : x.shape[-2] // 2 * 2 : 2, dj : x.shape[-1] // 2 * 2 : 2]
+                   for di in (0, 1) for dj in (0, 1)]
+        assert maxpool2x2(x).tobytes() == np.stack(windows).max(axis=0).tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("shape", [(3, 6, 8), (2, 7, 9), (2, 3, 5, 5), (4, 2, 8, 6)])
+    def test_three_level_ties_match_argmax_oracle(self, seed, shape):
+        rng = np.random.default_rng(seed + 300)
+        x = rng.integers(0, 3, size=shape).astype(np.float32)  # 2-, 3- and 4-way ties are common
+        dy = rng.standard_normal(shape[:-2] + (shape[-2] // 2, shape[-1] // 2)).astype(np.float32)
+        self._assert_matches_argmax_oracle(x, dy)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relu_signed_zeros_match_argmax_oracle(self, seed):
+        rng = np.random.default_rng(seed + 400)
+        x = relu(rng.integers(-1, 2, size=(2, 2, 9, 11)).astype(np.float32))
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0  # non-negative, with both zero signs
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        dy = rng.standard_normal((2, 2, 4, 5)).astype(np.float32)
+        self._assert_matches_argmax_oracle(x, dy)
 
 
 class TestReluDenseDropout:

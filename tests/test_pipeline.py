@@ -1,13 +1,19 @@
 """End-to-end tests of dataset assembly and the CLI commands."""
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
 from cqbrain.errors import BadFormat, EmptyInput, MissingDiffusionModel
+from cqbrain.pipeline import commands
+from cqbrain.pipeline.atomic import write_atomic
 from cqbrain.pipeline.checkpoint import save_checkpoint
 from cqbrain.pipeline.cli import main
 from cqbrain.pipeline.dataset import DatasetManifest, build_dataset, load_split, split_90_10
 from cqbrain.pipeline.modelio import pack_predictor
+from cqbrain.pipeline.report import write_csv
 from cqbrain.rng import Rng
 from cqbrain.volio import Image2D, write_pgm
 
@@ -342,3 +348,104 @@ class TestCli:
         assert main(["train", "-c", str(cfg)]) == 0
         curves = (tmp_path / "xi" / "curves.csv").read_text()
         assert ",true," in curves  # skull_stripped column records the flag
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def _fail_halfway(monkeypatch):
+        def write_bytes(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "csv", "manifest", "helper"])
+    def test_failed_write_keeps_previous_file_and_no_temp(self, tmp_path, monkeypatch, writer):
+        root = tmp_path / "data"
+        _write_pgms(root / "a" / "axial", 4, seed=1)
+        _write_pgms(root / "b" / "axial", 4, seed=2)
+        manifest = build_dataset(root, tmp_path / "ds", "axial", seed=0, balance=False, image_size=16)
+        writes = {
+            "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(3, v, np.float32)}),
+            "csv": lambda path, v: write_csv(path, ["a", "b"], [{"a": v, "b": v}] * 50),
+            "manifest": lambda path, v: (setattr(manifest, "seed", v), manifest.save(path)),
+            "helper": lambda path, v: write_atomic(path, str(v).encode() * 100),
+        }
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "file"
+        writes[writer](target, 1)
+        before = target.read_bytes()
+        self._fail_halfway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            writes[writer](target, 2)
+        assert target.read_bytes() == before
+        assert [f.name for f in out.iterdir()] == ["file"]
+        monkeypatch.undo()
+        writes[writer](target, 2)
+        assert target.read_bytes() != before
+        assert [f.name for f in out.iterdir()] == ["file"]
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "checkpoint.cqck"
+        save_checkpoint(target, {"w": np.zeros(2, np.float32)})
+        before = target.read_bytes()
+
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(target, {"w": np.ones(2, np.float32)})
+        assert target.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.cqck"]
+
+
+class TestRobustTraining:
+    @staticmethod
+    def _dataset(tmp_path, size):
+        root = tmp_path / "data"
+        _write_pgms(root / "a" / "axial", 5, size=size, seed=11, label=0)
+        _write_pgms(root / "b" / "axial", 5, size=size, seed=12, label=1)
+        cfg = _write_cfg(tmp_path / "ds.cfg", input_dir=root, output_dir=tmp_path / "ds",
+                         plane="axial", balance="false", size=size)
+        assert main(["build-dataset", "-c", str(cfg)]) == 0
+        return tmp_path / "ds" / "manifest.json"
+
+    def test_skull_strip_keeps_manifest_image_size(self, tmp_path):
+        img_dir, mask_dir = tmp_path / "imgs", tmp_path / "masks"
+        _write_pgms(img_dir, 2, size=16, seed=3)
+        mask = np.zeros((16, 16), np.float32)
+        mask[2:14, 2:14] = 1.0
+        mask_dir.mkdir()
+        for name in ("img_0000.pgm", "img_0001.pgm"):
+            (mask_dir / name).write_bytes(write_pgm(Image2D(16, 16, mask)))
+        seg_cfg = _write_cfg(tmp_path / "seg.cfg", images_dir=img_dir, masks_dir=mask_dir,
+                             output_dir=tmp_path / "seg", size=16, width_scale=0.25,
+                             epochs=1, timing="zero")
+        assert main(["segment-train", "-c", str(seg_cfg)]) == 0
+        ckpt = tmp_path / "seg" / "checkpoint.cqck"
+        manifest = self._dataset(tmp_path, 32)
+
+        stripped = commands._strip_dataset(load_split(DatasetManifest.load(manifest), "train"), ckpt)
+        assert {img.shape for img, _ in stripped} == {(32, 32)}
+        cfg = _write_cfg(tmp_path / "tr.cfg", dataset=manifest, output_dir=tmp_path / "run",
+                         epochs=1, seed=0, timing="zero", skull_strip="true", skullnet_ckpt=ckpt)
+        assert main(["train", "-c", str(cfg)]) == 0
+        assert ",true," in (tmp_path / "run" / "curves.csv").read_text()
+
+    @pytest.mark.parametrize("head", ["quantum", "classical"])
+    def test_divergence_exits_2_naming_epoch_and_sample(self, tmp_path, monkeypatch, capsys, head):
+        class NanModel(commands.CqcnnModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.conv1_w[0, 0, 0, 0] = np.nan
+
+        monkeypatch.setattr(commands, "CqcnnModel", NanModel)
+        cfg = _write_cfg(tmp_path / "tr.cfg", dataset=self._dataset(tmp_path, 16),
+                         output_dir=tmp_path / "run", head=head, epochs=1, seed=0)
+        assert main(["train", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "diverged at epoch 0, shuffled position 0 (dataset index" in err
+        assert not (tmp_path / "run" / "checkpoint.cqck").exists()
