@@ -28,7 +28,7 @@ class Truncated(CqbrainError):
 
 
 class BadFormat(CqbrainError):
-    """Malformed content beyond the magic check (PGM header, raster, CQCK trailing bytes)."""
+    """Malformed content beyond the magic check (PGM header or raster, PGM or CQCK trailing bytes)."""
 
 
 class UnsupportedDatatype(CqbrainError):

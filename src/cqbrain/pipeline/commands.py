@@ -25,7 +25,7 @@ from ..diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, sa
 from ..errors import ConfigError, CqbrainError, EmptyInput
 from ..neuralkernel import make_optimizer
 from ..rng import Rng
-from ..skullnet import MaskPair, UNet, UNetConfig, segment_apply, train_segmenter
+from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
 from ..volio import Image2D, Plane, read_pgm, resize_bilinear, write_pgm
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -232,8 +232,7 @@ def cmd_segment_apply(cfg: dict) -> int:
     out_dir: Path = cfg["output_dir"]
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     (out_dir / "stripped").mkdir(parents=True, exist_ok=True)
-    for name, img in images:
-        mask, stripped = segment_apply(model, img)
+    for (name, _), (mask, stripped) in zip(images, segment_many(model, [img for _, img in images])):
         (out_dir / "masks" / name).write_bytes(write_pgm(Image2D(size, size, mask)))
         (out_dir / "stripped" / name).write_bytes(write_pgm(Image2D(size, size, stripped)))
     return len(images)
@@ -303,12 +302,12 @@ def _strip_dataset(data: list[tuple[np.ndarray, int]], ckpt: Path | None) -> lis
         raise ConfigError("skull_strip = true needs skullnet_ckpt")
     model = unpack_unet(load_checkpoint(ckpt))
     size = model.config.input_size
+    resized = [img if img.shape == (size, size) else
+               resize_bilinear(Image2D(img.shape[1], img.shape[0], img), size, size).pixels
+               for img, _ in data]
     out = []
-    for img, label in data:
+    for (img, label), (_, stripped) in zip(data, segment_many(model, resized)):
         height, width = img.shape
-        if img.shape != (size, size):
-            img = resize_bilinear(Image2D(width, height, img), size, size).pixels
-        _, stripped = segment_apply(model, img)
         if stripped.shape != (height, width):
             stripped = resize_bilinear(Image2D(size, size, stripped), width, height).pixels
         out.append((stripped, label))
@@ -327,7 +326,17 @@ def _metric_row(result, split: str, extra: dict) -> dict:
     return row
 
 
+def _check_head(cfg: dict) -> None:
+    """Reject head settings CqcnnConfig cannot build, naming the config key."""
+    if cfg["qubits"] not in (2, 3):
+        raise ConfigError(f"qubits: must be 2 or 3, got {cfg['qubits']}")
+    if 0 < cfg["fc_width"] < cfg["qubits"]:
+        raise ConfigError(f"fc_width: must be 0 (match qubits) or at least qubits = {cfg['qubits']}, "
+                          f"got {cfg['fc_width']}")
+
+
 def cmd_train(cfg: dict) -> dict:
+    _check_head(cfg)
     manifest = DatasetManifest.load(cfg["dataset"])
     train_set = load_split(manifest, "train")
     test_set = load_split(manifest, "test")

@@ -6,8 +6,9 @@ single-qubit Ry ansatz, and a full-parity Z measurement mapped to a
 probability. Gradients come from the two-point parameter-shift rule applied
 per gate occurrence, with the chain rule onto features and ansatz angles.
 
-`pqc_forward` and `pqc_backward` share one closed-form evaluator that runs a
-stack of circuits (the base circuit, or all its +-pi/2 shifts) as one array.
+`pqc_forward_rows`, `pqc_forward` (its one-row case) and `pqc_backward`
+share one closed-form evaluator that runs a stack of circuits (one circuit
+per feature row, or all +-pi/2 shifts of one circuit) as one array.
 The gate-level simulator (`StateVector`, `apply_*`) and the dense-matrix
 oracle in the tests are the references it is checked against.
 
@@ -156,20 +157,33 @@ def _bit_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _encoding_angles(x: np.ndarray) -> np.ndarray:
-    """Phase-gate angles 2 x_q, then pairwise angles 2 (pi - x_i)(pi - x_j)."""
-    _, _, first, second = _bit_table(x.size)
-    return np.concatenate([2.0 * x, 2.0 * (math.pi - x[first]) * (math.pi - x[second])])
+    """Phase-gate angles 2 x_q, then pairwise angles 2 (pi - x_i)(pi - x_j), per row of x."""
+    _, _, first, second = _bit_table(x.shape[-1])
+    return np.concatenate([2.0 * x, 2.0 * (math.pi - x[..., first]) * (math.pi - x[..., second])],
+                          axis=-1)
 
 
-def _parity_expectations(n: int, rows: np.ndarray) -> np.ndarray:
+def _parity_expectations(n: int, rows: np.ndarray, row_by_row: bool = False) -> np.ndarray:
     """<Z x ... x Z> of the head circuit for each row of (encoding angles, Ry angles).
 
     After the Hadamard layer the encoding is diagonal, so the encoded state is
     2^{-n/2} exp(i * table . angles); the Ry layer is one real rotation per
-    tensor axis, qubit 0 (the least-significant bit) first.
+    tensor axis, qubit 0 (the least-significant bit) first. Everything after
+    the phase product is elementwise or a per-row reduction, so a row's value
+    does not depend on the rest of the stack. The phase product is not: one
+    matrix product over R > 1 rows may sum in another order than R one-row
+    products (at n >= 3 they differ in the last bits). `row_by_row` computes
+    it one row at a time, which makes every row equal its one-row call.
     """
     table, signs, _, _ = _bit_table(n)
-    amps = np.exp(1j * (rows[:, :-n] @ table.T)) * 2.0 ** (-n / 2.0)
+    encoding = rows[:, :-n]
+    if row_by_row:
+        phases = np.empty((len(rows), table.shape[0]))
+        for phase, angles in zip(phases, encoding):
+            phase[:] = angles[None] @ table.T
+    else:
+        phases = encoding @ table.T
+    amps = np.exp(1j * phases) * 2.0 ** (-n / 2.0)
     half = rows[:, -n:] / 2.0
     cos, sin = np.cos(half), np.sin(half)
     for q in range(n):
@@ -207,10 +221,23 @@ def expectation_parity(s: StateVector) -> float:
 
 def pqc_forward(x, theta) -> float:
     """Probability output (parity expectation + 1) / 2, in [0, 1]."""
-    x = _validated(x)
-    theta = _validated(theta, x.size)
-    row = np.concatenate([_encoding_angles(x), theta])
-    return (float(_parity_expectations(x.size, row[None])[0]) + 1.0) / 2.0
+    return float(pqc_forward_rows(np.reshape(x, (1, -1)), theta)[0])
+
+
+def pqc_forward_rows(xs, theta) -> np.ndarray:
+    """pqc_forward of each feature row of xs (R, n) under one theta, as one stack.
+
+    Row r equals pqc_forward(xs[r], theta) bit for bit, whatever R is.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or len(xs) == 0:
+        raise BadLength(f"expected a non-empty stack of feature rows, got shape {xs.shape}")
+    n = _validated(xs[0]).size
+    if not np.isfinite(xs).all():
+        raise BadLength("vector entries must be finite")
+    theta = _validated(theta, n)
+    rows = np.concatenate([_encoding_angles(xs), np.broadcast_to(theta, xs.shape)], axis=1)
+    return (_parity_expectations(n, rows, row_by_row=True) + 1.0) / 2.0
 
 
 def pqc_backward(x, theta, upstream: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

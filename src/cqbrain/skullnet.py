@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ from .neuralkernel import (
 from .rng import Rng
 
 FULL_WIDTHS = (32, 64, 128, 256, 512)
+
+# Images per U-Net call in `segment_many`; training already runs batches of 8.
+APPLY_CHUNK = 8
 
 
 @dataclass
@@ -203,14 +207,6 @@ class MaskPair:
             raise ShapeMismatch(f"image {self.image.shape} vs mask {self.mask.shape}")
 
 
-def unet_forward(model: UNet, img: np.ndarray) -> np.ndarray:
-    """Segmentation logits for one (H, W) image."""
-    img = np.asarray(img, dtype=np.float32)
-    if img.ndim != 2:
-        raise ShapeMismatch(f"expected a 2D image, got shape {img.shape}")
-    return model.forward(img[None, None])[0, 0]
-
-
 def soft_dice(probs: np.ndarray, mask: np.ndarray, smooth: float = 1.0) -> float:
     """Differentiable overlap score in [0, 1]."""
     p = np.asarray(probs, dtype=np.float64)
@@ -316,7 +312,18 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
 
 def segment_apply(model: UNet, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(binary mask, masked image) for one slice."""
-    img = np.asarray(img, dtype=np.float32)
-    logits = unet_forward(model, img)
-    mask = (logits >= 0.0).astype(np.float32)
-    return mask, img * mask
+    return next(segment_many(model, [img]))
+
+
+def segment_many(model: UNet, images: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`segment_apply` for each (H, W) image in order, APPLY_CHUNK images per U-Net call.
+
+    The conv kernels compute each batch item on its own, so every mask and
+    masked image equals its one-image result bit for bit.
+    """
+    for start in range(0, len(images), APPLY_CHUNK):
+        chunk = np.stack([np.asarray(img, dtype=np.float32) for img in images[start : start + APPLY_CHUNK]])
+        logits = model.forward(chunk[:, None])
+        for img, z in zip(chunk, logits[:, 0]):
+            mask = (z >= 0.0).astype(np.float32)
+            yield mask, img * mask

@@ -236,7 +236,7 @@ def write_pgm(img: Image2D) -> bytes:
 
 
 def read_pgm(data: bytes) -> Image2D:
-    """Inverse of write_pgm; accepts whitespace and '#' comments in the header."""
+    """Inverse of write_pgm; accepts whitespace and '#' comments in the header, no bytes after the raster."""
     pos = 0
 
     def _token() -> bytes:
@@ -271,5 +271,7 @@ def read_pgm(data: bytes) -> Image2D:
     raster = data[pos : pos + w * h]
     if len(raster) < w * h:
         raise BadFormat(f"raster needs {w * h} bytes, got {len(raster)}")
+    if len(data) > pos + w * h:
+        raise BadFormat(f"{len(data) - pos - w * h} bytes after the {w}x{h} raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float32) / np.float32(255.0)
     return Image2D(width=w, height=h, pixels=pixels.reshape(h, w))

@@ -15,7 +15,7 @@ from cqbrain.cqcnn import (
     train_epoch,
 )
 from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
-from cqbrain.neuralkernel import cross_entropy, make_optimizer
+from cqbrain.neuralkernel import ConfusionCounts, cross_entropy, make_optimizer
 from cqbrain.rng import Rng
 
 from oracles import finite_difference_grad, grads_close
@@ -298,3 +298,51 @@ class TestEvaluate:
         fn = sum(1 for p, t in preds if p == 0 and t == 1)
         assert (result.counts.tp, result.counts.fp, result.counts.tn, result.counts.fn) == (tp, fp, tn, fn)
         assert result.metrics["accuracy"] == pytest.approx(0.6)
+
+
+def _forward_loop(model: CqcnnModel, dataset: list) -> tuple[np.ndarray, ConfusionCounts, float]:
+    """The one-image-at-a-time eval pass: per-sample gammas, confusion counts, mean loss."""
+    gammas, counts, total = [], ConfusionCounts(), 0.0
+    for img, label in dataset:
+        gamma = model.forward(img, mode="eval").copy()
+        counts.add(int(np.argmax(gamma)), label)
+        y = np.zeros(2, np.float32)
+        y[label] = 1.0
+        total += cross_entropy(gamma, y)
+        gammas.append(gamma)
+    return np.stack(gammas), counts, total / len(dataset)
+
+
+class TestBatchedInference:
+    HEADS = {"q2": dict(n_qubits=2), "q3": dict(n_qubits=3), "classical": dict(head=HEAD_CLASSICAL)}
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        rng = np.random.default_rng(21)
+        return [rng.random((128, 128)).astype(np.float32) for _ in range(108)]
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("n", sorted({1, max(1, cqcnn.EVAL_CHUNK - 1), cqcnn.EVAL_CHUNK + 1, 108}))
+    def test_evaluate_equals_forward_loop(self, images, head, n):
+        model = CqcnnModel(CqcnnConfig(seed=3, **self.HEADS[head]))
+        dataset = [(img, i % 3 % 2) for i, img in enumerate(images[:n])]
+        gammas, counts, loss = _forward_loop(model, dataset)
+        sentinel = {}
+        model._cache = sentinel
+        result = evaluate(model, dataset)
+        assert model._cache is sentinel  # eval keeps no activation cache
+        assert result.counts == counts
+        assert result.loss == loss
+        assert np.array_equal(model.predict([img for img, _ in dataset]), gammas)
+
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_nan_weight_raises_diverged_from_evaluate(self, head):
+        model = CqcnnModel(_small_config(head=head))
+        model.conv1_w[0, 0, 0, 0] = np.nan
+        with pytest.raises(Diverged, match="head input is not finite"):
+            evaluate(model, _toy_dataset(3))
+
+    def test_wrong_image_size_rejected(self):
+        model = CqcnnModel(_small_config())
+        with pytest.raises(ShapeMismatch):
+            model.predict([np.zeros((16, 16), np.float32), np.zeros((8, 8), np.float32)])

@@ -1,7 +1,11 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cqbrain.errors import ShapeMismatch
+from cqbrain.neuralkernel import ops
 from cqbrain.neuralkernel import (
     conv2d,
     conv2d_backward,
@@ -108,6 +112,60 @@ class TestConv2d:
         assert dx is None and dx_full.shape == x.shape
         assert dw.dtype == dw_full.dtype == dtype
         assert np.array_equal(dw, dw_full) and np.array_equal(db, db_full)
+
+
+class TestColumnWorkspace:
+    """conv columns come from one reused buffer per dtype and thread (ops module docstring)."""
+
+    @staticmethod
+    def _first_layer(batch: int = 1):
+        rng = np.random.default_rng(3)
+        x = rng.random((batch, 1, 128, 128)).astype(np.float32)
+        return x, rng.standard_normal((2, 1, 5, 5)).astype(np.float32), np.zeros(2, np.float32)
+
+    def test_warm_call_allocates_no_columns(self):
+        x, w, b = self._first_layer()
+        out = conv2d(x, w, b)  # warm-up: grows the workspace to 1.5 MB of columns
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_outputs_never_alias_the_workspace(self, padding):
+        x, w, b = self._first_layer(batch=2)
+        y = conv2d(x, w, b, padding=padding)
+        grads = conv2d_backward(np.ones_like(y), x, w, padding=padding)
+        buffer = ops._workspace.by_dtype[np.dtype(np.float32)]
+        for arr in (y, *grads):
+            assert not np.shares_memory(arr, buffer)
+
+    def test_float64_calls_keep_float32_columns(self):
+        x, _, _ = self._first_layer()
+        x64, w64, b64 = x.astype(np.float64), np.ones((3, 1, 5, 5)), np.zeros(3)
+        conv2d(x64, w64, b64)  # a buffer shared across dtypes would now be big enough for both
+        cols = ops._im2col(x, 5, 1, 124, 124)
+        want = cols.copy()
+        conv2d(x64, w64, b64)
+        assert np.array_equal(cols, want)
+
+    def test_each_thread_has_its_own_buffer(self):
+        x, w, b = self._first_layer()
+        conv2d(x, w, b)
+        seen = {}
+
+        def build():
+            conv2d(x, w, b)
+            seen["buffer"] = ops._workspace.by_dtype[np.dtype(np.float32)]
+
+        worker = threading.Thread(target=build)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert not np.shares_memory(seen["buffer"], ops._workspace.by_dtype[np.dtype(np.float32)])
 
 
 class TestConvTranspose:

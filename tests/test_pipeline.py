@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqbrain import skullnet
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
 from cqbrain.errors import BadFormat, EmptyInput, MissingDiffusionModel
 from cqbrain.pipeline import commands
@@ -12,9 +13,10 @@ from cqbrain.pipeline.atomic import write_atomic
 from cqbrain.pipeline.checkpoint import save_checkpoint
 from cqbrain.pipeline.cli import main
 from cqbrain.pipeline.dataset import DatasetManifest, build_dataset, load_split, split_90_10
-from cqbrain.pipeline.modelio import pack_predictor
+from cqbrain.pipeline.modelio import pack_predictor, pack_unet
 from cqbrain.pipeline.report import write_csv
 from cqbrain.rng import Rng
+from cqbrain.skullnet import UNet, UNetConfig
 from cqbrain.volio import Image2D, write_pgm
 
 from fixtures import nifti_bytes
@@ -286,6 +288,25 @@ class TestCli:
         assert main(["diffuse-sample", "-c", str(samp_cfg)]) == 0
         assert len(list((tmp_path / "samples").glob("*.pgm"))) == 3
 
+    def test_segment_apply_bytes_do_not_depend_on_chunk(self, tmp_path, monkeypatch):
+        img_dir = tmp_path / "imgs"
+        count = skullnet.APPLY_CHUNK + 3  # one full chunk and a partial one
+        _write_pgms(img_dir, count, size=16, seed=4)
+        ckpt = tmp_path / "seg.cqck"
+        save_checkpoint(ckpt, pack_unet(UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(2))))
+
+        def run(out_name):
+            cfg = _write_cfg(tmp_path / f"{out_name}.cfg", checkpoint=ckpt, input_dir=img_dir,
+                             output_dir=tmp_path / out_name)
+            assert main(["segment-apply", "-c", str(cfg)]) == 0
+            return {p.relative_to(tmp_path / out_name): p.read_bytes()
+                    for p in sorted((tmp_path / out_name).rglob("*.pgm"))}
+
+        chunked = run("chunked")
+        assert len(chunked) == 2 * count  # masks and stripped images
+        monkeypatch.setattr(skullnet, "APPLY_CHUNK", 1)
+        assert run("single") == chunked
+
     def test_diffuse_sample_rerun_is_byte_identical(self, tmp_path):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -449,3 +470,16 @@ class TestRobustTraining:
         err = capsys.readouterr().err
         assert "diverged at epoch 0, shuffled position 0 (dataset index" in err
         assert not (tmp_path / "run" / "checkpoint.cqck").exists()
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"qubits": 4}, "qubits"),
+        ({"qubits": 1, "head": "classical"}, "qubits"),
+        ({"qubits": 3, "fc_width": 2}, "fc_width"),
+    ])
+    def test_bad_head_config_exits_1_naming_the_key(self, tmp_path, capsys, settings, key):
+        cfg = _write_cfg(tmp_path / "tr.cfg", dataset=self._dataset(tmp_path, 16),
+                         output_dir=tmp_path / "run", epochs=1, **settings)
+        capsys.readouterr()
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "run").exists()

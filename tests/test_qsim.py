@@ -352,3 +352,24 @@ class TestEvaluatorAgainstDenseOracle:
             grad_x, grad_theta = qsim.pqc_backward(x, theta, upstream=up)
             assert np.abs(grad_x - want_x).max() <= 1e-10
             assert np.abs(grad_theta - want_theta).max() <= 1e-10
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 7, 108])
+    def test_each_row_equals_its_single_call(self, n, rows):
+        rng = np.random.default_rng(200 + 10 * n + rows)
+        xs = rng.uniform(-4, 4, (rows, n))
+        theta = rng.uniform(0, math.pi, n)
+        single = np.array([qsim.pqc_forward(x, theta) for x in xs])
+        assert np.array_equal(qsim.pqc_forward_rows(xs, theta), single)
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(BadLength):
+            qsim.pqc_forward_rows(np.zeros((0, 2)), [0.1, 0.2])
+        with pytest.raises(BadLength):
+            qsim.pqc_forward_rows(np.zeros(2), [0.1, 0.2])
+        with pytest.raises(BadLength):
+            qsim.pqc_forward_rows(np.zeros((3, 2)), [0.1])
+        with pytest.raises(BadLength):
+            qsim.pqc_forward_rows([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2])

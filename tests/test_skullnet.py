@@ -4,16 +4,17 @@ import pytest
 from cqbrain.errors import EmptyDataset, ShapeMismatch
 from cqbrain.neuralkernel import dice_iou, make_optimizer
 from cqbrain.rng import Rng
+from cqbrain import skullnet
 from cqbrain.skullnet import (
     FULL_WIDTHS,
     MaskPair,
     UNet,
     UNetConfig,
     segment_apply,
+    segment_many,
     segmentation_loss,
     soft_dice,
     train_segmenter,
-    unet_forward,
 )
 
 from oracles import finite_difference_grad, finite_difference_grad_at, grads_close
@@ -76,12 +77,13 @@ class TestForward:
             x = np.random.default_rng(1).random((1, 1, 32, 32)).astype(np.float32)
             assert model.forward(x).shape == (1, 1, 32, 32)
 
-    def test_2d_wrapper(self):
+    def test_one_image_apply_shapes(self):
         model = UNet(UNetConfig(input_size=32, width_scale=0.125), Rng(3))
         img = np.random.default_rng(2).random((32, 32)).astype(np.float32)
-        assert unet_forward(model, img).shape == (32, 32)
+        mask, stripped = segment_apply(model, img)
+        assert mask.shape == stripped.shape == (32, 32)
         with pytest.raises(ShapeMismatch):
-            unet_forward(model, np.zeros((1, 32, 32), np.float32))
+            segment_apply(model, np.zeros((1, 32, 32), np.float32))
 
     def test_wrong_input_shape_rejected(self):
         model = UNet(UNetConfig(input_size=32, width_scale=0.125), Rng(4))
@@ -249,6 +251,18 @@ class TestApply:
         img = np.random.default_rng(8).random((16, 16)).astype(np.float32)
         _, stripped = segment_apply(model, img)
         assert (stripped <= img + 1e-7).all()
+
+    @pytest.mark.parametrize("size, width_scale", [(16, 0.25), (64, 0.125)])
+    def test_chunked_apply_equals_per_image_apply(self, size, width_scale):
+        model = UNet(UNetConfig(input_size=size, width_scale=width_scale), Rng(7))
+        rng = np.random.default_rng(10)
+        images = [rng.random((size, size)).astype(np.float32) for _ in range(2 * skullnet.APPLY_CHUNK + 3)]
+        chunked = list(segment_many(model, images))
+        assert len(chunked) == len(images)
+        for img, (mask, stripped) in zip(images, chunked):
+            want = (model.forward(img[None, None])[0, 0] >= 0.0).astype(np.float32)
+            assert np.array_equal(mask, want)
+            assert np.array_equal(stripped, img * want)
 
     def test_mask_pair_validation(self):
         with pytest.raises(ShapeMismatch):

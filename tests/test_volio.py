@@ -279,6 +279,13 @@ class TestPgm:
         img = volio.read_pgm(b"P5\n# a comment\n1 1\n255\n\x7f")
         assert img.pixels[0, 0] == pytest.approx(127 / 255)
 
+    def test_trailing_bytes_rejected(self):
+        data = volio.write_pgm(Image2D(2, 1, np.array([[0.0, 1.0]])))
+        assert volio.read_pgm(data).width == 2
+        for extra in (b"\x00", b"\n", b"\x00" * 7):
+            with pytest.raises(BadFormat, match="after the 2x1 raster"):
+                volio.read_pgm(data + extra)
+
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(BadFormat):
             volio.read_pgm(b"P5\n0 1\n255\n\x00")
