@@ -157,7 +157,7 @@ class NoisePredictor:
         return self.unet.forward(x_t, bottleneck_add=badd)
 
     def backward(self, dy: np.ndarray) -> dict[str, np.ndarray]:
-        grads, _, dba = self.unet.backward(dy)
+        grads, _, dba = self.unet.backward(dy, input_grad=False)
         grads["temb_w"] = dba.T @ self._emb
         grads["temb_b"] = dba.sum(axis=0)
         return grads

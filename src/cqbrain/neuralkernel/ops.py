@@ -13,6 +13,22 @@ gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
 
+Same padding without a padded copy: a same-padded conv (odd K, stride 1,
+pad P = (K-1)/2) never builds a padded input. For each tap, `_im2col`
+copies the rectangle of output positions whose input position lies inside
+the unpadded input and writes +0.0 into the tap's out-of-range border
+strips, so the columns equal those of the zero-padded input value for
+value. `_col2im` adds each tap's in-range rectangle straight into a
+zeroed, unpadded dx, taps in row-major order. Each element of dx thus
+receives the same terms, in the same order, as the matching interior
+element of a zero-padded gradient buffer would; the terms that would land
+on that buffer's border (and be sliced away) are never added. Both sums
+start at +0.0: dx is zeroed, not seeded with a tap's values, because a
+sum that starts at +0.0 never becomes -0.0 under round-to-nearest, while
+a seeded one would keep a -0.0 term's sign. So dx is bit for bit the
+padded-and-sliced result, and it comes back as its own contiguous array,
+not as a strided view into a larger padded buffer.
+
 Column workspace: `conv2d` and `conv2d_backward` build their im2col
 columns in one grow-only buffer per dtype and per thread, instead of a
 fresh array per call (1.5 MB for a 128 px first layer, which the allocator
@@ -57,13 +73,6 @@ def _batched(x: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
     raise ShapeMismatch(f"expected rank {ndim} or {ndim + 1}, got shape {x.shape}")
 
 
-def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
-    if k % 2 == 0:
-        raise ShapeMismatch(f"'same' padding needs an odd kernel, got {k}")
-    p = (k - 1) // 2
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
 _workspace = threading.local()
 
 
@@ -77,27 +86,64 @@ def _column_buffer(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """Columns (N, C*K*K, H_out*W_out) in the column workspace (see module docstring)."""
-    n, c = x.shape[:2]
+def _in_range(offset: int, size: int, n_out: int) -> tuple[int, int]:
+    """Output positions [lo, hi) whose input position (output + offset) lies in [0, size)."""
+    lo = min(max(-offset, 0), n_out)
+    return lo, max(min(size - offset, n_out), lo)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int) -> np.ndarray:
+    """Columns (N, C*K*K, H_out*W_out) in the column workspace (see module docstring).
+
+    With pad > 0 (same padding, stride 1) x is the unpadded input: the taps'
+    out-of-range border strips are zeroed, then each tap copies its in-range
+    rectangle.
+    """
+    n, c, h, w = x.shape
     cols = _column_buffer((n, c, k, k, h_out, w_out), x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = x[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride]
+    if not pad:
+        for ki in range(k):
+            for kj in range(k):
+                cols[:, :, ki, kj] = x[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride]
+        return cols.reshape(n, c * k * k, h_out * w_out)
+    rows = [_in_range(ki - pad, h, h_out) for ki in range(k)]
+    spans = [_in_range(kj - pad, w, w_out) for kj in range(k)]
+    # zeroed on every call (the workspace still holds an earlier call's columns),
+    # all taps of one kernel row or column per strip
+    for ki, (i0, i1) in enumerate(rows):
+        if i0:
+            cols[:, :, ki, :, :i0] = 0
+        if i1 < h_out:
+            cols[:, :, ki, :, i1:] = 0
+    for kj, (j0, j1) in enumerate(spans):
+        if j0:
+            cols[:, :, :, kj, :, :j0] = 0
+        if j1 < w_out:
+            cols[:, :, :, kj, :, j1:] = 0
+    for ki, (i0, i1) in enumerate(rows):
+        for kj, (j0, j1) in enumerate(spans):
+            cols[:, :, ki, kj, i0:i1, j0:j1] = x[:, :, i0 + ki - pad : i1 + ki - pad, j0 + kj - pad : j1 + kj - pad]
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    n, c = x_shape[:2]
+def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int,
+            pad: int) -> np.ndarray:
+    """Input gradient of `_im2col`: each tap's in-range rectangle added into a zeroed dx."""
+    n, c, h, w = x_shape
     dx = np.zeros(x_shape, dtype=dcols.dtype)
     dcols = dcols.reshape(n, c, k, k, h_out, w_out)
     for ki in range(k):
+        i0, i1 = _in_range(ki - pad, h, h_out) if pad else (0, h_out)
         for kj in range(k):
-            dx[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += dcols[:, :, ki, kj]
+            j0, j1 = _in_range(kj - pad, w, w_out) if pad else (0, w_out)
+            r0, c0 = i0 * stride + ki - pad, j0 * stride + kj - pad
+            dx[:, :, r0 : r0 + stride * (i1 - i0) : stride, c0 : c0 + stride * (j1 - j0) : stride] += \
+                dcols[:, :, ki, kj, i0:i1, j0:j1]
     return dx
 
 
 def _conv_geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str):
+    """(c_out, c_in, k, h_out, w_out, pad) of a conv, after checking every shape."""
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ShapeMismatch(f"weights must be (C_out, C_in, K, K), got {w.shape}")
     c_out, c_in, k, _ = w.shape
@@ -108,26 +154,27 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad
     if padding == "same":
         if stride != 1:
             raise ShapeMismatch("'same' padding only supports stride 1")
-        h_out, w_out = x.shape[2], x.shape[3]
+        if k % 2 == 0:
+            raise ShapeMismatch(f"'same' padding needs an odd kernel, got {k}")
+        h_out, w_out, pad = x.shape[2], x.shape[3], (k - 1) // 2
     elif padding == "valid":
         h, wdt = x.shape[2], x.shape[3]
         if k > h or k > wdt:
             raise ShapeMismatch(f"kernel {k} exceeds input {h}x{wdt}")
         if (h - k) % stride or (wdt - k) % stride:
             raise ShapeMismatch(f"stride {stride} does not evenly cover {h}x{wdt} with kernel {k}")
-        h_out, w_out = (h - k) // stride + 1, (wdt - k) // stride + 1
+        h_out, w_out, pad = (h - k) // stride + 1, (wdt - k) // stride + 1, 0
     else:
         raise ShapeMismatch(f"padding must be 'valid' or 'same', got {padding!r}")
-    return c_out, c_in, k, h_out, w_out
+    return c_out, c_in, k, h_out, w_out, pad
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding: str = "valid") -> np.ndarray:
     """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K)."""
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
-    c_out, c_in, k, h_out, w_out = _conv_geometry(xb, w, b, stride, padding)
-    xp = _pad_same(xb, k) if padding == "same" else xb
-    cols = _im2col(xp, k, stride, h_out, w_out)
+    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, b, stride, padding)
+    cols = _im2col(xb, k, stride, h_out, w_out, pad)
     y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
     y = y.astype(np.result_type(y, b), copy=False)
     y += b[:, None, None]  # in place: no second output-sized temporary
@@ -142,11 +189,10 @@ def conv2d_backward(
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
-    c_out, c_in, k, h_out, w_out = _conv_geometry(xb, w, np.zeros(w.shape[0], np.float32), stride, padding)
+    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, np.zeros(w.shape[0], np.float32), stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
         raise ShapeMismatch(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
-    xp = _pad_same(xb, k) if padding == "same" else xb
-    cols = _im2col(xp, k, stride, h_out, w_out)
+    cols = _im2col(xb, k, stride, h_out, w_out, pad)
     dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
 
     db = dy_mat.sum(axis=(0, 2))
@@ -154,11 +200,8 @@ def conv2d_backward(
     if not input_grad:
         return None, dw, db
     dcols = np.matmul(w.reshape(c_out, -1).T, dy_mat)
-    dxp = _col2im(dcols, xp.shape, k, stride, h_out, w_out)
-    if padding == "same":
-        p = (k - 1) // 2
-        dxp = dxp[:, :, p : p + xb.shape[2], p : p + xb.shape[3]]
-    return (dxp[0] if single else dxp), dw, db
+    dx = _col2im(dcols, xb.shape, k, stride, h_out, w_out, pad)
+    return (dx[0] if single else dx), dw, db
 
 
 def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ which the `timing = zero` switch pins to 0 for byte-reproducible runs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from ..cqcnn import (
     train_epoch,
 )
 from ..diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, sample, train_step
-from ..errors import ConfigError, CqbrainError, EmptyInput
+from ..errors import ConfigError, CqbrainError, Diverged, EmptyInput
 from ..neuralkernel import make_optimizer
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
@@ -65,11 +66,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "images_dir": Field("in_path"),
         "masks_dir": Field("in_path"),
         "output_dir": Field("out_path"),
-        "size": Field("int", 128),
-        "width_scale": Field("float", 1.0),
-        "epochs": Field("int", 30),
-        "lr": Field("float", 3e-3),
-        "batch_size": Field("int", 8),
+        "size": Field("int", 128, low=1),
+        "width_scale": Field("float", 1.0, low=0.0, low_open=True),
+        "epochs": Field("int", 30, low=1),
+        "lr": Field("float", 3e-3, low=0.0, low_open=True),
+        "batch_size": Field("int", 8, low=1),
         "seed": Field("int", 0),
         "run": Field("str", "segment"),
         "timing": _TIMING,
@@ -82,15 +83,15 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "diffuse-train": {
         "input_dir": Field("in_path"),
         "output_dir": Field("out_path"),
-        "size": Field("int", 64),
-        "widths": Field("str", "8,16"),
-        "emb_dim": Field("int", 16),
-        "T": Field("int", 200),
-        "beta_start": Field("float", 1e-4),
-        "beta_end": Field("float", 0.02),
-        "epochs": Field("int", 500),
-        "batch_size": Field("int", 16),
-        "lr": Field("float", 2e-3),
+        "size": Field("int", 64, low=1),
+        "widths": Field("ints", (8, 16), low=1),
+        "emb_dim": Field("int", 16, low=2),
+        "T": Field("int", 200, low=1),
+        "beta_start": Field("float", 1e-4, low=0.0, low_open=True),
+        "beta_end": Field("float", 0.02, low=0.0, low_open=True),
+        "epochs": Field("int", 500, low=1),
+        "batch_size": Field("int", 16, low=1),
+        "lr": Field("float", 2e-3, low=0.0, low_open=True),
         "seed": Field("int", 0),
         "run": Field("str", "diffusion"),
         "timing": _TIMING,
@@ -98,7 +99,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "diffuse-sample": {
         "checkpoint": Field("in_path"),
         "output_dir": Field("out_path"),
-        "count": Field("int"),
+        "count": Field("int", low=1),
         "seed": Field("int", 0),
     },
     "build-dataset": {
@@ -241,8 +242,7 @@ def cmd_segment_apply(cfg: dict) -> int:
 def cmd_diffuse_train(cfg: dict) -> list:
     images = _load_pgm_dir(cfg["input_dir"], cfg["size"])
     data = np.stack([img for _, img in images]) * 2.0 - 1.0  # [0,1] -> [-1,1]
-    widths = tuple(int(w) for w in str(cfg["widths"]).split(","))
-    predictor = NoisePredictor(NoisePredictorConfig(cfg["size"], widths, cfg["emb_dim"]),
+    predictor = NoisePredictor(NoisePredictorConfig(cfg["size"], cfg["widths"], cfg["emb_dim"]),
                                Rng(cfg["seed"]).derive("init"))
     schedule = build_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
     optimizer = make_optimizer("adam", lr=cfg["lr"])
@@ -254,8 +254,11 @@ def cmd_diffuse_train(cfg: dict) -> list:
         losses = []
         for b0 in range(0, len(order), cfg["batch_size"]):
             batch = data[order[b0 : b0 + cfg["batch_size"]]].astype(np.float32)
-            losses.append(train_step(predictor, batch, schedule, optimizer,
-                                     rng.derive(f"step:{epoch}:{b0}")))
+            loss = train_step(predictor, batch, schedule, optimizer, rng.derive(f"step:{epoch}:{b0}"))
+            if not math.isfinite(loss):
+                raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
+                               f"position {b0}: loss is {loss}")
+            losses.append(loss)
         elapsed = time.perf_counter() - start
         rows.append({
             "run": cfg["run"], "seed": cfg["seed"], "epoch": epoch,

@@ -1,10 +1,13 @@
 """key = value configuration files with per-command schemas.
 
 Unknown keys are rejected outright (typo safety), values are typed per
-schema, and input paths are validated before any compute starts.
+schema, and input paths are validated before any compute starts. Floats
+must be finite, and a field's lower bound (if any) holds for its value,
+or for every entry of an `ints` list.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,9 +18,11 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # int | float | str | bool | in_path | out_path | choice
+    kind: str  # int | float | ints (comma-separated) | str | bool | in_path | out_path | choice
     default: object = _MISSING
     choices: tuple[str, ...] = ()
+    low: float | None = None  # numeric values must be >= low, or > low if low_open
+    low_open: bool = False
 
     @property
     def required(self) -> bool:
@@ -43,12 +48,30 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+def _check_low(key: str, number: float, field: Field) -> None:
+    if field.low is None:
+        return
+    if number < field.low or (field.low_open and number == field.low):
+        raise ConfigError(f"{key}: must be {'>' if field.low_open else '>='} {field.low:g}, got {number}")
+
+
 def _convert(key: str, value: str, field: Field):
     try:
         if field.kind == "int":
-            return int(value)
+            number = int(value)
+            _check_low(key, number, field)
+            return number
         if field.kind == "float":
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
+            _check_low(key, number, field)
+            return number
+        if field.kind == "ints":
+            numbers = tuple(int(part) for part in value.split(","))
+            for number in numbers:
+                _check_low(key, number, field)
+            return numbers
         if field.kind == "bool":
             lowered = value.lower()
             if lowered in ("true", "1", "yes", "on"):

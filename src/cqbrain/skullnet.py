@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch
+from .errors import Diverged, EmptyDataset, ShapeMismatch
 from .neuralkernel import (
     Optimizer,
     conv2d,
@@ -116,12 +116,14 @@ class UNet:
         return x
 
     def _conv_block_backward(self, name: str, dy: np.ndarray, cache: dict,
-                             grads: dict[str, np.ndarray]) -> np.ndarray:
+                             grads: dict[str, np.ndarray], input_grad: bool = True) -> np.ndarray | None:
+        """Gradient of the block's input; None (not computed) when input_grad is False."""
         for stage in ("c2", "c1"):
             key = f"{name}_{stage}"
             dz = relu_backward(dy, cache[f"{key}_z"])
             dy, grads[f"{key}_w"], grads[f"{key}_b"] = conv2d_backward(
-                dz, cache[f"{key}_in"], self.params[f"{key}_w"], padding="same")
+                dz, cache[f"{key}_in"], self.params[f"{key}_w"], padding="same",
+                input_grad=input_grad or stage == "c2")
         return dy
 
     def forward(self, x: np.ndarray, bottleneck_add: np.ndarray | None = None) -> np.ndarray:
@@ -163,8 +165,13 @@ class UNet:
         self._cache = cache
         return logits
 
-    def backward(self, dlogits: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray | None]:
-        """Returns (parameter grads, input grad, bottleneck-vector grad or None)."""
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True
+                 ) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray | None]:
+        """Returns (parameter grads, input grad, bottleneck-vector grad or None).
+
+        With input_grad False the first conv skips its input gradient and the
+        input grad comes back as None (training never uses it: the input is data).
+        """
         if self._cache is None:
             raise ShapeMismatch("backward called before forward")
         cfg = self.config
@@ -189,7 +196,7 @@ class UNet:
             if lvl < cfg.depth - 1:
                 dy = maxpool2x2_backward(dy, cache[f"pool{lvl}_in"])
                 dy = dy + cache[f"skip{lvl}_grad"]
-            dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads)
+            dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads, input_grad or lvl > 0)
         return grads, dy, d_bottleneck
 
 
@@ -298,7 +305,10 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
             imgs, masks = _stack_pairs(pairs, idx)
             logits = model.forward(imgs)
             loss, dz = segmentation_loss(logits, masks)
-            grads, _, _ = model.backward(dz)
+            if not math.isfinite(loss):
+                raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
+                               f"position {b0}: loss is {loss}")
+            grads, _, _ = model.backward(dz, input_grad=False)
             optimizer.step(model.params, grads)
             total_loss += loss
             batches += 1

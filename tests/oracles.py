@@ -130,3 +130,68 @@ def maxpool2x2_backward_argmax(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     for idx, (di, dj) in enumerate(offsets):
         np.copyto(dx[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2], dyb, where=(winner == idx))
     return dx[0] if single else dx
+
+
+def _conv_operands(*arrays: np.ndarray) -> list[np.ndarray]:
+    """float64 stays float64, everything else computes in float32 (as the kernels do)."""
+    out = []
+    for a in arrays:
+        a = np.asarray(a)
+        out.append(np.ascontiguousarray(a, dtype=np.float64 if a.dtype == np.float64 else np.float32))
+    return out
+
+
+def _padded_columns(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, k, k, h_out, w_out), xp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki : ki + h_out, kj : kj + w_out]
+    return cols.reshape(n, c * k * k, h_out * w_out)
+
+
+def conv2d_same_padded(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 conv2d through an explicit np.pad copy of the input."""
+    x, w, b = _conv_operands(x, w, b)
+    single = x.ndim == 3
+    xb = x[None] if single else x
+    c_out, k = w.shape[0], w.shape[2]
+    p = (k - 1) // 2
+    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
+    h_out, w_out = xb.shape[2:]
+    cols = _padded_columns(xp, k, h_out, w_out)
+    y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
+    y = y.astype(np.result_type(y, b), copy=False)
+    y += b[:, None, None]
+    return y[0] if single else y
+
+
+def conv2d_same_padded_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
+    """(dx, dw, db) of `conv2d_same_padded`: col2im into a padded buffer, then a strided slice."""
+    x, w, dy = _conv_operands(x, w, dy)
+    single = x.ndim == 3
+    xb, dyb = (x[None], dy[None]) if single else (x, dy)
+    c_out, k = w.shape[0], w.shape[2]
+    p = (k - 1) // 2
+    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
+    h_out, w_out = xb.shape[2:]
+    cols = _padded_columns(xp, k, h_out, w_out)
+    dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
+    db = dy_mat.sum(axis=(0, 2))
+    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if not input_grad:
+        return None, dw, db
+    dx = col2im_padded(np.matmul(w.reshape(c_out, -1).T, dy_mat), xb.shape, k)
+    return (dx[0] if single else dx), dw, db
+
+
+def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
+    """Same-padded col2im: every tap added into a zero-padded buffer, then the interior sliced out."""
+    n, c, h, w = x_shape
+    p = (k - 1) // 2
+    dcols = dcols.reshape(n, c, k, k, h, w)
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki : ki + h, kj : kj + w] += dcols[:, :, ki, kj]
+    return dxp[:, :, p : p + h, p : p + w]

@@ -87,3 +87,41 @@ class TestResolution:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg", SCHEMA)
+
+
+class TestBounds:
+    SCHEMA = {
+        "n": Field("int", 1, low=1),
+        "rate": Field("float", 0.5, low=0.0, low_open=True),
+        "free": Field("float", 0.0),
+        "sizes": Field("ints", (8, 16), low=1),
+    }
+
+    def test_values_at_and_above_the_bound_pass(self):
+        cfg = resolve_config({"n": "1", "rate": "1e-9", "free": "-3", "sizes": "4,1"}, self.SCHEMA)
+        assert cfg == {"n": 1, "rate": 1e-9, "free": -3.0, "sizes": (4, 1)}
+
+    def test_defaults_need_no_parsing(self):
+        assert resolve_config({}, self.SCHEMA)["sizes"] == (8, 16)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "0", "n: must be >= 1, got 0"),
+        ("n", "-2", "n: must be >= 1, got -2"),
+        ("rate", "0", "rate: must be > 0, got 0.0"),
+        ("rate", "-1", "rate: must be > 0, got -1.0"),
+        ("sizes", "8,0", "sizes: must be >= 1, got 0"),
+    ])
+    def test_values_below_the_bound_name_the_key(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            resolve_config({key: value}, self.SCHEMA)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_floats_must_be_finite_even_without_a_bound(self, value):
+        for key in ("rate", "free"):
+            with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+                resolve_config({key: value}, self.SCHEMA)
+
+    @pytest.mark.parametrize("value", ["8,x", "", "8,,16", "8.5"])
+    def test_unparseable_int_lists_rejected(self, value):
+        with pytest.raises(ConfigError, match="^sizes: cannot parse"):
+            resolve_config({"sizes": value}, self.SCHEMA)

@@ -18,6 +18,7 @@ from cqbrain.diffusion import (
 from cqbrain.errors import BadRange, BadTimestep, EmptyBatch, ShapeMismatch
 from cqbrain.neuralkernel import make_optimizer
 from cqbrain.rng import Rng
+from cqbrain.skullnet import UNet
 
 from oracles import finite_difference_grad_at
 from synthcorpus import two_blob_images
@@ -213,6 +214,22 @@ class TestPredictor:
             flat = np.asarray(grads[name]).reshape(-1)
             for i, val in numeric.items():
                 assert abs(flat[i] - val) <= 1e-3 * max(1.0, abs(val), abs(flat[i])), f"{name}[{i}]"
+
+
+    def test_backward_skips_the_unet_input_gradient(self, monkeypatch):
+        flags = []
+        real = UNet.backward
+
+        def spy(self, dlogits, *args, **kwargs):
+            flags.append(kwargs.get("input_grad", args[0] if args else True))
+            return real(self, dlogits, *args, **kwargs)
+
+        monkeypatch.setattr(UNet, "backward", spy)
+        pred = NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0))
+        x = np.random.default_rng(0).random((2, 1, 8, 8)).astype(np.float32)
+        pred.forward(x, 3)
+        grads = pred.backward(np.ones_like(x))
+        assert flags == [False] and set(grads) == set(pred.params())
 
 
 class TestTrainStep:

@@ -26,7 +26,15 @@ from cqbrain.neuralkernel import (
 )
 from cqbrain.rng import Rng
 
-from oracles import finite_difference_grad, grads_close, maxpool2x2_backward_argmax, separated_values
+from oracles import (
+    col2im_padded,
+    conv2d_same_padded,
+    conv2d_same_padded_backward,
+    finite_difference_grad,
+    grads_close,
+    maxpool2x2_backward_argmax,
+    separated_values,
+)
 
 N_GRADCHECK_SEEDS = 20
 LAYER_TOL = 1e-3
@@ -147,7 +155,7 @@ class TestColumnWorkspace:
         x, _, _ = self._first_layer()
         x64, w64, b64 = x.astype(np.float64), np.ones((3, 1, 5, 5)), np.zeros(3)
         conv2d(x64, w64, b64)  # a buffer shared across dtypes would now be big enough for both
-        cols = ops._im2col(x, 5, 1, 124, 124)
+        cols = ops._im2col(x, 5, 1, 124, 124, 0)
         want = cols.copy()
         conv2d(x64, w64, b64)
         assert np.array_equal(cols, want)
@@ -166,6 +174,104 @@ class TestColumnWorkspace:
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert not np.shares_memory(seen["buffer"], ops._workspace.by_dtype[np.dtype(np.float32)])
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes (so +0.0 and -0.0 differ, unlike array_equal)."""
+    return (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def _with_signed_zeros(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Normal draws with about a sixth of the entries +0.0 and a sixth -0.0."""
+    a = rng.standard_normal(shape).astype(dtype)
+    pick = rng.integers(0, 6, shape)
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    return a
+
+
+class TestSamePaddingWithoutPad:
+    """Same-padded conv2d and its backward match the np.pad formulation bit for bit."""
+
+    @staticmethod
+    def _operands(seed, k, hw, batched, dtype, c_in=2, c_out=3):
+        rng = np.random.default_rng(seed)
+        x = _with_signed_zeros(rng, ((4,) if batched else ()) + (c_in, *hw), dtype)
+        w = _with_signed_zeros(rng, (c_out, c_in, k, k), dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        dy = _with_signed_zeros(rng, x.shape[:-3] + (c_out, *hw), dtype)
+        return x, w, b, dy
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("k, hw", [
+        (1, (1, 1)), (1, (4, 7)),
+        (3, (1, 1)), (3, (2, 2)), (3, (5, 8)), (3, (9, 4)),
+        (5, (1, 1)), (5, (2, 2)), (5, (3, 6)), (5, (11, 7)),
+    ])
+    def test_forward_and_backward_match_padded_oracle(self, k, hw, batched, dtype):
+        x, w, b, dy = self._operands(k * 100 + hw[0] * 10 + hw[1], k, hw, batched, dtype)
+        assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
+        for input_grad in (True, False):
+            got = conv2d_backward(dy, x, w, padding="same", input_grad=input_grad)
+            want = conv2d_same_padded_backward(dy, x, w, input_grad=input_grad)
+            if input_grad:
+                assert _same_bits(got[0], want[0])
+            else:
+                assert got[0] is None and want[0] is None
+            assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+
+    @pytest.mark.parametrize("k, hw", [(3, (1, 1)), (3, (4, 6)), (5, (2, 2)), (5, (6, 3))])
+    def test_col2im_keeps_the_sign_of_zero(self, k, hw):
+        # a GEMM never returns -0.0, so -0.0 terms reach col2im only when called directly
+        rng = np.random.default_rng(k + hw[0])
+        x_shape = (2, 3, *hw)
+        dcols = _with_signed_zeros(rng, (2, 3 * k * k, hw[0] * hw[1]), np.float32)
+        dcols[0] = -0.0  # a whole image whose every term is -0.0
+        got = ops._col2im(dcols, x_shape, k, 1, *hw, (k - 1) // 2)
+        assert _same_bits(got, np.ascontiguousarray(col2im_padded(dcols, x_shape, k)))
+        assert not np.signbit(got[0]).any()
+
+    def test_input_gradient_is_contiguous(self):
+        x, w, _, dy = self._operands(0, 3, (6, 5), True, np.float32)
+        dx, _, _ = conv2d_backward(dy, x, w, padding="same")
+        assert dx.flags.c_contiguous and dx.base is None
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_stale_workspace_border_is_rezeroed(self, k):
+        rng = np.random.default_rng(5)
+        big = rng.standard_normal((4, 3, 40, 40)).astype(np.float32) + 100.0
+        conv2d(big, rng.standard_normal((2, 3, 5, 5)).astype(np.float32), np.zeros(2, np.float32))
+        conv2d_backward(np.ones((4, 2, 36, 36), np.float32), big,
+                        rng.standard_normal((2, 3, 5, 5)).astype(np.float32))
+        # the workspace now holds nonzero columns where the border strips will go
+        x, w, b, dy = self._operands(6, k, (7, 9), True, np.float32)
+        assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
+        for got, want in zip(conv2d_backward(dy, x, w, padding="same"), conv2d_same_padded_backward(dy, x, w)):
+            assert _same_bits(got, want)
+
+    def test_warm_call_builds_no_padded_copy(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        b = np.zeros(4, np.float32)
+        out = conv2d(x, w, b, padding="same")  # warm-up: grows the workspace
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b, padding="same")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 64 * 1024
+
+    def test_even_kernel_rejected(self):
+        x = np.zeros((1, 6, 6), np.float32)
+        with pytest.raises(ShapeMismatch, match="odd kernel"):
+            conv2d(x, np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.float32), padding="same")
+        with pytest.raises(ShapeMismatch, match="odd kernel"):
+            conv2d_backward(np.zeros((1, 6, 6), np.float32), x, np.zeros((1, 1, 4, 4), np.float32),
+                            padding="same")
 
 
 class TestConvTranspose:

@@ -483,3 +483,85 @@ class TestRobustTraining:
         assert main(["train", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "run").exists()
+
+
+class TestUnetCommandGuards:
+    """segment-train, diffuse-train and diffuse-sample: bad keys exit 1, NaN training exits 2."""
+
+    @staticmethod
+    def _base(tmp_path, command):
+        empty = tmp_path / "empty"  # reading it would fail with exit 2, so exit 1 means it was not read
+        empty.mkdir(exist_ok=True)
+        out = tmp_path / "out"
+        if command == "segment-train":
+            return {"images_dir": empty, "masks_dir": empty, "output_dir": out, "size": 16}
+        if command == "diffuse-train":
+            return {"input_dir": empty, "output_dir": out, "size": 16}
+        not_a_checkpoint = tmp_path / "junk.cqck"
+        not_a_checkpoint.write_bytes(b"junk")
+        return {"checkpoint": not_a_checkpoint, "output_dir": out, "count": 2}
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("segment-train", {"batch_size": 0}, "batch_size"),
+        ("segment-train", {"batch_size": -2}, "batch_size"),
+        ("segment-train", {"epochs": 0}, "epochs"),
+        ("segment-train", {"width_scale": -1}, "width_scale"),
+        ("segment-train", {"width_scale": 0}, "width_scale"),
+        ("segment-train", {"lr": "nan"}, "lr"),
+        ("segment-train", {"lr": "inf"}, "lr"),
+        ("segment-train", {"lr": -1}, "lr"),
+        ("segment-train", {"size": 0}, "size"),
+        ("diffuse-train", {"widths": "8,0"}, "widths"),
+        ("diffuse-train", {"widths": "8,x"}, "widths"),
+        ("diffuse-train", {"batch_size": 0}, "batch_size"),
+        ("diffuse-train", {"epochs": 0}, "epochs"),
+        ("diffuse-train", {"lr": "nan"}, "lr"),
+        ("diffuse-train", {"T": 0}, "T"),
+        ("diffuse-train", {"emb_dim": 0}, "emb_dim"),
+        ("diffuse-train", {"beta_start": 0}, "beta_start"),
+        ("diffuse-train", {"beta_end": "nan"}, "beta_end"),
+        ("diffuse-sample", {"count": 0}, "count"),
+        ("diffuse-sample", {"count": -1}, "count"),
+    ])
+    def test_bad_value_exits_1_before_reading_input(self, tmp_path, capsys, command, settings, key):
+        cfg = _write_cfg(tmp_path / "c.cfg", **{**self._base(tmp_path, command), **settings})
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["segment-train", "diffuse-train", "diffuse-sample"])
+    def test_base_config_reaches_the_input(self, tmp_path, command):
+        cfg = _write_cfg(tmp_path / "c.cfg", **self._base(tmp_path, command))
+        assert main([command, "-c", str(cfg)]) == 2
+
+    def test_segment_train_nan_loss_exits_2_without_outputs(self, tmp_path, monkeypatch, capsys):
+        class NanUNet(commands.UNet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.params["head_b"][0] = np.nan
+
+        monkeypatch.setattr(commands, "UNet", NanUNet)
+        _write_pgms(tmp_path / "imgs", 3, size=16, seed=1)
+        _write_pgms(tmp_path / "masks", 3, size=16, seed=2)
+        cfg = _write_cfg(tmp_path / "c.cfg", images_dir=tmp_path / "imgs", masks_dir=tmp_path / "masks",
+                         output_dir=tmp_path / "out", size=16, width_scale=0.125, epochs=1, batch_size=2)
+        capsys.readouterr()
+        assert main(["segment-train", "-c", str(cfg)]) == 2
+        assert "diverged at epoch 0, batch starting at shuffled position 0: loss is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_diffuse_train_nan_loss_exits_2_without_outputs(self, tmp_path, monkeypatch, capsys):
+        class NanPredictor(commands.NoisePredictor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.temb_b[0] = np.nan
+
+        monkeypatch.setattr(commands, "NoisePredictor", NanPredictor)
+        _write_pgms(tmp_path / "imgs", 3, size=16, seed=1)
+        cfg = _write_cfg(tmp_path / "c.cfg", input_dir=tmp_path / "imgs", output_dir=tmp_path / "out",
+                         size=16, widths="2,4", emb_dim=8, T=5, epochs=2, batch_size=2)
+        capsys.readouterr()
+        assert main(["diffuse-train", "-c", str(cfg)]) == 2
+        assert "diverged at epoch 0, batch starting at shuffled position 0: loss is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

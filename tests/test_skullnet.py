@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqbrain.errors import EmptyDataset, ShapeMismatch
+from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
 from cqbrain.neuralkernel import dice_iou, make_optimizer
 from cqbrain.rng import Rng
 from cqbrain import skullnet
@@ -145,6 +145,54 @@ class TestGradients:
         assert grads_close(dba, num, 1e-3)
 
 
+class TestSkippedInputGradient:
+    @pytest.mark.parametrize("use_add", [False, True])
+    def test_parameter_grads_unchanged_and_dx_none(self, use_add):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(4))
+        rng = np.random.default_rng(4)
+        x = rng.random((3, 1, 16, 16)).astype(np.float32)
+        up = rng.standard_normal((3, 1, 16, 16)).astype(np.float32)
+        badd = rng.standard_normal((3, cfg.bottleneck_channels)).astype(np.float32) if use_add else None
+        model.forward(x, bottleneck_add=badd)
+        full, dx_full, dba_full = model.backward(up)
+        skipped, dx, dba = model.backward(up, input_grad=False)
+        assert dx is None and dx_full.shape == x.shape
+        assert full.keys() == skipped.keys()
+        assert all(np.array_equal(full[k], skipped[k]) for k in full)
+        assert (dba is None) == (dba_full is None) == (not use_add)
+        if use_add:
+            assert np.array_equal(dba, dba_full)
+
+    def test_only_the_first_conv_skips_its_input_gradient(self, monkeypatch):
+        calls = []
+        real = skullnet.conv2d_backward
+
+        def spy(dy, x, w, *args, **kwargs):
+            calls.append(kwargs.get("input_grad", True))
+            return real(dy, x, w, *args, **kwargs)
+
+        monkeypatch.setattr(skullnet, "conv2d_backward", spy)
+        model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
+        model.forward(np.zeros((1, 1, 16, 16), np.float32))
+        model.backward(np.ones((1, 1, 16, 16), np.float32), input_grad=False)
+        assert calls.count(False) == 1 and calls[-1] is False  # enc0_c1 runs last
+
+    def test_training_skips_the_input_gradient(self, monkeypatch):
+        flags = []
+        real = UNet.backward
+
+        def spy(self, dlogits, *args, **kwargs):
+            flags.append(kwargs.get("input_grad", args[0] if args else True))
+            return real(self, dlogits, *args, **kwargs)
+
+        monkeypatch.setattr(UNet, "backward", spy)
+        model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
+        train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=1,
+                        optimizer=make_optimizer("adam"), seed=0, batch_size=2)
+        assert flags == [False, False]
+
+
 class TestLoss:
     def test_soft_dice_bounds(self):
         rng = np.random.default_rng(0)
@@ -220,6 +268,15 @@ class TestTraining:
         (r1, p1), (r2, p2) = run(), run()
         assert r1 == r2
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+
+    def test_non_finite_loss_raises_diverged(self):
+        model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
+        model.params["head_b"][0] = np.nan
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(Diverged, match="epoch 0, batch starting at shuffled position 0: loss is nan"):
+            train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=2,
+                            optimizer=make_optimizer("adam"), seed=0, batch_size=2)
+        assert all(np.array_equal(before[k], v, equal_nan=True) for k, v in model.params.items())
 
     def test_empty_pairs_rejected(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(0))
