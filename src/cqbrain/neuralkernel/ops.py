@@ -27,7 +27,9 @@ start at +0.0: dx is zeroed, not seeded with a tap's values, because a
 sum that starts at +0.0 never becomes -0.0 under round-to-nearest, while
 a seeded one would keep a -0.0 term's sign. So dx is bit for bit the
 padded-and-sliced result, and it comes back as its own contiguous array,
-not as a strided view into a larger padded buffer.
+not as a strided view into a larger padded buffer. A valid-padded conv
+runs the same loops: every tap's rectangle is then the whole output, and
+there are no border strips to zero.
 
 Column workspace: `conv2d` and `conv2d_backward` build their im2col
 columns in one grow-only buffer per dtype and per thread, instead of a
@@ -86,28 +88,23 @@ def _column_buffer(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _in_range(offset: int, size: int, n_out: int) -> tuple[int, int]:
-    """Output positions [lo, hi) whose input position (output + offset) lies in [0, size)."""
-    lo = min(max(-offset, 0), n_out)
-    return lo, max(min(size - offset, n_out), lo)
+def _in_range(offset: int, stride: int, size: int, n_out: int) -> tuple[int, int]:
+    """Output positions [lo, hi) whose input position (output * stride + offset) lies in [0, size)."""
+    lo = min(max(-(offset // stride), 0), n_out)
+    return lo, max(min(-((offset - size) // stride), n_out), lo)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int) -> np.ndarray:
     """Columns (N, C*K*K, H_out*W_out) in the column workspace (see module docstring).
 
-    With pad > 0 (same padding, stride 1) x is the unpadded input: the taps'
-    out-of-range border strips are zeroed, then each tap copies its in-range
-    rectangle.
+    x is the unpadded input. Each tap's out-of-range border strips are
+    zeroed (there are none without padding), then each tap copies its
+    in-range rectangle.
     """
     n, c, h, w = x.shape
     cols = _column_buffer((n, c, k, k, h_out, w_out), x.dtype)
-    if not pad:
-        for ki in range(k):
-            for kj in range(k):
-                cols[:, :, ki, kj] = x[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride]
-        return cols.reshape(n, c * k * k, h_out * w_out)
-    rows = [_in_range(ki - pad, h, h_out) for ki in range(k)]
-    spans = [_in_range(kj - pad, w, w_out) for kj in range(k)]
+    rows = [_in_range(ki - pad, stride, h, h_out) for ki in range(k)]
+    spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
     # zeroed on every call (the workspace still holds an earlier call's columns),
     # all taps of one kernel row or column per strip
     for ki, (i0, i1) in enumerate(rows):
@@ -121,8 +118,11 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
         if j1 < w_out:
             cols[:, :, :, kj, :, j1:] = 0
     for ki, (i0, i1) in enumerate(rows):
+        r0 = i0 * stride + ki - pad
         for kj, (j0, j1) in enumerate(spans):
-            cols[:, :, ki, kj, i0:i1, j0:j1] = x[:, :, i0 + ki - pad : i1 + ki - pad, j0 + kj - pad : j1 + kj - pad]
+            c0 = j0 * stride + kj - pad
+            cols[:, :, ki, kj, i0:i1, j0:j1] = \
+                x[:, :, r0 : r0 + stride * (i1 - i0) : stride, c0 : c0 + stride * (j1 - j0) : stride]
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
@@ -132,11 +132,12 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, 
     n, c, h, w = x_shape
     dx = np.zeros(x_shape, dtype=dcols.dtype)
     dcols = dcols.reshape(n, c, k, k, h_out, w_out)
+    spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
     for ki in range(k):
-        i0, i1 = _in_range(ki - pad, h, h_out) if pad else (0, h_out)
-        for kj in range(k):
-            j0, j1 = _in_range(kj - pad, w, w_out) if pad else (0, w_out)
-            r0, c0 = i0 * stride + ki - pad, j0 * stride + kj - pad
+        i0, i1 = _in_range(ki - pad, stride, h, h_out)
+        r0 = i0 * stride + ki - pad
+        for kj, (j0, j1) in enumerate(spans):
+            c0 = j0 * stride + kj - pad
             dx[:, :, r0 : r0 + stride * (i1 - i0) : stride, c0 : c0 + stride * (j1 - j0) : stride] += \
                 dcols[:, :, ki, kj, i0:i1, j0:j1]
     return dx

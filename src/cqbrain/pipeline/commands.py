@@ -66,11 +66,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "images_dir": Field("in_path"),
         "masks_dir": Field("in_path"),
         "output_dir": Field("out_path"),
-        "size": Field("int", 128, low=1),
-        "width_scale": Field("float", 1.0, low=0.0, low_open=True),
-        "epochs": Field("int", 30, low=1),
-        "lr": Field("float", 3e-3, low=0.0, low_open=True),
-        "batch_size": Field("int", 8, low=1),
+        "size": Field("int", 128, low=0),
+        "width_scale": Field("float", 1.0, low=0),
+        "epochs": Field("int", 30, low=0),
+        "lr": Field("float", 3e-3, low=0),
+        "batch_size": Field("int", 8, low=0),
         "seed": Field("int", 0),
         "run": Field("str", "segment"),
         "timing": _TIMING,
@@ -83,15 +83,15 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "diffuse-train": {
         "input_dir": Field("in_path"),
         "output_dir": Field("out_path"),
-        "size": Field("int", 64, low=1),
-        "widths": Field("ints", (8, 16), low=1),
-        "emb_dim": Field("int", 16, low=2),
-        "T": Field("int", 200, low=1),
-        "beta_start": Field("float", 1e-4, low=0.0, low_open=True),
-        "beta_end": Field("float", 0.02, low=0.0, low_open=True),
-        "epochs": Field("int", 500, low=1),
-        "batch_size": Field("int", 16, low=1),
-        "lr": Field("float", 2e-3, low=0.0, low_open=True),
+        "size": Field("int", 64, low=0),
+        "widths": Field("ints", (8, 16), low=0),
+        "emb_dim": Field("int", 16, low=1),
+        "T": Field("int", 200, low=0),
+        "beta_start": Field("float", 1e-4, low=0),
+        "beta_end": Field("float", 0.02, low=0),
+        "epochs": Field("int", 500, low=0),
+        "batch_size": Field("int", 16, low=0),
+        "lr": Field("float", 2e-3, low=0),
         "seed": Field("int", 0),
         "run": Field("str", "diffusion"),
         "timing": _TIMING,
@@ -99,7 +99,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "diffuse-sample": {
         "checkpoint": Field("in_path"),
         "output_dir": Field("out_path"),
-        "count": Field("int", low=1),
+        "count": Field("int", low=0),
         "seed": Field("int", 0),
     },
     "build-dataset": {

@@ -2,8 +2,8 @@
 
 Unknown keys are rejected outright (typo safety), values are typed per
 schema, and input paths are validated before any compute starts. Floats
-must be finite, and a field's lower bound (if any) holds for its value,
-or for every entry of an `ints` list.
+must be finite, and a field's strict lower bound (if any) holds for its
+value, or for every entry of an `ints` list.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ class Field:
     kind: str  # int | float | ints (comma-separated) | str | bool | in_path | out_path | choice
     default: object = _MISSING
     choices: tuple[str, ...] = ()
-    low: float | None = None  # numeric values must be >= low, or > low if low_open
-    low_open: bool = False
+    low: float | None = None  # numeric values must be > low
 
     @property
     def required(self) -> bool:
@@ -49,10 +48,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _check_low(key: str, number: float, field: Field) -> None:
-    if field.low is None:
-        return
-    if number < field.low or (field.low_open and number == field.low):
-        raise ConfigError(f"{key}: must be {'>' if field.low_open else '>='} {field.low:g}, got {number}")
+    if field.low is not None and not number > field.low:
+        raise ConfigError(f"{key}: must be > {field.low:g}, got {number}")
 
 
 def _convert(key: str, value: str, field: Field):

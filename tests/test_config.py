@@ -91,13 +91,13 @@ class TestResolution:
 
 class TestBounds:
     SCHEMA = {
-        "n": Field("int", 1, low=1),
-        "rate": Field("float", 0.5, low=0.0, low_open=True),
+        "n": Field("int", 1, low=0),
+        "rate": Field("float", 0.5, low=0.0),
         "free": Field("float", 0.0),
-        "sizes": Field("ints", (8, 16), low=1),
+        "sizes": Field("ints", (8, 16), low=0),
     }
 
-    def test_values_at_and_above_the_bound_pass(self):
+    def test_values_above_the_bound_pass(self):
         cfg = resolve_config({"n": "1", "rate": "1e-9", "free": "-3", "sizes": "4,1"}, self.SCHEMA)
         assert cfg == {"n": 1, "rate": 1e-9, "free": -3.0, "sizes": (4, 1)}
 
@@ -105,13 +105,13 @@ class TestBounds:
         assert resolve_config({}, self.SCHEMA)["sizes"] == (8, 16)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("n", "0", "n: must be >= 1, got 0"),
-        ("n", "-2", "n: must be >= 1, got -2"),
+        ("n", "0", "n: must be > 0, got 0"),
+        ("n", "-2", "n: must be > 0, got -2"),
         ("rate", "0", "rate: must be > 0, got 0.0"),
         ("rate", "-1", "rate: must be > 0, got -1.0"),
-        ("sizes", "8,0", "sizes: must be >= 1, got 0"),
+        ("sizes", "8,0", "sizes: must be > 0, got 0"),
     ])
-    def test_values_below_the_bound_name_the_key(self, key, value, message):
+    def test_values_at_or_below_the_bound_name_the_key(self, key, value, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             resolve_config({key: value}, self.SCHEMA)
 

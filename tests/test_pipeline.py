@@ -518,6 +518,7 @@ class TestUnetCommandGuards:
         ("diffuse-train", {"lr": "nan"}, "lr"),
         ("diffuse-train", {"T": 0}, "T"),
         ("diffuse-train", {"emb_dim": 0}, "emb_dim"),
+        ("diffuse-train", {"emb_dim": 1}, "emb_dim"),
         ("diffuse-train", {"beta_start": 0}, "beta_start"),
         ("diffuse-train", {"beta_end": "nan"}, "beta_end"),
         ("diffuse-sample", {"count": 0}, "count"),
