@@ -34,6 +34,7 @@ from .errors import Diverged, EmptyDataset, ShapeMismatch
 from .neuralkernel import (
     ConfusionCounts,
     Optimizer,
+    Params,
     classify_metrics,
     conv2d,
     conv2d_backward,
@@ -83,7 +84,9 @@ class CqcnnConfig:
         if self.n_qubits not in (2, 3):
             raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits}")
         if self.fc_width is not None and self.fc_width < self.n_qubits:
-            raise ValueError("fc_width must be >= n_qubits")
+            raise ValueError(f"fc_width must be >= n_qubits = {self.n_qubits}, got {self.fc_width}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def fc_out(self) -> int:
@@ -110,17 +113,20 @@ class CqcnnConfig:
             "flat": (self.conv2_out * p2 * p2,),
         }
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every trainable tensor of the configured head, in vector order."""
+        k, c1, c2, fc = self.kernel, self.conv1_out, self.conv2_out, self.fc_out
+        shapes = {"conv1_w": (c1, 1, k, k), "conv1_b": (c1,), "conv2_w": (c2, c1, k, k), "conv2_b": (c2,),
+                  "fc_w": (fc, self.shape_trace()["flat"][0]), "fc_b": (fc,)}
+        if self.head == HEAD_QUANTUM:
+            # scalar affine on the circuit probability, then ansatz angles
+            return {**shapes, "w_out": (), "b_out": (), "theta": (self.n_qubits,)}
+        return {**shapes, "head_w": (2, fc), "head_b": (2,)}
+
 
 def param_count(config: CqcnnConfig) -> int:
-    """Exact trainable scalar count for the configured head."""
-    k2 = config.kernel * config.kernel
-    flat = config.shape_trace()["flat"][0]
-    trunk = (config.conv1_out * k2 + config.conv1_out
-             + config.conv2_out * config.conv1_out * k2 + config.conv2_out
-             + config.fc_out * flat + config.fc_out)
-    if config.head == HEAD_QUANTUM:
-        return trunk + 2 + config.n_qubits  # scalar affine + ansatz angles
-    return trunk + 2 * config.fc_out + 2
+    """Exact trainable scalar count for the configured head: the size of a model's vector."""
+    return sum(math.prod(shape) for shape in config.param_shapes().values())
 
 
 class CqcnnModel:
@@ -129,41 +135,24 @@ class CqcnnModel:
     def __init__(self, config: CqcnnConfig, rng: Rng | None = None):
         self.config = config
         rng = rng if rng is not None else Rng(config.seed)
-        k = config.kernel
-        c1, c2, fc = config.conv1_out, config.conv2_out, config.fc_out
-        flat = config.shape_trace()["flat"][0]
-        # biases start slightly positive so constant/low-contrast inputs cannot
-        # kill every ReLU channel at initialization
-        self.conv1_w = glorot(rng.derive("init:conv1_w"), (c1, 1, k, k), k * k, c1 * k * k)
-        self.conv1_b = np.full(c1, 0.01, np.float32)
-        self.conv2_w = glorot(rng.derive("init:conv2_w"), (c2, c1, k, k), c1 * k * k, c2 * k * k)
-        self.conv2_b = np.full(c2, 0.01, np.float32)
-        self.fc_w = glorot(rng.derive("init:fc_w"), (fc, flat), flat, fc)
-        self.fc_b = np.full(fc, 0.01, np.float32)
-        # quantum head: scalar affine on the circuit probability, then ansatz angles
-        self.w_out = np.array(1.0, np.float32)
-        self.b_out = np.array(0.0, np.float32)
-        self.theta = (rng.derive("init:theta").uniform(config.n_qubits) * np.pi).astype(np.float32)
-        # classical baseline head
-        self.head_w = glorot(rng.derive("init:head_w"), (2, fc), fc, 2)
-        self.head_b = np.zeros(2, np.float32)
+        p = self._params = Params(config.param_shapes())
+        for name in ("conv1", "conv2", "fc", "head"):
+            if f"{name}_w" in p:
+                glorot(rng.derive(f"init:{name}_w"), p[f"{name}_w"])
+                # trunk biases start slightly positive so constant/low-contrast
+                # inputs cannot kill every ReLU channel at initialization
+                p[f"{name}_b"].fill(0.0 if name == "head" else 0.01)
+        if config.head == HEAD_QUANTUM:
+            p["w_out"].fill(1.0)
+            p["theta"] = rng.derive("init:theta").uniform(config.n_qubits) * np.pi
         self._cache: dict | None = None
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Trainable tensors for the active head, stable name order."""
-        base = {
-            "conv1_w": self.conv1_w, "conv1_b": self.conv1_b,
-            "conv2_w": self.conv2_w, "conv2_b": self.conv2_b,
-            "fc_w": self.fc_w, "fc_b": self.fc_b,
-        }
-        if self.config.head == HEAD_QUANTUM:
-            base.update({"w_out": self.w_out, "b_out": self.b_out, "theta": self.theta})
-        else:
-            base.update({"head_w": self.head_w, "head_b": self.head_b})
-        return base
+    def params(self) -> Params:
+        """Trainable tensors of the active head, as views into one flat vector."""
+        return self._params
 
     def param_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params().values())
+        return self._params.flat.size
 
     def _image(self, img: np.ndarray) -> np.ndarray:
         img = np.asarray(img, dtype=np.float32)
@@ -174,27 +163,27 @@ class CqcnnModel:
 
     def _trunk(self, x0: np.ndarray) -> dict[str, np.ndarray]:
         """Conv/ReLU/pool activations for one (1, H, W) image or an (N, 1, H, W) stack."""
-        z1 = conv2d(x0, self.conv1_w, self.conv1_b)
+        z1 = conv2d(x0, self._params["conv1_w"], self._params["conv1_b"])
         a1 = relu(z1)
         p1 = maxpool2x2(a1)
-        z2 = conv2d(p1, self.conv2_w, self.conv2_b)
+        z2 = conv2d(p1, self._params["conv2_w"], self._params["conv2_b"])
         a2 = relu(z2)
         return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2)}
 
     def _fc(self, flat: np.ndarray) -> np.ndarray:
-        fc_out = dense(flat, self.fc_w, self.fc_b)
+        fc_out = dense(flat, self._params["fc_w"], self._params["fc_b"])
         if not np.isfinite(fc_out).all():
             raise Diverged("head input is not finite")
         return fc_out
 
     def _quantum_gamma(self, p_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(o1, class distributions (R, 2)) from circuit probabilities p_q (R,)."""
-        o1 = sigmoid(float(self.w_out) * p_q + float(self.b_out))
+        o1 = sigmoid(float(self._params["w_out"]) * p_q + float(self._params["b_out"]))
         return o1, np.stack([o1, 1.0 - o1], axis=1).astype(np.float32)
 
     def _softmax_gamma(self, fc_rows: np.ndarray) -> np.ndarray:
         """Classical head's class distributions (R, 2) for head inputs (R, fc_out)."""
-        logits = np.stack([dense(row, self.head_w, self.head_b) for row in fc_rows])
+        logits = np.stack([dense(row, self._params["head_w"], self._params["head_b"]) for row in fc_rows])
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         return (shifted / shifted.sum(axis=1, keepdims=True)).astype(np.float32)
 
@@ -206,7 +195,7 @@ class CqcnnModel:
         fc_out = cache["fc_out"] = self._fc(cache["flat"])
         if self.config.head == HEAD_QUANTUM:
             x_sub = fc_out[: self.config.n_qubits].astype(np.float64)
-            p_q = pqc_forward(x_sub, self.theta.astype(np.float64))
+            p_q = pqc_forward(x_sub, self._params["theta"].astype(np.float64))
             o1, gamma = self._quantum_gamma(np.array([p_q]))
             cache.update({"x_sub": x_sub, "p_q": p_q, "o1": float(o1[0])})
         else:
@@ -226,56 +215,50 @@ class CqcnnModel:
         fc = np.stack(fc_rows)
         if self.config.head == HEAD_QUANTUM:
             x_sub = fc[:, : self.config.n_qubits].astype(np.float64)
-            return self._quantum_gamma(pqc_forward_rows(x_sub, self.theta.astype(np.float64)))[1]
+            return self._quantum_gamma(pqc_forward_rows(x_sub, self._params["theta"].astype(np.float64)))[1]
         return self._softmax_gamma(fc)
 
-    def backward(self, y: np.ndarray) -> dict[str, np.ndarray]:
-        """Loss gradients for every active parameter; needs a cached forward."""
+    def backward(self, y: np.ndarray) -> Params:
+        """Loss gradients of every parameter, in the layout of `params()`; needs a cached forward."""
         if self._cache is None:
             raise ShapeMismatch("backward called before forward")
         c = self._cache
         y = np.asarray(y, dtype=np.float32)
         cfg = self.config
+        p = self._params
+        grads = p.zeros_like()
 
         if cfg.head == HEAD_QUANTUM:
             dgamma = cross_entropy_grad(c["gamma"], y)
             do1 = float(dgamma[0]) - float(dgamma[1])
             o1 = c["o1"]
             dz_out = do1 * o1 * (1.0 - o1)
-            grads_head = {
-                "w_out": np.array(dz_out * c["p_q"], np.float32),
-                "b_out": np.array(dz_out, np.float32),
-            }
-            dp_q = dz_out * float(self.w_out)
-            grad_x_sub, grad_theta = pqc_backward(c["x_sub"], self.theta.astype(np.float64), upstream=dp_q)
-            grads_head["theta"] = grad_theta.astype(np.float32)
+            grads["w_out"] = np.float32(dz_out * c["p_q"])
+            grads["b_out"] = np.float32(dz_out)
+            dp_q = dz_out * float(p["w_out"])
+            grad_x_sub, grad_theta = pqc_backward(c["x_sub"], p["theta"].astype(np.float64), upstream=dp_q)
+            grads["theta"] = grad_theta.astype(np.float32)
             dfc = np.zeros(cfg.fc_out, np.float32)
             dfc[: cfg.n_qubits] = grad_x_sub.astype(np.float32)
         else:
             # softmax + cross-entropy collapse to (probabilities - labels)
             dlogits = (c["gamma64"] - y).astype(np.float32)
-            dfc, dhead_w, dhead_b = dense_backward(dlogits, c["fc_out"], self.head_w)
-            grads_head = {"head_w": dhead_w, "head_b": dhead_b}
+            dfc, grads["head_w"], grads["head_b"] = dense_backward(dlogits, c["fc_out"], p["head_w"])
 
-        dflat, dfc_w, dfc_b = dense_backward(dfc, c["flat"], self.fc_w)
+        dflat, grads["fc_w"], grads["fc_b"] = dense_backward(dfc, c["flat"], p["fc_w"])
         dd = dflat.reshape(c["p2"].shape)
         dp2 = dropout_backward(dd, c["mask"], cfg.dropout_rate)
         da2 = maxpool2x2_backward(dp2, c["a2"])
         dz2 = relu_backward(da2, c["z2"])
-        dp1, dconv2_w, dconv2_b = conv2d_backward(dz2, c["p1"], self.conv2_w)
+        dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"])
         da1 = maxpool2x2_backward(dp1, c["a1"])
         dz1 = relu_backward(da1, c["z1"])
-        _, dconv1_w, dconv1_b = conv2d_backward(dz1, c["x0"], self.conv1_w, input_grad=False)
-
-        grads = {"conv1_w": dconv1_w, "conv1_b": dconv1_b,
-                 "conv2_w": dconv2_w, "conv2_b": dconv2_b,
-                 "fc_w": dfc_w, "fc_b": dfc_b}
-        grads.update(grads_head)
+        _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(dz1, c["x0"], p["conv1_w"], input_grad=False)
         return grads
 
 
 def backward(model: CqcnnModel, img: np.ndarray, y: np.ndarray,
-             mode: str = "train", rng: Rng | None = None) -> tuple[float, dict[str, np.ndarray]]:
+             mode: str = "train", rng: Rng | None = None) -> tuple[float, Params]:
     """One forward/backward pass; returns (loss, gradients)."""
     gamma = model.forward(img, mode, rng)
     loss = cross_entropy(gamma, y)
@@ -339,9 +322,8 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
     order = rng.derive("shuffle").permutation(len(dataset))
     drop_rng = rng.derive("dropout")
 
-    params = model.params()
+    batch = model.params().zeros_like()  # gradient sum of the current batch
     total_loss = 0.0
-    batch_grads: dict[str, np.ndarray] | None = None
     in_batch = 0
     for pos, idx in enumerate(order):
         img, label = dataset[int(idx)]
@@ -352,17 +334,13 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
         if not math.isfinite(loss):
             raise _diverged(epoch, pos, idx, f"loss is {loss}")
         total_loss += loss
-        if batch_grads is None:
-            batch_grads = {k: v.astype(np.float32).copy() for k, v in grads.items()}
-        else:
-            for k, v in grads.items():
-                batch_grads[k] += v
+        batch.flat += grads.flat
         in_batch += 1
         if in_batch == batch_size or pos == len(order) - 1:
-            for k in batch_grads:
-                batch_grads[k] /= np.float32(in_batch)
-            optimizer.step(params, batch_grads)
-            batch_grads, in_batch = None, 0
+            batch.flat /= np.float32(in_batch)
+            optimizer.step(model.params(), batch)
+            batch.flat[...] = 0.0
+            in_batch = 0
 
     train_eval = evaluate(model, dataset)
     return EpochReport(epoch, total_loss / len(dataset), train_eval, time.perf_counter() - start)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadTimestep, EmptyBatch, ShapeMismatch
-from .neuralkernel import Optimizer, glorot
+from .neuralkernel import Optimizer, Params, glorot
 from .rng import Rng
 from .skullnet import UNet, UNetConfig
 
@@ -104,10 +104,14 @@ def forward_jump(x0: np.ndarray, t, schedule: NoiseSchedule, rng: Rng) -> tuple[
     return a * x0 + b * eps, eps
 
 
-def sinusoidal_embedding(ts: np.ndarray, dim: int) -> np.ndarray:
-    """Fixed sin/cos features of the timestep, shape (len(ts), dim)."""
+def _check_emb_dim(dim: int) -> None:
     if dim < 2 or dim % 2:
         raise ShapeMismatch(f"embedding dim must be even and >= 2, got {dim}")
+
+
+def sinusoidal_embedding(ts: np.ndarray, dim: int) -> np.ndarray:
+    """Fixed sin/cos features of the timestep, shape (len(ts), dim)."""
+    _check_emb_dim(dim)
     half = dim // 2
     exponents = np.arange(half) / max(half - 1, 1)
     freqs = np.power(10000.0, -exponents)
@@ -121,42 +125,48 @@ class NoisePredictorConfig:
     widths: tuple[int, ...] = (8, 16)
     emb_dim: int = 16
 
+    def __post_init__(self):
+        _check_emb_dim(self.emb_dim)
+        self.unet_config()  # checks size against widths
+
     def unet_config(self) -> UNetConfig:
         return UNetConfig(input_size=self.image_size, widths=self.widths,
                           in_channels=1, out_channels=1)
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The U-Net's tensors, then the embedding projection `temb_w`/`temb_b`."""
+        unet = self.unet_config()
+        c_b = unet.bottleneck_channels
+        return {**unet.param_shapes(), "temb_w": (c_b, self.emb_dim), "temb_b": (c_b,)}
+
 
 class NoisePredictor:
-    """Small U-Net denoiser with the timestep embedding added at the bottleneck."""
+    """Small U-Net denoiser with the timestep embedding (`temb_w`/`temb_b`) added at the bottleneck."""
 
     def __init__(self, config: NoisePredictorConfig, rng: Rng | None = None):
         self.config = config
         rng = rng if rng is not None else Rng(0)
-        self.unet = UNet(config.unet_config(), rng.derive("unet"))
-        c_b = self.unet.config.bottleneck_channels
-        self.temb_w = glorot(rng.derive("init:temb"), (c_b, config.emb_dim), config.emb_dim, c_b)
-        self.temb_b = np.zeros(c_b, np.float32)
+        self.unet = UNet(config.unet_config(), rng.derive("unet"), config.param_shapes())
+        glorot(rng.derive("init:temb"), self.unet.params()["temb_w"])
         self._emb: np.ndarray | None = None
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = dict(self.unet.params)
-        out["temb_w"] = self.temb_w
-        out["temb_b"] = self.temb_b
-        return out
+    def params(self) -> Params:
+        return self.unet.params()
 
     def param_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params().values())
+        return self.unet.param_count()
 
     def forward(self, x_t: np.ndarray, t) -> np.ndarray:
         """Noise estimate with x_t's shape; x_t is (N, 1, H, W), t scalar or (N,)."""
         x_t = np.asarray(x_t)
         ts = _timestep_index(t, x_t.shape[0], np.iinfo(np.int64).max)
-        emb = sinusoidal_embedding(ts, self.config.emb_dim).astype(self.temb_w.dtype)
-        self._emb = emb
-        badd = emb @ self.temb_w.T + self.temb_b
+        p = self.params()
+        emb = self._emb = sinusoidal_embedding(ts, self.config.emb_dim).astype(p.flat.dtype)
+        badd = emb @ p["temb_w"].T + p["temb_b"]
         return self.unet.forward(x_t, bottleneck_add=badd)
 
-    def backward(self, dy: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, dy: np.ndarray) -> Params:
+        """Gradients of every parameter, in the layout of `params()`."""
         grads, _, dba = self.unet.backward(dy, input_grad=False)
         grads["temb_w"] = dba.T @ self._emb
         grads["temb_b"] = dba.sum(axis=0)
@@ -183,8 +193,7 @@ def train_step(predictor, x0_batch: np.ndarray, schedule: NoiseSchedule,
     diff = (eps_hat - eps).astype(np.float32)
     loss = float(np.sum(diff.astype(np.float64) ** 2) / n)
     grads = predictor.backward(2.0 * diff / np.float32(n))
-    params = predictor.params()
-    optimizer.step(params, grads)
+    optimizer.step(predictor.params(), grads)
     return loss
 
 

@@ -2,7 +2,9 @@
 
 Tensors are plain float32 numpy arrays. Every forward op has a paired
 `*_backward` returning analytic gradients; the pairing is verified against
-central finite differences in the test suite.
+central finite differences in the test suite. A model keeps its trainable
+tensors in one `Params`: named views into one flat float32 vector, which
+an `Optimizer` updates with one elementwise rule and one step counter.
 """
 from .ops import (
     conv2d,
@@ -22,18 +24,7 @@ from .ops import (
     sigmoid_backward,
 )
 from .loss import cross_entropy, cross_entropy_grad
-from .optim import (
-    AdagradState,
-    AdamState,
-    Optimizer,
-    RmspropState,
-    SgdState,
-    adagrad_step,
-    adam_step,
-    make_optimizer,
-    rmsprop_step,
-    sgd_step,
-)
+from .optim import Optimizer, Params, make_optimizer
 from .metrics import ConfusionCounts, classify_metrics, dice_iou
 
 __all__ = [
@@ -42,8 +33,6 @@ __all__ = [
     "maxpool2x2", "maxpool2x2_backward", "relu", "relu_backward",
     "sigmoid", "sigmoid_backward",
     "cross_entropy", "cross_entropy_grad",
-    "AdamState", "SgdState", "RmspropState", "AdagradState",
-    "adam_step", "sgd_step", "rmsprop_step", "adagrad_step",
-    "Optimizer", "make_optimizer",
+    "Params", "Optimizer", "make_optimizer",
     "ConfusionCounts", "classify_metrics", "dice_iou",
 ]

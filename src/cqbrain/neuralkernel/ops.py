@@ -53,10 +53,13 @@ from ..rng import Rng
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major tie-break order
 
 
-def glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot-uniform float32 weights: U(-b, b) with b = sqrt(6 / (fan_in + fan_out))."""
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(np.float32)
+def glorot(rng: Rng, w: np.ndarray) -> None:
+    """Fill `w` (out, in, *kernel) in place with U(-b, b), b = sqrt(6 / (fan_in + fan_out)).
+
+    A transposed conv's (in, out, *kernel) weight gets the same b: it depends only on the sum.
+    """
+    bound = np.sqrt(6.0 / (w[0].size + w.size // w.shape[1]))
+    w[...] = (rng.uniform(w.shape) * 2.0 - 1.0) * bound
 
 
 def _as_f32(x: np.ndarray) -> np.ndarray:

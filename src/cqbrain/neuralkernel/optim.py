@@ -1,134 +1,129 @@
-"""First-order optimizers: Adam, SGD, RMSprop, Adagrad.
+"""One flat parameter vector per model, and Adam, SGD, RMSprop and Adagrad over it.
 
-Each has a pure per-tensor step function plus a shared Optimizer wrapper
-that keeps one state per named parameter and updates a parameter dict in
-sorted-name order (fixed order keeps runs reproducible).
+A step updates the whole vector with one state vector per moment and one
+counter `t` (every backward fills every gradient, so one counter is exact).
+Each rule runs in place into preallocated buffers, in the operand order of
+the textbook expression (Adam: b1*m, then (1-b1)*g, then their sum, ...):
+no full-size temporaries, and the bytes of the per-tensor rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
 from ..errors import ShapeMismatch
 
 
-def _check_shapes(param: np.ndarray, grad: np.ndarray, *extra: np.ndarray) -> None:
-    for other in (grad, *extra):
-        if other.shape != param.shape:
-            raise ShapeMismatch(f"state/gradient shape {other.shape} != parameter shape {param.shape}")
+class Params(Mapping):
+    """Named tensors held as views into one flat vector `flat`, in insertion order."""
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], dtype=np.float32):
+        self.flat = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype)
+        self._views: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self._views[name] = self.flat[offset : offset + size].reshape(shape)
+            offset += size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        """Copy `value` into the named view; its shape must match."""
+        view = self._views[name]
+        if np.shape(value) != view.shape:
+            raise ShapeMismatch(f"{name}: got shape {np.shape(value)}, holds {view.shape}")
+        view[...] = value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def zeros_like(self) -> "Params":
+        return Params({name: v.shape for name, v in self._views.items()}, self.flat.dtype)
 
 
-@dataclass
-class AdamState:
-    t: int
-    m: np.ndarray
-    v: np.ndarray
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def init(cls, param: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(0, np.zeros_like(param), np.zeros_like(param), lr, beta1, beta2, eps)
+def _sgd(opt: "Optimizer", p, g, step) -> None:
+    np.multiply(opt.lr, g, out=step)
+    p -= step
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """Bias-corrected Adam update; returns the new parameter and state."""
-    _check_shapes(param, grad, state.m, state.v)
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_param = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(t, m.astype(param.dtype), v.astype(param.dtype),
-                          state.lr, state.beta1, state.beta2, state.eps)
-    return new_param.astype(param.dtype), new_state
+def _scaled_step(opt: "Optimizer", p, g, acc, a, b) -> None:
+    """p -= lr * g / (sqrt(acc) + eps), with a and b as work vectors."""
+    np.sqrt(acc, out=b)
+    b += opt.eps
+    np.multiply(opt.lr, g, out=a)
+    a /= b
+    p -= a
 
 
-@dataclass
-class SgdState:
-    lr: float = 1e-3
-
-    @classmethod
-    def init(cls, param: np.ndarray, lr: float = 1e-3) -> "SgdState":
-        return cls(lr)
-
-
-def sgd_step(param: np.ndarray, grad: np.ndarray, state: SgdState) -> tuple[np.ndarray, SgdState]:
-    _check_shapes(param, grad)
-    return (param - state.lr * grad).astype(param.dtype), state
+def _rmsprop(opt: "Optimizer", p, g, v, a, b) -> None:
+    v *= opt.rho
+    np.square(g, out=a)
+    a *= 1.0 - opt.rho
+    v += a
+    _scaled_step(opt, p, g, v, a, b)
 
 
-@dataclass
-class RmspropState:
-    v: np.ndarray
-    lr: float = 1e-3
-    rho: float = 0.9
-    eps: float = 1e-8
-
-    @classmethod
-    def init(cls, param: np.ndarray, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8) -> "RmspropState":
-        return cls(np.zeros_like(param), lr, rho, eps)
+def _adagrad(opt: "Optimizer", p, g, acc, a, b) -> None:
+    np.square(g, out=a)
+    acc += a
+    _scaled_step(opt, p, g, acc, a, b)
 
 
-def rmsprop_step(param: np.ndarray, grad: np.ndarray, state: RmspropState) -> tuple[np.ndarray, RmspropState]:
-    _check_shapes(param, grad, state.v)
-    v = state.rho * state.v + (1.0 - state.rho) * np.square(grad)
-    new_param = param - state.lr * grad / (np.sqrt(v) + state.eps)
-    return new_param.astype(param.dtype), RmspropState(v.astype(param.dtype), state.lr, state.rho, state.eps)
+def _adam(opt: "Optimizer", p, g, m, v, a, b) -> None:
+    b1, b2, t = opt.beta1, opt.beta2, opt.t
+    m *= b1
+    np.multiply(1.0 - b1, g, out=a)
+    m += a
+    v *= b2
+    np.square(g, out=a)
+    a *= 1.0 - b2
+    v += a
+    np.divide(m, 1.0 - b1**t, out=a)  # m_hat
+    np.divide(v, 1.0 - b2**t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += opt.eps
+    a *= opt.lr
+    a /= b
+    p -= a
 
 
-@dataclass
-class AdagradState:
-    acc: np.ndarray
-    lr: float = 1e-2
-    eps: float = 1e-8
-
-    @classmethod
-    def init(cls, param: np.ndarray, lr: float = 1e-2, eps: float = 1e-8) -> "AdagradState":
-        return cls(np.zeros_like(param), lr, eps)
+# name -> (rule, number of state and work vectors it takes after p and g)
+_RULES = {"adam": (_adam, 4), "sgd": (_sgd, 1), "rmsprop": (_rmsprop, 3), "adagrad": (_adagrad, 3)}
 
 
-def adagrad_step(param: np.ndarray, grad: np.ndarray, state: AdagradState) -> tuple[np.ndarray, AdagradState]:
-    _check_shapes(param, grad, state.acc)
-    acc = state.acc + np.square(grad)
-    new_param = param - state.lr * grad / (np.sqrt(acc) + state.eps)
-    return new_param.astype(param.dtype), AdagradState(acc.astype(param.dtype), state.lr, state.eps)
-
-
-_STEP_FNS = {
-    "adam": (AdamState, adam_step),
-    "sgd": (SgdState, sgd_step),
-    "rmsprop": (RmspropState, rmsprop_step),
-    "adagrad": (AdagradState, adagrad_step),
-}
-
-
-@dataclass
 class Optimizer:
-    """Applies one step rule across a named parameter dict, in sorted order."""
+    """One step rule over a flat parameter vector; the first `step` sizes its state."""
 
-    name: str
-    lr: float = 1e-3
-    states: dict = field(default_factory=dict)
+    beta1, beta2, rho, eps = 0.9, 0.999, 0.9, 1e-8
 
-    def __post_init__(self):
-        if self.name not in _STEP_FNS:
-            raise ValueError(f"unknown optimizer {self.name!r}, pick from {sorted(_STEP_FNS)}")
+    def __init__(self, name: str, lr: float = 1e-3):
+        if name not in _RULES:
+            raise ValueError(f"unknown optimizer {name!r}, pick from {sorted(_RULES)}")
+        self.name = name
+        self.lr = lr
+        self.t = 0
+        self._buffers: list[np.ndarray] = []
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        state_cls, step_fn = _STEP_FNS[self.name]
-        for key in sorted(params):
-            if key not in grads:
-                continue
-            if key not in self.states:
-                self.states[key] = state_cls.init(params[key], lr=self.lr)
-            params[key][...], self.states[key] = step_fn(params[key], grads[key], self.states[key])
+    def step(self, params: Params, grads: Params) -> None:
+        """Update every parameter in place from gradients in the same layout."""
+        p, g = params.flat, grads.flat
+        if g.shape != p.shape:
+            raise ShapeMismatch(f"gradient vector holds {g.size} values, parameters {p.size}")
+        rule, n_buffers = _RULES[self.name]
+        if not self._buffers:
+            self._buffers = [np.zeros_like(p) for _ in range(n_buffers)]
+        elif self._buffers[0].shape != p.shape:
+            raise ShapeMismatch(f"optimizer state holds {self._buffers[0].size} values, parameters {p.size}")
+        self.t += 1
+        rule(self, p, g, *self._buffers)
 
 
 def make_optimizer(name: str, lr: float = 1e-3) -> Optimizer:
-    return Optimizer(name=name, lr=lr)
+    return Optimizer(name, lr)

@@ -11,6 +11,7 @@ produce identical bytes.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -62,12 +63,15 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
 
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadFormat(f"tensor name at offset {pos - name_len} is not UTF-8: {exc}") from exc
         if name in tensors:
             raise DuplicateName(f"tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        n_values = int(np.prod(dims)) if ndim else 1
+        n_values = math.prod(dims)  # Python ints: a huge product cannot wrap
         raw = take(4 * n_values)
         arr = np.frombuffer(raw, dtype="<f4", count=n_values).reshape(dims)
         tensors[name] = arr.copy()  # writable, native layout

@@ -53,14 +53,14 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "input_dir": Field("in_path"),
         "output_dir": Field("out_path"),
         "plane": Field("choice", "3plane", ("axial", "coronal", "sagittal", "3plane")),
-        "n": Field("int", 40),
-        "k1_axial": Field("int", 10),
-        "k2_axial": Field("int", 18),
-        "k1_coronal": Field("int", 10),
-        "k2_coronal": Field("int", 18),
-        "k1_sagittal": Field("int", 13),
-        "k2_sagittal": Field("int", 15),
-        "size": Field("int", 128),
+        "n": Field("int", 40, low=0),
+        "k1_axial": Field("int", 10, low=-1),
+        "k2_axial": Field("int", 18, low=-1),
+        "k1_coronal": Field("int", 10, low=-1),
+        "k2_coronal": Field("int", 18, low=-1),
+        "k1_sagittal": Field("int", 13, low=-1),
+        "k2_sagittal": Field("int", 15, low=-1),
+        "size": Field("int", 128, low=0),
     },
     "segment-train": {
         "images_dir": Field("in_path"),
@@ -108,7 +108,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "plane": Field("choice", "3plane", ("axial", "coronal", "sagittal", "3plane")),
         "seed": Field("int", 0),
         "balance": Field("bool", True),
-        "size": Field("int", 128),
+        "size": Field("int", 128, low=0),
         "diffusion_ckpt_axial": Field("in_path", None),
         "diffusion_ckpt_coronal": Field("in_path", None),
         "diffusion_ckpt_sagittal": Field("in_path", None),
@@ -119,11 +119,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "run": Field("str", "run"),
         "qubits": Field("int", 2),
         "head": Field("choice", "quantum", ("quantum", "classical")),
-        "fc_width": Field("int", 0),  # 0: match the qubit count
+        "fc_width": Field("int", 0, low=-1),  # 0: match the qubit count
         "dropout": Field("float", 0.5),
-        "lr": Field("float", 1e-3),
-        "epochs": Field("int", 10),
-        "batch_size": Field("int", 1),
+        "lr": Field("float", 1e-3, low=0),
+        "epochs": Field("int", 10, low=0),
+        "batch_size": Field("int", 1, low=0),
         "seed": Field("int", 0),
         "skull_strip": Field("bool", False),
         "skullnet_ckpt": Field("in_path", None),
@@ -204,14 +204,22 @@ def cmd_slice(cfg: dict) -> dict:
     return manifest
 
 
+def _checked(keys: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the model's own check failing as a config error naming `keys`."""
+    try:
+        return build(*args, **kwargs)
+    except (CqbrainError, ValueError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 def cmd_segment_train(cfg: dict) -> list:
+    unet_cfg = _checked("size", UNetConfig, input_size=cfg["size"], width_scale=cfg["width_scale"])
     images = _load_pgm_dir(cfg["images_dir"], cfg["size"])
     masks = dict(_load_pgm_dir(cfg["masks_dir"], cfg["size"]))
     pairs = [MaskPair(img, masks[name]) for name, img in images if name in masks]
     if not pairs:
         raise EmptyInput("no image/mask filename matches between the two directories")
-    model = UNet(UNetConfig(input_size=cfg["size"], width_scale=cfg["width_scale"]),
-                 Rng(cfg["seed"]).derive("init"))
+    model = UNet(unet_cfg, Rng(cfg["seed"]).derive("init"))
     optimizer = make_optimizer("adam", lr=cfg["lr"])
     reports = train_segmenter(model, pairs, cfg["epochs"], optimizer, cfg["seed"], cfg["batch_size"])
     out_dir: Path = cfg["output_dir"]
@@ -240,11 +248,12 @@ def cmd_segment_apply(cfg: dict) -> int:
 
 
 def cmd_diffuse_train(cfg: dict) -> list:
+    predictor_cfg = _checked("size, widths, emb_dim", NoisePredictorConfig,
+                             cfg["size"], cfg["widths"], cfg["emb_dim"])
+    schedule = _checked("beta_start, beta_end", build_schedule, cfg["T"], cfg["beta_start"], cfg["beta_end"])
     images = _load_pgm_dir(cfg["input_dir"], cfg["size"])
     data = np.stack([img for _, img in images]) * 2.0 - 1.0  # [0,1] -> [-1,1]
-    predictor = NoisePredictor(NoisePredictorConfig(cfg["size"], cfg["widths"], cfg["emb_dim"]),
-                               Rng(cfg["seed"]).derive("init"))
-    schedule = build_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
+    predictor = NoisePredictor(predictor_cfg, Rng(cfg["seed"]).derive("init"))
     optimizer = make_optimizer("adam", lr=cfg["lr"])
     rng = Rng(cfg["seed"])
     rows = []
@@ -331,11 +340,9 @@ def _metric_row(result, split: str, extra: dict) -> dict:
 
 def _check_head(cfg: dict) -> None:
     """Reject head settings CqcnnConfig cannot build, naming the config key."""
-    if cfg["qubits"] not in (2, 3):
-        raise ConfigError(f"qubits: must be 2 or 3, got {cfg['qubits']}")
-    if 0 < cfg["fc_width"] < cfg["qubits"]:
-        raise ConfigError(f"fc_width: must be 0 (match qubits) or at least qubits = {cfg['qubits']}, "
-                          f"got {cfg['fc_width']}")
+    _checked("qubits", CqcnnConfig, n_qubits=cfg["qubits"])
+    _checked("fc_width", CqcnnConfig, n_qubits=cfg["qubits"], fc_width=cfg["fc_width"] or None)
+    _checked("dropout", CqcnnConfig, dropout_rate=cfg["dropout"])
 
 
 def cmd_train(cfg: dict) -> dict:
@@ -352,7 +359,7 @@ def cmd_train(cfg: dict) -> dict:
         image_size=manifest.image_size,
         dropout_rate=cfg["dropout"],
         n_qubits=cfg["qubits"],
-        fc_width=cfg["fc_width"] if cfg["fc_width"] > 0 else None,
+        fc_width=cfg["fc_width"] or None,
         head=head,
         seed=cfg["seed"],
     )

@@ -1,16 +1,19 @@
 """Model <-> checkpoint packing.
 
-Architecture hyperparameters ride along as reserved "meta_*" tensors so a
-checkpoint is self-describing; small integers and floats survive the f32
-wire format exactly enough to rebuild the same model.
+Parameters are stored as "param_<name>" tensors, and architecture
+hyperparameters ride along as reserved "meta_*" tensors so a checkpoint is
+self-describing; small integers and floats survive the f32 wire format
+exactly enough to rebuild the same model. Any other checkpoint is `BadFormat`.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ..cqcnn import CqcnnConfig, CqcnnModel, HEAD_CLASSICAL, HEAD_QUANTUM
 from ..diffusion import NoisePredictor, NoisePredictorConfig
-from ..errors import BadFormat
+from ..errors import BadFormat, ShapeMismatch
 from ..rng import Rng
 from ..skullnet import UNet, UNetConfig
 
@@ -18,109 +21,107 @@ _HEAD_CODES = {HEAD_QUANTUM: 0, HEAD_CLASSICAL: 1}
 _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
 
 
-def _meta(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float32)
+def _pack(model, kind: int, **meta) -> dict[str, np.ndarray]:
+    out = {f"param_{k}": v for k, v in model.params().items()}
+    out.update({f"meta_{k}": np.asarray(v, dtype=np.float32) for k, v in {"kind": kind, **meta}.items()})
+    return out
 
 
-def _require(tensors: dict, key: str) -> np.ndarray:
+def _meta(tensors: dict, key: str, integral: bool = True, scalar: bool = True):
     if key not in tensors:
         raise BadFormat(f"checkpoint missing {key!r}")
-    return tensors[key]
+    values = tensors[key].reshape(-1).tolist()
+    if scalar and len(values) != 1:
+        raise BadFormat(f"checkpoint {key!r}: expected one value, got {len(values)}")
+    for value in values:
+        if not math.isfinite(value) or (integral and not value.is_integer()):
+            raise BadFormat(f"checkpoint {key!r}: expected {'integers' if integral else 'finite values'}, "
+                            f"got {value}")
+    values = [int(v) for v in values] if integral else values
+    return values[0] if scalar else tuple(values)
+
+
+def _load(tensors: dict, kind: int, what: str, make_config, model_cls):
+    """The `model_cls` that `make_config()` describes, holding the stored parameters.
+
+    Sizes are checked before the model is built: no metadata makes a load allocate more than it read.
+    """
+    if _meta(tensors, "meta_kind") != kind:
+        raise BadFormat(f"checkpoint does not hold a {what}")
+    try:
+        config = make_config()
+        shapes = config.param_shapes()
+    except (ValueError, ShapeMismatch) as exc:
+        raise BadFormat(f"checkpoint metadata describes no {what}: {exc}") from exc
+    stored = {k[len("param_"):]: v for k, v in tensors.items() if k.startswith("param_")}
+    if stored.keys() != shapes.keys():
+        raise BadFormat(f"checkpoint {what} parameters: missing {sorted(shapes.keys() - stored.keys())}, "
+                        f"unknown {sorted(stored.keys() - shapes.keys())}")
+    for name, shape in shapes.items():
+        if stored[name].size != math.prod(shape):
+            raise BadFormat(f"checkpoint 'param_{name}' holds {stored[name].size} values, "
+                            f"the {what} needs {math.prod(shape)}")
+    model = model_cls(config, Rng(0))
+    for name, view in model.params().items():
+        view[...] = stored[name].reshape(view.shape)
+    return model
 
 
 # -- classifier ----------------------------------------------------------
 
 def pack_cqcnn(model: CqcnnModel) -> dict[str, np.ndarray]:
     cfg = model.config
-    out = {f"param_{k}": v for k, v in model.params().items()}
-    out["meta_kind"] = _meta(0.0)
-    out["meta_image_size"] = _meta(cfg.image_size)
-    out["meta_n_qubits"] = _meta(cfg.n_qubits)
-    out["meta_fc_width"] = _meta(cfg.fc_out)
-    out["meta_head"] = _meta(_HEAD_CODES[cfg.head])
-    out["meta_dropout"] = _meta(cfg.dropout_rate)
-    out["meta_conv1_out"] = _meta(cfg.conv1_out)
-    out["meta_conv2_out"] = _meta(cfg.conv2_out)
-    out["meta_kernel"] = _meta(cfg.kernel)
-    return out
+    return _pack(model, 0, image_size=cfg.image_size, n_qubits=cfg.n_qubits, fc_width=cfg.fc_out,
+                 head=_HEAD_CODES[cfg.head], dropout=cfg.dropout_rate, conv1_out=cfg.conv1_out,
+                 conv2_out=cfg.conv2_out, kernel=cfg.kernel)
 
 
 def unpack_cqcnn(tensors: dict[str, np.ndarray]) -> CqcnnModel:
-    if int(_require(tensors, "meta_kind")) != 0:
-        raise BadFormat("checkpoint does not hold a classifier")
-    cfg = CqcnnConfig(
-        image_size=int(_require(tensors, "meta_image_size")),
-        conv1_out=int(_require(tensors, "meta_conv1_out")),
-        conv2_out=int(_require(tensors, "meta_conv2_out")),
-        kernel=int(_require(tensors, "meta_kernel")),
-        dropout_rate=float(_require(tensors, "meta_dropout")),
-        n_qubits=int(_require(tensors, "meta_n_qubits")),
-        fc_width=int(_require(tensors, "meta_fc_width")),
-        head=_HEAD_NAMES[int(_require(tensors, "meta_head"))],
-    )
-    model = CqcnnModel(cfg, Rng(0))
-    for key, value in model.params().items():
-        stored = _require(tensors, f"param_{key}")
-        value[...] = stored.reshape(value.shape)
-    return model
+    return _load(tensors, 0, "classifier", lambda: CqcnnConfig(
+        image_size=_meta(tensors, "meta_image_size"),
+        conv1_out=_meta(tensors, "meta_conv1_out"),
+        conv2_out=_meta(tensors, "meta_conv2_out"),
+        kernel=_meta(tensors, "meta_kernel"),
+        dropout_rate=_meta(tensors, "meta_dropout", integral=False),
+        n_qubits=_meta(tensors, "meta_n_qubits"),
+        fc_width=_meta(tensors, "meta_fc_width"),
+        head=_HEAD_NAMES.get(_meta(tensors, "meta_head")),  # an unknown code fails the head check
+    ), CqcnnModel)
 
 
 # -- segmenter -----------------------------------------------------------
 
 def pack_unet(model: UNet) -> dict[str, np.ndarray]:
     cfg = model.config
-    out = {f"param_{k}": v for k, v in model.params.items()}
-    out["meta_kind"] = _meta(1.0)
-    out["meta_input_size"] = _meta(cfg.input_size)
-    out["meta_widths"] = _meta(cfg.scaled_widths)
-    out["meta_in_channels"] = _meta(cfg.in_channels)
-    out["meta_out_channels"] = _meta(cfg.out_channels)
-    return out
+    return _pack(model, 1, input_size=cfg.input_size, widths=cfg.scaled_widths,
+                 in_channels=cfg.in_channels, out_channels=cfg.out_channels)
 
 
 def unpack_unet(tensors: dict[str, np.ndarray]) -> UNet:
-    if int(_require(tensors, "meta_kind")) != 1:
-        raise BadFormat("checkpoint does not hold a segmenter")
-    cfg = UNetConfig(
-        input_size=int(_require(tensors, "meta_input_size")),
-        widths=tuple(int(w) for w in _require(tensors, "meta_widths")),
-        in_channels=int(_require(tensors, "meta_in_channels")),
-        out_channels=int(_require(tensors, "meta_out_channels")),
-    )
-    model = UNet(cfg, Rng(0))
-    for key, value in model.params.items():
-        value[...] = _require(tensors, f"param_{key}").reshape(value.shape)
-    return model
+    return _load(tensors, 1, "segmenter", lambda: UNetConfig(
+        input_size=_meta(tensors, "meta_input_size"),
+        widths=_meta(tensors, "meta_widths", scalar=False),
+        in_channels=_meta(tensors, "meta_in_channels"),
+        out_channels=_meta(tensors, "meta_out_channels"),
+    ), UNet)
 
 
 # -- denoiser ------------------------------------------------------------
 
 def pack_predictor(model: NoisePredictor, schedule_params: tuple[int, float, float]) -> dict[str, np.ndarray]:
     cfg = model.config
-    out = {f"param_{k}": v for k, v in model.params().items()}
-    out["meta_kind"] = _meta(2.0)
-    out["meta_image_size"] = _meta(cfg.image_size)
-    out["meta_widths"] = _meta(cfg.widths)
-    out["meta_emb_dim"] = _meta(cfg.emb_dim)
     t_steps, beta_start, beta_end = schedule_params
-    out["meta_T"] = _meta(t_steps)
-    out["meta_beta_start"] = _meta(beta_start)
-    out["meta_beta_end"] = _meta(beta_end)
-    return out
+    return _pack(model, 2, image_size=cfg.image_size, widths=cfg.widths, emb_dim=cfg.emb_dim,
+                 T=t_steps, beta_start=beta_start, beta_end=beta_end)
 
 
 def unpack_predictor(tensors: dict[str, np.ndarray]) -> tuple[NoisePredictor, tuple[int, float, float]]:
-    if int(_require(tensors, "meta_kind")) != 2:
-        raise BadFormat("checkpoint does not hold a denoiser")
-    cfg = NoisePredictorConfig(
-        image_size=int(_require(tensors, "meta_image_size")),
-        widths=tuple(int(w) for w in _require(tensors, "meta_widths")),
-        emb_dim=int(_require(tensors, "meta_emb_dim")),
-    )
-    model = NoisePredictor(cfg, Rng(0))
-    for key, value in model.params().items():
-        value[...] = _require(tensors, f"param_{key}").reshape(value.shape)
-    schedule_params = (int(_require(tensors, "meta_T")),
-                       float(_require(tensors, "meta_beta_start")),
-                       float(_require(tensors, "meta_beta_end")))
+    model = _load(tensors, 2, "denoiser", lambda: NoisePredictorConfig(
+        image_size=_meta(tensors, "meta_image_size"),
+        widths=_meta(tensors, "meta_widths", scalar=False),
+        emb_dim=_meta(tensors, "meta_emb_dim"),
+    ), NoisePredictor)
+    schedule_params = (_meta(tensors, "meta_T"),
+                       _meta(tensors, "meta_beta_start", integral=False),
+                       _meta(tensors, "meta_beta_end", integral=False))
     return model, schedule_params

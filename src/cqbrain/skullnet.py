@@ -23,6 +23,7 @@ import numpy as np
 from .errors import Diverged, EmptyDataset, ShapeMismatch
 from .neuralkernel import (
     Optimizer,
+    Params,
     conv2d,
     conv2d_backward,
     conv_transpose2x2,
@@ -73,56 +74,65 @@ class UNetConfig:
     def bottleneck_channels(self) -> int:
         return self.scaled_widths[-1]
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every trainable tensor, in vector order."""
+        w = self.scaled_widths
+        shapes: dict[str, tuple[int, ...]] = {}
+
+        def conv(name: str, c_out: int, c_in: int, k: int) -> None:
+            shapes[f"{name}_w"], shapes[f"{name}_b"] = (c_out, c_in, k, k), (c_out,)
+
+        for lvl, (c_in, width) in enumerate(zip((self.in_channels, *w), w)):
+            conv(f"enc{lvl}_c1", width, c_in, 3)
+            conv(f"enc{lvl}_c2", width, width, 3)
+        for lvl in range(self.depth - 2, -1, -1):
+            shapes[f"up{lvl}_w"], shapes[f"up{lvl}_b"] = (w[lvl + 1], w[lvl], 2, 2), (w[lvl],)
+            conv(f"dec{lvl}_c1", w[lvl], 2 * w[lvl], 3)
+            conv(f"dec{lvl}_c2", w[lvl], w[lvl], 3)
+        conv("head", self.out_channels, w[0], 1)
+        return shapes
+
 
 class UNet:
-    """Configurable-depth U-Net with explicit hand-written backprop."""
+    """Configurable-depth U-Net with explicit hand-written backprop.
 
-    def __init__(self, config: UNetConfig, rng: Rng | None = None):
+    A `layout` adds an owner's tensors (the denoiser's) to `config.param_shapes()` in one vector.
+    """
+
+    def __init__(self, config: UNetConfig, rng: Rng | None = None, layout: dict | None = None):
         self.config = config
         rng = rng if rng is not None else Rng(0)
-        w = config.scaled_widths
-        self.params: dict[str, np.ndarray] = {}
-
-        def conv_init(name: str, c_out: int, c_in: int, k: int) -> None:
-            self.params[f"{name}_w"] = glorot(rng.derive(f"init:{name}"), (c_out, c_in, k, k),
-                                               c_in * k * k, c_out * k * k)
-            self.params[f"{name}_b"] = np.full(c_out, 0.01, np.float32)
-
-        prev = config.in_channels
-        for lvl, width in enumerate(w):
-            conv_init(f"enc{lvl}_c1", width, prev, 3)
-            conv_init(f"enc{lvl}_c2", width, width, 3)
-            prev = width
-        for lvl in range(config.depth - 2, -1, -1):
-            name = f"up{lvl}"
-            self.params[f"{name}_w"] = glorot(rng.derive(f"init:{name}"), (w[lvl + 1], w[lvl], 2, 2),
-                                               w[lvl + 1] * 4, w[lvl] * 4)
-            self.params[f"{name}_b"] = np.full(w[lvl], 0.01, np.float32)
-            conv_init(f"dec{lvl}_c1", w[lvl], 2 * w[lvl], 3)
-            conv_init(f"dec{lvl}_c2", w[lvl], w[lvl], 3)
-        conv_init("head", config.out_channels, w[0], 1)
+        self._params = Params(layout or config.param_shapes())
+        for name in config.param_shapes():
+            if name.endswith("_w"):
+                glorot(rng.derive(f"init:{name[:-2]}"), self._params[name])
+            else:
+                self._params[name].fill(0.01)
         self._cache: dict | None = None
 
+    def params(self) -> Params:
+        return self._params
+
     def param_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params.values())
+        return self._params.flat.size
 
     def _conv_block(self, name: str, x: np.ndarray, cache: dict) -> np.ndarray:
         for stage in ("c1", "c2"):
             key = f"{name}_{stage}"
-            z = conv2d(x, self.params[f"{key}_w"], self.params[f"{key}_b"], padding="same")
+            z = conv2d(x, self._params[f"{key}_w"], self._params[f"{key}_b"], padding="same")
             cache[f"{key}_in"] = x
             cache[f"{key}_z"] = z
             x = relu(z)
         return x
 
     def _conv_block_backward(self, name: str, dy: np.ndarray, cache: dict,
-                             grads: dict[str, np.ndarray], input_grad: bool = True) -> np.ndarray | None:
+                             grads: Params, input_grad: bool = True) -> np.ndarray | None:
         """Gradient of the block's input; None (not computed) when input_grad is False."""
         for stage in ("c2", "c1"):
             key = f"{name}_{stage}"
             dz = relu_backward(dy, cache[f"{key}_z"])
             dy, grads[f"{key}_w"], grads[f"{key}_b"] = conv2d_backward(
-                dz, cache[f"{key}_in"], self.params[f"{key}_w"], padding="same",
+                dz, cache[f"{key}_in"], self._params[f"{key}_w"], padding="same",
                 input_grad=input_grad or stage == "c2")
         return dy
 
@@ -151,7 +161,7 @@ class UNet:
         cache["used_bottleneck_add"] = bottleneck_add is not None
 
         for lvl in range(cfg.depth - 2, -1, -1):
-            up = conv_transpose2x2(x, self.params[f"up{lvl}_w"], self.params[f"up{lvl}_b"])
+            up = conv_transpose2x2(x, self._params[f"up{lvl}_w"], self._params[f"up{lvl}_b"])
             skip = skips[lvl]
             if up.shape[2:] != skip.shape[2:]:
                 raise ShapeMismatch(f"decoder level {lvl}: upsampled {up.shape} vs skip {skip.shape}")
@@ -160,15 +170,16 @@ class UNet:
             cache[f"dec{lvl}_join"] = joined.shape[1] // 2
             x = self._conv_block(f"dec{lvl}", joined, cache)
 
-        logits = conv2d(x, self.params["head_w"], self.params["head_b"])
+        logits = conv2d(x, self._params["head_w"], self._params["head_b"])
         cache["head_in"] = x
         self._cache = cache
         return logits
 
     def backward(self, dlogits: np.ndarray, input_grad: bool = True
-                 ) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray | None]:
+                 ) -> tuple[Params, np.ndarray | None, np.ndarray | None]:
         """Returns (parameter grads, input grad, bottleneck-vector grad or None).
 
+        Parameter grads have the layout of `params()`, an owner's entries zero.
         With input_grad False the first conv skips its input gradient and the
         input grad comes back as None (training never uses it: the input is data).
         """
@@ -176,17 +187,17 @@ class UNet:
             raise ShapeMismatch("backward called before forward")
         cfg = self.config
         cache = self._cache
-        grads: dict[str, np.ndarray] = {}
+        grads = self._params.zeros_like()
 
         dy, grads["head_w"], grads["head_b"] = conv2d_backward(
-            dlogits, cache["head_in"], self.params["head_w"])
+            dlogits, cache["head_in"], self._params["head_w"])
 
         for lvl in range(cfg.depth - 1):
             dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads)
             half = cache[f"dec{lvl}_join"]
             dup, dskip = dy[:, :half], dy[:, half:]
             dx_level, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
-                dup, cache[f"up{lvl}_in"], self.params[f"up{lvl}_w"])
+                dup, cache[f"up{lvl}_in"], self._params[f"up{lvl}_w"])
             cache[f"skip{lvl}_grad"] = dskip
             dy = dx_level
 
@@ -309,7 +320,7 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
                 raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
                                f"position {b0}: loss is {loss}")
             grads, _, _ = model.backward(dz, input_grad=False)
-            optimizer.step(model.params, grads)
+            optimizer.step(model.params(), grads)
             total_loss += loss
             batches += 1
         dice, iou = seg_scores(model, pairs, batch_size)

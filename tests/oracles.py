@@ -8,6 +8,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from cqbrain.neuralkernel import Params
+
+
+def params_of(tensors, dtype=np.float32) -> Params:
+    """A copy of the named `tensors` in one new `Params` vector."""
+    out = Params({name: np.shape(t) for name, t in tensors.items()}, dtype)
+    for name, t in tensors.items():
+        out[name] = t
+    return out
+
+
+def with_float64_params(unet):
+    """`unet` with its parameter vector swapped for a float64 copy (full-precision FD checks)."""
+    unet._params = params_of(unet.params(), np.float64)
+    return unet
+
 
 def finite_difference_grad(f, x: np.ndarray, h_scale: float = 1e-3) -> np.ndarray:
     """Central-difference gradient of scalar f(x), differencing in place.
@@ -195,3 +211,45 @@ def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
         for kj in range(k):
             dxp[:, :, ki : ki + h, kj : kj + w] += dcols[:, :, ki, kj]
     return dxp[:, :, p : p + h, p : p + w]
+
+
+# -- per-tensor optimizer rules (the reference for neuralkernel.optim) ----
+#
+# Each rule computes with ordinary expressions, one tensor at a time, and
+# keeps its own state per tensor; `reference_step` walks a parameter dict
+# in sorted-name order the way the optimizer did before it held one flat
+# vector.
+
+def adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    state["t"] = t = state.get("t", 0) + 1
+    m = beta1 * state.get("m", np.zeros_like(param)) + (1.0 - beta1) * grad
+    v = beta2 * state.get("v", np.zeros_like(param)) + (1.0 - beta2) * np.square(grad)
+    state["m"], state["v"] = m.astype(param.dtype), v.astype(param.dtype)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return (param - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+
+
+def sgd_step(param, grad, state, lr):
+    return (param - lr * grad).astype(param.dtype)
+
+
+def rmsprop_step(param, grad, state, lr, rho=0.9, eps=1e-8):
+    v = rho * state.get("v", np.zeros_like(param)) + (1.0 - rho) * np.square(grad)
+    state["v"] = v.astype(param.dtype)
+    return (param - lr * grad / (np.sqrt(v) + eps)).astype(param.dtype)
+
+
+def adagrad_step(param, grad, state, lr, eps=1e-8):
+    acc = state.get("acc", np.zeros_like(param)) + np.square(grad)
+    state["acc"] = acc.astype(param.dtype)
+    return (param - lr * grad / (np.sqrt(acc) + eps)).astype(param.dtype)
+
+
+REFERENCE_RULES = {"adam": adam_step, "sgd": sgd_step, "rmsprop": rmsprop_step, "adagrad": adagrad_step}
+
+
+def reference_step(name: str, params: dict, grads: dict, states: dict, lr: float) -> None:
+    """One update of every tensor in `params`, in place, keeping per-tensor state in `states`."""
+    for key in sorted(params):
+        params[key][...] = REFERENCE_RULES[name](params[key], grads[key], states.setdefault(key, {}), lr)

@@ -1,9 +1,15 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
-from cqbrain.errors import BadFormat, BadMagic, BadVersion, DuplicateName, Truncated
+from cqbrain.errors import BadFormat, BadMagic, BadVersion, CqbrainError, DuplicateName, Truncated
 from cqbrain.pipeline.checkpoint import (
     deserialize_tensors,
     load_checkpoint,
@@ -86,6 +92,16 @@ class TestWireFormat:
         with pytest.raises(DuplicateName):
             deserialize_tensors(doubled)
 
+    def test_non_utf8_name_rejected(self):
+        data = serialize_tensors({"ab": np.ones(1, np.float32)})
+        with pytest.raises(BadFormat, match="not UTF-8"):
+            deserialize_tensors(data.replace(b"ab", b"\xff\xfe"))
+
+    def test_dims_whose_product_overflows_are_truncated(self):
+        header = b"CQCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<B4I", 4, *[2**32 - 1] * 4)
+        with pytest.raises(Truncated):
+            deserialize_tensors(header + b"\x00" * 64)
+
     def test_file_roundtrip(self, tmp_path):
         tensors = {"t": np.arange(6, dtype=np.float32).reshape(2, 3)}
         path = tmp_path / "model.cqck"
@@ -109,8 +125,8 @@ class TestModelPacking:
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(5))
         back = unpack_unet(deserialize_tensors(serialize_tensors(pack_unet(model))))
         assert back.config.scaled_widths == model.config.scaled_widths
-        for key, val in model.params.items():
-            assert np.array_equal(back.params[key], val), key
+        for key, val in model.params().items():
+            assert np.array_equal(back.params()[key], val), key
 
     def test_predictor_roundtrip(self):
         pred = NoisePredictor(NoisePredictorConfig(8, (4, 8), 8), Rng(6))
@@ -128,3 +144,97 @@ class TestModelPacking:
             unpack_cqcnn(tensors)
         with pytest.raises(BadFormat):
             unpack_predictor(tensors)
+
+    @pytest.mark.parametrize("meta, value, message", [
+        ("meta_head", 7.0, "head must be"),
+        ("meta_n_qubits", 4.0, "n_qubits must be 2 or 3"),
+        ("meta_n_qubits", 2.5, "expected integers"),
+        ("meta_dropout", np.inf, "expected finite values"),
+        ("meta_image_size", np.array([16.0, 16.0], np.float32), "expected one value"),
+    ])
+    def test_bad_classifier_metadata_is_bad_format(self, meta, value, message):
+        tensors = pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16)))
+        tensors[meta] = np.asarray(value, np.float32)
+        with pytest.raises(BadFormat, match=message):
+            unpack_cqcnn(tensors)
+
+    @pytest.mark.parametrize("unpack", [unpack_cqcnn, unpack_unet, unpack_predictor])
+    def test_missing_unknown_or_resized_parameters_are_bad_format(self, unpack):
+        packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
+                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)))),
+                   unpack_predictor: lambda: pack_predictor(
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))}
+        first = sorted(k for k in packers[unpack]() if k.startswith("param_"))[0]
+        for damage in (lambda t: t.pop(first), lambda t: t.update(param_zz=np.ones(1, np.float32)),
+                       lambda t: t.update({first: np.ones(t[first].size + 1, np.float32)})):
+            tensors = packers[unpack]()
+            damage(tensors)
+            with pytest.raises(BadFormat):
+                unpack(tensors)
+
+
+    @pytest.mark.parametrize("unpack, meta, value", [
+        (unpack_cqcnn, "meta_image_size", 4096.0),
+        (unpack_unet, "meta_widths", [2.0, 1024.0]),
+        (unpack_predictor, "meta_widths", [2.0, 1024.0]),
+    ])
+    def test_oversized_metadata_is_bad_format_before_allocating(self, unpack, meta, value):
+        packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
+                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)))),
+                   unpack_predictor: lambda: pack_predictor(
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))}
+        tensors = packers[unpack]()
+        tensors[meta] = np.asarray(value, np.float32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadFormat, match="holds"):
+                unpack(tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the model these sizes describe would take tens of MB
+
+    def test_odd_embedding_dim_is_bad_format(self):
+        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))
+        tensors["meta_emb_dim"] = np.float32(7)
+        with pytest.raises(BadFormat, match="embedding dim"):
+            unpack_predictor(tensors)
+
+
+_NAMES = st.text(min_size=0, max_size=12)
+_TENSORS = st.dictionaries(_NAMES, hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                                              elements=st.floats(width=32, allow_nan=True)), max_size=4)
+
+
+class TestProperties:
+    """Any byte string parses or raises a CqbrainError; serialize-then-deserialize is the identity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_parse_or_raise_a_package_error(self, data):
+        try:
+            deserialize_tensors(data)
+        except CqbrainError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TENSORS, st.data())
+    def test_damaged_checkpoints_parse_or_raise_a_package_error(self, tensors, draw):
+        data = bytearray(serialize_tensors(tensors))
+        for _ in range(draw.draw(st.integers(1, 4))):
+            if data:
+                data[draw.draw(st.integers(0, len(data) - 1))] = draw.draw(st.integers(0, 255))
+        cut = draw.draw(st.integers(0, len(data)))
+        try:
+            deserialize_tensors(bytes(data[:cut] if draw.draw(st.booleans()) else data))
+        except CqbrainError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TENSORS)
+    def test_serialize_then_deserialize_is_the_identity(self, tensors):
+        back = deserialize_tensors(serialize_tensors(tensors))
+        assert list(back) == sorted(tensors)
+        for name, value in tensors.items():
+            assert back[name].shape == value.shape
+            assert back[name].tobytes() == value.tobytes()

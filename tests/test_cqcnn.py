@@ -18,7 +18,7 @@ from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
 from cqbrain.neuralkernel import ConfusionCounts, cross_entropy, make_optimizer
 from cqbrain.rng import Rng
 
-from oracles import finite_difference_grad, grads_close
+from oracles import finite_difference_grad, grads_close, reference_step
 
 
 def _toy_dataset(n_per_class: int, size: int = 16) -> list:
@@ -71,7 +71,10 @@ class TestShapesAndCounts:
     def test_model_count_matches_config_count(self):
         for head in ("quantum", "classical_softmax"):
             cfg = _small_config(head=head)
-            assert CqcnnModel(cfg).param_count() == param_count(cfg)
+            model = CqcnnModel(cfg)
+            assert model.param_count() == param_count(cfg) == sum(v.size for v in model.params().values())
+        cfg = CqcnnConfig(n_qubits=3, fc_width=4, head="classical_softmax")  # head: dense(4 -> 2)
+        assert param_count(cfg) == (2 * 25 + 2) + (4 * 2 * 25 + 4) + (4 * 3364 + 4) + 2 * 4 + 2
 
     def test_baseline_count_within_one_percent(self):
         q = param_count(CqcnnConfig.matched_size(3))
@@ -113,7 +116,7 @@ class TestForward:
         quantum = CqcnnModel(_small_config(seed=5))
         classical = CqcnnModel(_small_config(seed=5, head="classical_softmax"))
         for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b"):
-            setattr(classical, name, getattr(quantum, name).copy())
+            classical.params()[name] = quantum.params()[name]
         img = np.random.default_rng(2).random((16, 16)).astype(np.float32)
         quantum.forward(img)
         flat_q = quantum._cache["flat"].copy()
@@ -124,7 +127,7 @@ class TestForward:
         model = CqcnnModel(_small_config(seed=3))
         img = np.random.default_rng(3).random((16, 16)).astype(np.float32)
         base = model.forward(img).copy()
-        model.theta = model.theta + np.float32(2.0 * math.pi)
+        model.params()["theta"][...] += np.float32(2.0 * math.pi)
         assert np.allclose(model.forward(img), base, atol=1e-6)
 
 
@@ -191,8 +194,9 @@ class TestBackward:
         model = CqcnnModel(_small_config(head=head))
         img = np.random.default_rng(3).random((16, 16)).astype(np.float32)
         grads = backward(model, img, np.array([0.0, 1.0], np.float32))[1]
-        assert calls == [(model.conv2_w.shape, True), (model.conv1_w.shape, False)]
-        assert grads["conv1_w"].shape == model.conv1_w.shape
+        params = model.params()
+        assert calls == [(params["conv2_w"].shape, True), (params["conv1_w"].shape, False)]
+        assert grads["conv1_w"].shape == params["conv1_w"].shape
 
 
 class TestTraining:
@@ -230,9 +234,43 @@ class TestTraining:
 
     def test_theta_moves_under_training(self):
         model = CqcnnModel(_small_config(seed=4))
-        theta_before = model.theta.copy()
+        theta_before = model.params()["theta"].copy()
         train_epoch(model, _toy_dataset(10), make_optimizer("adam", lr=1e-3), seed=4)
-        assert float(np.linalg.norm(model.theta - theta_before)) > 0.0
+        assert float(np.linalg.norm(model.params()["theta"] - theta_before)) > 0.0
+
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_batch_accumulation_equals_the_per_dict_sum(self, head):
+        """batch_size 4 over 11 samples: the flat sum matches per-tensor dict sums and Adam steps."""
+        gen = np.random.default_rng(8)
+        ds = [(gen.random((16, 16)).astype(np.float32), i % 2) for i in range(11)]
+        flat_model = CqcnnModel(_small_config(seed=7, dropout_rate=0.5, head=head))
+        ref_model = CqcnnModel(_small_config(seed=7, dropout_rate=0.5, head=head))
+        train_epoch(flat_model, ds, make_optimizer("adam", lr=1e-2), seed=7, epoch=1, batch_size=4)
+
+        rng = Rng(7).derive("epoch:1")
+        order = rng.derive("shuffle").permutation(len(ds))
+        drop_rng = rng.derive("dropout")
+        ref_params, states = dict(ref_model.params()), {}
+        for start in range(0, len(order), 4):
+            batch = None
+            for idx in order[start : start + 4]:
+                img, label = ds[int(idx)]
+                _, grads = backward(ref_model, img, np.eye(2, dtype=np.float32)[label], rng=drop_rng)
+                if batch is None:
+                    batch = {k: v.copy() for k, v in grads.items()}
+                else:
+                    for k, v in grads.items():
+                        batch[k] += v
+            for k in batch:
+                batch[k] /= np.float32(len(order[start : start + 4]))
+            reference_step("adam", ref_params, batch, states, lr=1e-2)
+        for key, value in ref_model.params().items():
+            assert np.array_equal(flat_model.params()[key], value), key
+
+    def test_each_head_holds_only_its_own_tensors(self):
+        trunk = {"conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b"}
+        assert set(CqcnnModel(_small_config()).params()) == trunk | {"w_out", "b_out", "theta"}
+        assert set(CqcnnModel(_small_config(head=HEAD_CLASSICAL)).params()) == trunk | {"head_w", "head_b"}
 
     def test_batched_updates_run(self):
         model = CqcnnModel(_small_config(seed=7))
@@ -242,7 +280,7 @@ class TestTraining:
     @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
     def test_nan_weight_raises_diverged_naming_epoch_and_sample(self, head):
         model = CqcnnModel(_small_config(head=head))
-        model.conv1_w[0, 0, 0, 0] = np.nan
+        model.params()["conv1_w"][0, 0, 0, 0] = np.nan
         ds = _toy_dataset(3)
         first = int(Rng(5).derive("epoch:2").derive("shuffle").permutation(len(ds))[0])
         with pytest.raises(Diverged, match=rf"epoch 2, shuffled position 0 \(dataset index {first}\)"):
@@ -250,7 +288,7 @@ class TestTraining:
 
     def test_non_finite_loss_raises_diverged(self):
         model = CqcnnModel(_small_config())
-        model.w_out[...] = np.nan  # finite head input, non-finite output
+        model.params()["w_out"][...] = np.nan  # finite head input, non-finite output
         with pytest.raises(Diverged, match="epoch 0, shuffled position 0 .*: loss is nan"):
             train_epoch(model, _toy_dataset(2), make_optimizer("adam"), seed=0)
 
@@ -272,8 +310,8 @@ class TestEvaluate:
 
     def test_all_class0_predictions_on_balanced_set(self):
         model = CqcnnModel(_small_config(seed=12))
-        model.w_out = np.array(0.0, np.float32)
-        model.b_out = np.array(5.0, np.float32)  # o1 ~ 1: always class 0
+        model.params()["w_out"][...] = 0.0
+        model.params()["b_out"][...] = 5.0  # o1 ~ 1: always class 0
         result = evaluate(model, _toy_dataset(10))
         assert result.metrics["accuracy"] == pytest.approx(0.5)
         assert result.metrics["recall"] == 0.0  # class 1 never predicted
@@ -338,7 +376,7 @@ class TestBatchedInference:
     @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
     def test_nan_weight_raises_diverged_from_evaluate(self, head):
         model = CqcnnModel(_small_config(head=head))
-        model.conv1_w[0, 0, 0, 0] = np.nan
+        model.params()["conv1_w"][0, 0, 0, 0] = np.nan
         with pytest.raises(Diverged, match="head input is not finite"):
             evaluate(model, _toy_dataset(3))
 

@@ -16,11 +16,11 @@ from cqbrain.diffusion import (
     train_step,
 )
 from cqbrain.errors import BadRange, BadTimestep, EmptyBatch, ShapeMismatch
-from cqbrain.neuralkernel import make_optimizer
+from cqbrain.neuralkernel import Params, make_optimizer
 from cqbrain.rng import Rng
 from cqbrain.skullnet import UNet
 
-from oracles import finite_difference_grad_at
+from oracles import finite_difference_grad_at, with_float64_params
 from synthcorpus import two_blob_images
 
 
@@ -38,10 +38,10 @@ class _WiredEpsOracle:
         return ((x_t - a * self.x0) / b).astype(np.float32)
 
     def backward(self, dy):
-        return {}
+        return Params({})
 
     def params(self):
-        return {}
+        return Params({})
 
 
 class _ZeroPredictor:
@@ -49,10 +49,10 @@ class _ZeroPredictor:
         return np.zeros_like(x_t)
 
     def backward(self, dy):
-        return {}
+        return Params({})
 
     def params(self):
-        return {}
+        return Params({})
 
 
 class TestSchedule:
@@ -174,6 +174,12 @@ class TestPredictor:
             x = np.random.default_rng(0).random((3, 1, size, size)).astype(np.float32)
             assert pred.forward(x, 5).shape == x.shape
 
+    def test_config_checks_emb_dim_and_size(self):
+        with pytest.raises(ShapeMismatch):
+            NoisePredictorConfig(8, (4, 8), 7)
+        with pytest.raises(ShapeMismatch):
+            NoisePredictorConfig(6, (2, 4, 8), 8)
+
     def test_distinct_timesteps_change_output(self):
         pred = NoisePredictor(NoisePredictorConfig(8, (4, 8), 8), Rng(1))
         x = np.random.default_rng(1).random((1, 1, 8, 8)).astype(np.float32)
@@ -190,14 +196,7 @@ class TestPredictor:
 
     def test_gradients_match_finite_differences_4x4(self):
         pred = NoisePredictor(NoisePredictorConfig(4, (2, 4), 8), Rng(2))
-        for key, val in pred.params().items():
-            new = val.astype(np.float64)
-            if key == "temb_w":
-                pred.temb_w = new
-            elif key == "temb_b":
-                pred.temb_b = new
-            else:
-                pred.unet.params[key] = new
+        with_float64_params(pred.unet)
         rng = np.random.default_rng(3)
         x = rng.random((2, 1, 4, 4))
         ts = np.array([1, 3])

@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 
 from cqbrain.errors import ShapeMismatch
-from cqbrain.neuralkernel import (
-    AdagradState,
-    AdamState,
-    RmspropState,
-    SgdState,
-    adagrad_step,
-    adam_step,
-    make_optimizer,
-    rmsprop_step,
-    sgd_step,
-)
+from cqbrain.neuralkernel import Params, make_optimizer
+
+from oracles import REFERENCE_RULES, params_of, reference_step
 
 
 def _hand_adam(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -31,91 +23,137 @@ def _hand_adam(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return theta, updates
 
 
+def _vector(values) -> Params:
+    return params_of({"w": np.asarray(values, np.float32)})
+
+
+def _steps(name: str, values, grad_values, n: int, lr: float = 1e-3) -> list[np.ndarray]:
+    """Parameter vector after each of n steps with a constant gradient."""
+    params, grads = _vector(values), _vector(grad_values)
+    opt = make_optimizer(name, lr=lr)
+    out = []
+    for _ in range(n):
+        opt.step(params, grads)
+        out.append(params["w"].copy())
+    return out
+
+
+class TestParams:
+    def test_named_tensors_are_views_into_one_vector(self):
+        params = params_of({"a": np.ones((2, 3), np.float32), "s": np.float32(5.0), "b": np.arange(4.0)})
+        assert params.flat.size == 11 and list(params) == ["a", "s", "b"]
+        assert params["s"].shape == () and params.flat.dtype == np.float32
+        params.flat[6] = -1.0  # "a" holds entries 0-5, "s" entry 6
+        assert float(params["s"]) == -1.0
+        params["b"][...] = 7.0
+        assert np.array_equal(params.flat[7:], np.full(4, 7.0, np.float32))
+
+    def test_assignment_copies_and_checks_the_shape(self):
+        params = Params({"w": (2, 2)})
+        params["w"] = np.eye(2)
+        assert np.array_equal(params.flat, [1, 0, 0, 1])
+        with pytest.raises(ShapeMismatch):
+            params["w"] = np.zeros(4)
+
+    def test_zeros_like_and_copies_keep_the_layout(self):
+        params = params_of({"a": np.full(3, 2.0), "b": np.full((1, 2), 3.0)})
+        zeros, wide = params.zeros_like(), params_of(params, np.float64)
+        assert list(zeros) == list(wide) == ["a", "b"]
+        assert not zeros.flat.any() and zeros["b"].shape == (1, 2)
+        assert wide.flat.dtype == np.float64 and np.array_equal(wide.flat, params.flat)
+        assert not np.shares_memory(wide.flat, params.flat)
+
+
 class TestAdam:
     def test_first_step_magnitude_and_direction(self):
-        param = np.zeros(3, np.float32)
         grad = np.array([0.5, -2.0, 10.0], np.float32)
-        state = AdamState.init(param, lr=1e-3)
-        new_param, new_state = adam_step(param, grad, state)
-        assert new_state.t == 1
+        (new_param,) = _steps("adam", np.zeros(3), grad, 1)
         assert np.allclose(np.abs(new_param), 1e-3, rtol=1e-4)
         assert np.array_equal(np.sign(new_param), -np.sign(grad))
 
+    def test_one_step_counter(self):
+        params, grads = _vector(np.zeros(3)), _vector(np.ones(3))
+        opt = make_optimizer("adam")
+        for _ in range(3):
+            opt.step(params, grads)
+        assert opt.t == 3
+
     def test_zero_gradient_leaves_param(self):
-        param = np.array([1.0, 2.0], np.float32)
-        new_param, _ = adam_step(param, np.zeros(2, np.float32), AdamState.init(param))
-        assert np.array_equal(new_param, param)
+        (new_param,) = _steps("adam", [1.0, 2.0], np.zeros(2), 1)
+        assert np.array_equal(new_param, [1.0, 2.0])
 
     def test_two_identical_gradients_hand_iteration(self):
         _, updates = _hand_adam([0.7, 0.7])
         assert updates[1] <= updates[0] + 1e-12
 
-        param = np.array([0.0], np.float32)
-        state = AdamState.init(param)
-        p1, state = adam_step(param, np.array([0.7], np.float32), state)
-        p2, state = adam_step(p1, np.array([0.7], np.float32), state)
-        first = abs(float(param[0] - p1[0]))
+        p1, p2 = _steps("adam", [0.0], [0.7], 2)
+        first = abs(float(p1[0]))
         second = abs(float(p1[0] - p2[0]))
         assert second <= first + 1e-9
         assert float(p2[0]) == pytest.approx(_hand_adam([0.7, 0.7])[0], rel=1e-5)
 
-    def test_shape_mismatch(self):
-        param = np.zeros(3, np.float32)
+    def test_size_mismatch(self):
+        opt = make_optimizer("adam")
         with pytest.raises(ShapeMismatch):
-            adam_step(param, np.zeros(4, np.float32), AdamState.init(param))
+            opt.step(_vector(np.zeros(3)), _vector(np.zeros(4)))
+        opt.step(_vector(np.zeros(3)), _vector(np.ones(3)))
+        with pytest.raises(ShapeMismatch):  # state sized by the first step
+            opt.step(_vector(np.zeros(4)), _vector(np.ones(4)))
 
 
 class TestOtherRules:
     def test_sgd_step(self):
-        p, _ = sgd_step(np.array([1.0], np.float32), np.array([1.0], np.float32), SgdState(lr=0.1))
+        (p,) = _steps("sgd", [1.0], [1.0], 1, lr=0.1)
         assert p[0] == pytest.approx(0.9)
 
     def test_rmsprop_asymptotic_step_is_lr(self):
         # fixed point of v <- rho v + (1-rho) g^2 is v = g^2, so step -> lr
-        param = np.array([0.0], np.float32)
-        state = RmspropState.init(param, lr=0.01)
-        g = np.array([3.0], np.float32)
-        prev = param
-        for _ in range(600):
-            new, state = rmsprop_step(prev, g, state)
-            step = abs(float(prev[0] - new[0]))
-            prev = new
-        assert step == pytest.approx(0.01, rel=1e-3)
+        path = _steps("rmsprop", [0.0], [3.0], 600, lr=0.01)
+        assert abs(float(path[-2][0] - path[-1][0])) == pytest.approx(0.01, rel=1e-3)
 
     def test_adagrad_steps_shrink(self):
-        param = np.array([0.0], np.float32)
-        state = AdagradState.init(param, lr=0.5)
-        g = np.array([1.5], np.float32)
-        steps = []
-        prev = param
-        for _ in range(10):
-            new, state = adagrad_step(prev, g, state)
-            steps.append(abs(float(prev[0] - new[0])))
-            prev = new
+        path = [np.zeros(1, np.float32)] + _steps("adagrad", [0.0], [1.5], 10, lr=0.5)
+        steps = [abs(float(a[0] - b[0])) for a, b in zip(path, path[1:])]
         assert all(b < a for a, b in zip(steps, steps[1:]))
 
     @pytest.mark.parametrize("name", ["adam", "sgd", "rmsprop", "adagrad"])
     def test_steps_preserve_shape_and_finiteness(self, name):
         rng = np.random.default_rng(42)
-        params = {"a": rng.standard_normal((3, 4)).astype(np.float32),
-                  "b": rng.standard_normal(5).astype(np.float32)}
-        grads = {k: rng.standard_normal(v.shape).astype(np.float32) * 10 for k, v in params.items()}
+        params = params_of({"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)})
+        grads = params_of({k: rng.standard_normal(v.shape) * 10 for k, v in params.items()})
         opt = make_optimizer(name, lr=1e-2)
         for _ in range(5):
             opt.step(params, grads)
         assert params["a"].shape == (3, 4) and params["b"].shape == (5,)
-        assert all(np.isfinite(v).all() for v in params.values())
+        assert np.isfinite(params.flat).all()
 
     def test_optimizer_is_deterministic(self):
         def run():
-            params = {"w": np.ones(4, np.float32)}
+            params = _vector(np.ones(4))
             opt = make_optimizer("adam", lr=1e-3)
             for i in range(20):
-                opt.step(params, {"w": np.full(4, 0.1 * (i + 1), np.float32)})
-            return params["w"].copy()
+                opt.step(params, _vector(np.full(4, 0.1 * (i + 1))))
+            return params.flat.copy()
 
         assert np.array_equal(run(), run())
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):
             make_optimizer("lbfgs")
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RULES))
+def test_flat_rule_matches_the_per_tensor_reference_bit_for_bit(name):
+    """50 steps over mixed shapes (0-d included), gradients spanning 1e-6 to 30."""
+    rng = np.random.default_rng(7)
+    shapes = {"conv_w": (4, 2, 3, 3), "bias": (4,), "scale": (), "theta": (3,), "fc_w": (2, 9)}
+    init = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    flat, opt = params_of(init), make_optimizer(name, lr=3e-3)
+    ref, states = {k: v.copy() for k, v in init.items()}, {}
+    for _ in range(50):
+        grads = {k: (rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-6, np.log10(30), s)).astype(np.float32)
+                 for k, s in shapes.items()}
+        opt.step(flat, params_of(grads))
+        reference_step(name, ref, grads, states, lr=3e-3)
+    for key, value in ref.items():
+        assert np.array_equal(flat[key].view(np.uint32), value.view(np.uint32)), key

@@ -230,7 +230,7 @@ class TestCli:
             })
         assert outputs[0] == outputs[1]
 
-    def test_epochs_zero_checkpoint_equals_initialization(self, tmp_path):
+    def test_epochs_zero_is_rejected_before_any_output(self, tmp_path, capsys):
         root = tmp_path / "data"
         _write_pgms(root / "a" / "axial", 4, size=16, seed=5, label=0)
         _write_pgms(root / "b" / "axial", 4, size=16, seed=6, label=1)
@@ -239,19 +239,10 @@ class TestCli:
         assert main(["build-dataset", "-c", str(ds_cfg)]) == 0
         cfg = _write_cfg(tmp_path / "z.cfg", dataset=tmp_path / "ds" / "manifest.json",
                          output_dir=tmp_path / "zero", epochs=0, seed=9, timing="zero")
-        assert main(["train", "-c", str(cfg)]) == 0
-        curves = (tmp_path / "zero" / "curves.csv").read_text().splitlines()
-        assert len(curves) == 1  # header only
-
-        from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
-        from cqbrain.pipeline.checkpoint import load_checkpoint
-        from cqbrain.pipeline.modelio import unpack_cqcnn
-
-        stored = unpack_cqcnn(load_checkpoint(tmp_path / "zero" / "checkpoint.cqck"))
-        fresh = CqcnnModel(CqcnnConfig(image_size=16, n_qubits=2, dropout_rate=0.5, seed=9),
-                           Rng(9).derive("init"))
-        for key, val in fresh.params().items():
-            assert np.allclose(stored.params()[key], val, atol=1e-7), key
+        capsys.readouterr()
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: epochs: ")
+        assert not (tmp_path / "zero").exists()
 
     def test_segment_and_diffuse_commands(self, tmp_path):
         img_dir = tmp_path / "imgs"
@@ -461,7 +452,7 @@ class TestRobustTraining:
         class NanModel(commands.CqcnnModel):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.conv1_w[0, 0, 0, 0] = np.nan
+                self.params()["conv1_w"][0, 0, 0, 0] = np.nan
 
         monkeypatch.setattr(commands, "CqcnnModel", NanModel)
         cfg = _write_cfg(tmp_path / "tr.cfg", dataset=self._dataset(tmp_path, 16),
@@ -483,6 +474,103 @@ class TestRobustTraining:
         assert main(["train", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "run").exists()
+
+
+class TestLoadTimeBounds:
+    """train, slice and build-dataset: each bad value exits 1 naming the key, before any input is read."""
+
+    @staticmethod
+    def _base(tmp_path, command):
+        empty = tmp_path / "empty"  # reading it would fail with exit 2, so exit 1 means it was not read
+        empty.mkdir(exist_ok=True)
+        out = tmp_path / "out"
+        if command == "train":
+            not_a_manifest = tmp_path / "junk.json"
+            not_a_manifest.write_text("junk")
+            return {"dataset": not_a_manifest, "output_dir": out}
+        return {"input_dir": empty, "output_dir": out}
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("train", {"batch_size": 0}, "batch_size"),
+        ("train", {"batch_size": -1}, "batch_size"),
+        ("train", {"epochs": 0}, "epochs"),
+        ("train", {"epochs": -3}, "epochs"),
+        ("train", {"lr": -1}, "lr"),
+        ("train", {"lr": 0}, "lr"),
+        ("train", {"fc_width": -2}, "fc_width"),
+        ("train", {"dropout": 1.5}, "dropout"),
+        ("train", {"dropout": 1}, "dropout"),
+        ("train", {"dropout": -0.1}, "dropout"),
+        ("slice", {"n": 0}, "n"),
+        ("slice", {"size": 0}, "size"),
+        ("slice", {"k1_axial": -1}, "k1_axial"),
+        ("slice", {"k2_sagittal": -1}, "k2_sagittal"),
+        ("build-dataset", {"size": 0}, "size"),
+        ("build-dataset", {"size": -16}, "size"),
+    ])
+    def test_bad_value_exits_1_before_reading_input(self, tmp_path, capsys, command, settings, key):
+        cfg = _write_cfg(tmp_path / "c.cfg", **{**self._base(tmp_path, command), **settings})
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, settings", [("slice", {"k1_axial": 0}), ("build-dataset", {})])
+    def test_values_in_range_reach_the_input(self, tmp_path, command, settings):
+        cfg = _write_cfg(tmp_path / "c.cfg", **{**self._base(tmp_path, command), **settings})
+        assert main([command, "-c", str(cfg)]) == 2
+
+    def test_train_values_at_the_bounds_run(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "c.cfg", dataset=TestRobustTraining._dataset(tmp_path, 16),
+                         output_dir=tmp_path / "out", epochs=1, batch_size=1, dropout=0, fc_width=0)
+        assert main(["train", "-c", str(cfg)]) == 0
+
+
+class TestMalformedCheckpoints:
+    """evaluate, segment-apply and diffuse-sample on a malformed checkpoint exit 2 with `error: ...`."""
+
+    @staticmethod
+    def _checkpoint(tmp_path, kind, damage):
+        if kind == "classifier":
+            tensors = commands.pack_cqcnn(commands.CqcnnModel(commands.CqcnnConfig(image_size=16)))
+        elif kind == "segmenter":
+            tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0)))
+        else:
+            tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)),
+                                     (5, 0.05, 0.3))
+        damage(tensors)
+        path = tmp_path / "bad.cqck"
+        save_checkpoint(path, tensors)
+        return path
+
+    @staticmethod
+    def _resize_last_param(tensors):
+        key = max(k for k in tensors if k.startswith("param_"))
+        tensors[key] = np.zeros(tensors[key].size + 1, np.float32)
+
+    @pytest.mark.parametrize("kind", ["classifier", "segmenter", "denoiser"])
+    @pytest.mark.parametrize("damage, message", [
+        (lambda t: t.pop(min(k for k in t if k.startswith("param_"))), "missing"),
+        (lambda t: t.update(param_extra=np.zeros(3, np.float32)), "unknown ['extra']"),
+        (lambda t: TestMalformedCheckpoints._resize_last_param(t), "values"),
+        (lambda t: t.update(meta_kind=np.float32(np.nan)), "expected integers"),
+        (lambda t: t.update(meta_kind=np.float32(0.5)), "expected integers"),
+    ])
+    def test_commands_exit_2(self, tmp_path, capsys, kind, damage, message):
+        ckpt = self._checkpoint(tmp_path, kind, damage)
+        if kind == "classifier":
+            manifest = TestRobustTraining._dataset(tmp_path, 16)
+            command, settings = "evaluate", {"dataset": manifest, "output": tmp_path / "out.csv"}
+        elif kind == "segmenter":
+            _write_pgms(tmp_path / "imgs", 1)
+            command, settings = "segment-apply", {"input_dir": tmp_path / "imgs", "output_dir": tmp_path / "o"}
+        else:
+            command, settings = "diffuse-sample", {"output_dir": tmp_path / "o", "count": 1}
+        cfg = _write_cfg(tmp_path / "c.cfg", checkpoint=ckpt, **settings)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and message in err
 
 
 class TestUnetCommandGuards:
@@ -521,6 +609,12 @@ class TestUnetCommandGuards:
         ("diffuse-train", {"emb_dim": 1}, "emb_dim"),
         ("diffuse-train", {"beta_start": 0}, "beta_start"),
         ("diffuse-train", {"beta_end": "nan"}, "beta_end"),
+        ("segment-train", {"size": 24}, "size"),
+        ("diffuse-train", {"size": 18, "widths": "2,4,8"}, "size, widths, emb_dim"),
+        ("diffuse-train", {"widths": "8"}, "size, widths, emb_dim"),
+        ("diffuse-train", {"emb_dim": 7}, "size, widths, emb_dim"),
+        ("diffuse-train", {"beta_start": 0.5, "beta_end": 0.1}, "beta_start, beta_end"),
+        ("diffuse-train", {"beta_end": 1.0}, "beta_start, beta_end"),
         ("diffuse-sample", {"count": 0}, "count"),
         ("diffuse-sample", {"count": -1}, "count"),
     ])
@@ -540,7 +634,7 @@ class TestUnetCommandGuards:
         class NanUNet(commands.UNet):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.params["head_b"][0] = np.nan
+                self.params()["head_b"][0] = np.nan
 
         monkeypatch.setattr(commands, "UNet", NanUNet)
         _write_pgms(tmp_path / "imgs", 3, size=16, seed=1)
@@ -556,7 +650,7 @@ class TestUnetCommandGuards:
         class NanPredictor(commands.NoisePredictor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.temb_b[0] = np.nan
+                self.params()["temb_b"][0] = np.nan
 
         monkeypatch.setattr(commands, "NoisePredictor", NanPredictor)
         _write_pgms(tmp_path / "imgs", 3, size=16, seed=1)

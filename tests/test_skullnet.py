@@ -17,16 +17,13 @@ from cqbrain.skullnet import (
     train_segmenter,
 )
 
-from oracles import finite_difference_grad, finite_difference_grad_at, grads_close
+from oracles import finite_difference_grad, finite_difference_grad_at, grads_close, with_float64_params
 from synthcorpus import annulus_corpus
 
 
 def _f64_model(cfg: UNetConfig, seed: int) -> UNet:
     """Model with float64 parameters: FD checks run at full precision."""
-    model = UNet(cfg, Rng(seed))
-    for key in model.params:
-        model.params[key] = model.params[key].astype(np.float64)
-    return model
+    return with_float64_params(UNet(cfg, Rng(seed)))
 
 
 class TestConfig:
@@ -59,11 +56,11 @@ class TestConfig:
 class TestForward:
     def test_full_width_parameter_plan(self):
         model = UNet(UNetConfig(), Rng(0))
-        assert model.params["enc0_c1_w"].shape == (32, 1, 3, 3)
-        assert model.params["enc4_c2_w"].shape == (512, 512, 3, 3)
-        assert model.params["up0_w"].shape == (64, 32, 2, 2)
-        assert model.params["dec0_c1_w"].shape == (32, 64, 3, 3)
-        assert model.params["head_w"].shape == (1, 32, 1, 1)
+        assert model.params()["enc0_c1_w"].shape == (32, 1, 3, 3)
+        assert model.params()["enc4_c2_w"].shape == (512, 512, 3, 3)
+        assert model.params()["up0_w"].shape == (64, 32, 2, 2)
+        assert model.params()["dec0_c1_w"].shape == (32, 64, 3, 3)
+        assert model.params()["head_w"].shape == (1, 32, 1, 1)
 
     @pytest.mark.parametrize("size,scale", [(64, 0.125), (32, 0.25), (16, 1 / 16)])
     def test_output_shape_equals_input(self, size, scale):
@@ -115,7 +112,7 @@ class TestGradients:
         def loss(_):
             return float((model.forward(x) * up).sum())
 
-        for name, param in model.params.items():
+        for name, param in model.params().items():
             k = min(param.size, 30)
             idxs = rng.choice(param.size, size=k, replace=False)
             numeric = finite_difference_grad_at(loss, param, idxs, h_scale=1e-5)
@@ -263,7 +260,7 @@ class TestTraining:
             model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(9))
             reports = train_segmenter(model, annulus_corpus(4, 16, seed=5), epochs=3,
                                       optimizer=make_optimizer("adam", lr=1e-3), seed=9)
-            return [(r.loss, r.dice, r.iou) for r in reports], {k: v.copy() for k, v in model.params.items()}
+            return [(r.loss, r.dice, r.iou) for r in reports], {k: v.copy() for k, v in model.params().items()}
 
         (r1, p1), (r2, p2) = run(), run()
         assert r1 == r2
@@ -271,12 +268,12 @@ class TestTraining:
 
     def test_non_finite_loss_raises_diverged(self):
         model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
-        model.params["head_b"][0] = np.nan
-        before = {k: v.copy() for k, v in model.params.items()}
+        model.params()["head_b"][0] = np.nan
+        before = {k: v.copy() for k, v in model.params().items()}
         with pytest.raises(Diverged, match="epoch 0, batch starting at shuffled position 0: loss is nan"):
             train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=2,
                             optimizer=make_optimizer("adam"), seed=0, batch_size=2)
-        assert all(np.array_equal(before[k], v, equal_nan=True) for k, v in model.params.items())
+        assert all(np.array_equal(before[k], v, equal_nan=True) for k, v in model.params().items())
 
     def test_empty_pairs_rejected(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(0))
@@ -287,8 +284,8 @@ class TestTraining:
 class TestApply:
     def test_forced_full_mask_returns_image(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(4))
-        model.params["head_w"][...] = 0.0
-        model.params["head_b"][...] = 50.0
+        model.params()["head_w"][...] = 0.0
+        model.params()["head_b"][...] = 50.0
         img = np.random.default_rng(6).random((16, 16)).astype(np.float32)
         mask, stripped = segment_apply(model, img)
         assert mask.all()
@@ -296,8 +293,8 @@ class TestApply:
 
     def test_forced_empty_mask_returns_zeros(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(4))
-        model.params["head_w"][...] = 0.0
-        model.params["head_b"][...] = -50.0
+        model.params()["head_w"][...] = 0.0
+        model.params()["head_b"][...] = -50.0
         img = np.random.default_rng(7).random((16, 16)).astype(np.float32)
         mask, stripped = segment_apply(model, img)
         assert not mask.any()
