@@ -28,7 +28,8 @@ class Truncated(CqbrainError):
 
 
 class BadFormat(CqbrainError):
-    """Malformed content beyond the magic check (PGM header or raster, PGM or CQCK trailing bytes)."""
+    """Malformed content beyond the magic check (PGM header or raster, PGM or CQCK trailing bytes,
+    NIfTI offset or scaling fields, dataset manifests)."""
 
 
 class UnsupportedDatatype(CqbrainError):

@@ -165,7 +165,7 @@ def _load_pgm_dir(path: Path, size: int | None = None) -> list[tuple[str, np.nda
 
 
 def cmd_slice(cfg: dict) -> dict:
-    """NIfTI volumes -> per-plane resized PGM slices plus a manifest."""
+    """NIfTI volumes -> per-plane resized PGM slices plus a manifest, one volume in memory at a time."""
     in_dir: Path = cfg["input_dir"]
     out_dir: Path = cfg["output_dir"]
     volumes = sorted(in_dir.glob("*.nii"))
@@ -198,6 +198,7 @@ def cmd_slice(cfg: dict) -> dict:
                 "interval": plan.i, "n_slices": plan.n_slices, "files": files,
             }
         manifest["volumes"][vol_path.name] = record
+        del vol  # its raw voxels keep the payload alive; free it before the next file is read
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "manifest.json",
                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))

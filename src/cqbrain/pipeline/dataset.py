@@ -76,11 +76,22 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
-        payload = json.loads(text)
-        classes = {
-            c: {s: [FileEntry(**e) for e in v[s]] for s in ("train", "test")}
-            for c, v in payload["classes"].items()
-        }
+        """Inverse of to_json; anything else raises BadFormat."""
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise BadFormat(f"manifest is not JSON: {exc}") from exc
+        _require(isinstance(payload, dict), "manifest is not a JSON object")
+        keys = set(payload)
+        _require(_MANIFEST_KEYS <= keys <= _MANIFEST_KEYS | {"extra"},
+                 f"manifest keys {sorted(keys)}, expected {sorted(_MANIFEST_KEYS)} and optionally extra")
+        _require(isinstance(payload["classes"], dict), "manifest classes is not an object")
+        classes = {c: _splits(c, v) for c, v in payload["classes"].items()}
+        _require(isinstance(payload["plane"], str), "manifest plane is not a string")
+        for key in ("image_size", "seed"):
+            _require(type(payload[key]) is int, f"manifest {key} is not an integer")
+        _require(payload["image_size"] >= 1, "manifest image_size is below 1")
+        _require(isinstance(payload.get("extra", {}), dict), "manifest extra is not an object")
         manifest = cls(classes, payload["plane"], payload["image_size"], payload["seed"],
                        payload.get("extra", {}))
         manifest.validate()
@@ -91,7 +102,38 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """from_json of the file's text; a file that is not a manifest raises BadFormat naming it."""
+        try:
+            return cls.from_json(Path(path).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadFormat(f"{path}: manifest is not UTF-8: {exc}") from exc
+        except BadFormat as exc:
+            raise BadFormat(f"{path}: {exc}") from exc
+
+
+_MANIFEST_KEYS = {"classes", "plane", "image_size", "seed"}
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise BadFormat(message)
+
+
+def _splits(name: str, splits: object) -> dict[str, list[FileEntry]]:
+    """One class's {train, test} entry lists from their JSON form."""
+    _require(isinstance(splits, dict) and set(splits) == {"train", "test"},
+             f"manifest class {name!r} needs exactly the keys train and test")
+    out = {}
+    for split, entries in splits.items():
+        _require(isinstance(entries, list), f"manifest class {name!r} {split} is not a list")
+        for entry in entries:
+            _require(isinstance(entry, dict) and set(entry) == {"path", "provenance"},
+                     f"manifest class {name!r} {split}: entry {entry!r} needs exactly "
+                     f"the keys path and provenance")
+            _require(isinstance(entry["path"], str) and entry["provenance"] in (REAL, SYNTHETIC),
+                     f"manifest class {name!r} {split}: bad entry {entry!r}")
+        out[split] = [FileEntry(e["path"], e["provenance"]) for e in entries]
+    return out
 
 
 def split_90_10(files: list[str], rng: Rng) -> tuple[list[str], list[str]]:

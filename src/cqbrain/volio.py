@@ -5,6 +5,12 @@ intensity scaling), plans evenly spaced slice schedules per anatomical
 plane, extracts min-max normalized 2D slices, resizes them bilinearly,
 and reads/writes binary 8-bit PGM images.
 
+A parsed volume keeps its voxels as stored: a zero-copy view into the
+payload bytes, which the volume therefore keeps alive. Conversion to
+float32 and the `scl_slope`/`scl_inter` scaling happen per slice, on the
+cross-section being cut, so slicing never holds a float32 copy of the
+whole volume; `Volume3D.voxels` builds that whole field only on request.
+
 Axis conventions: x is the sagittal axis, y the coronal axis, z the
 axial axis. The axial plane is the xy cross-section swept along z, the
 coronal plane the yz cross-section swept along x, and the sagittal
@@ -60,16 +66,37 @@ class NiftiHeader:
 
 @dataclass
 class Volume3D:
-    """Scalar voxel field; `voxels` is flat float32 in x-fastest order."""
+    """Scalar voxel field over the stored voxels, flat in x-fastest order.
+
+    `raw` is the stored array (for a parsed volume, a view into the payload
+    bytes, which it keeps alive). A value is `raw` as float32, times
+    `scl_slope` plus `scl_inter` when the slope is nonzero; `scaled` applies
+    that to any part of `raw`, and `voxels` to all of it.
+    """
 
     nx: int
     ny: int
     nz: int
-    voxels: np.ndarray
+    raw: np.ndarray
+    scl_slope: float = 0.0
+    scl_inter: float = 0.0
+
+    def scaled(self, raw: np.ndarray) -> np.ndarray:
+        """float32 values of `raw`, a part of this volume's stored voxels."""
+        values = raw.astype(np.float32)
+        if self.scl_slope != 0.0:
+            values *= np.float32(self.scl_slope)
+            values += np.float32(self.scl_inter)
+        return values
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """The whole field as a new flat float32 array."""
+        return self.scaled(self.raw)
 
     def grid(self) -> np.ndarray:
-        """View indexed as [z, y, x]."""
-        return self.voxels.reshape(self.nz, self.ny, self.nx)
+        """Stored voxels indexed as [z, y, x]."""
+        return self.raw.reshape(self.nz, self.ny, self.nx)
 
     def plane_extent(self, plane: Plane) -> int:
         """Number of slices available in the given plane (Eq-1's m)."""
@@ -108,9 +135,12 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
     """Decode a NIfTI-1 byte payload into its header and voxel volume.
 
     `detached_data` carries the voxel raster for "ni1" headers; single-file
-    "n+1" payloads hold their voxels at vox_offset inside `data`.
+    "n+1" payloads hold their voxels at vox_offset (at least 352) inside
+    `data`. The volume's `raw` voxels are a view into the raster bytes.
 
-    Raises BadMagic, UnsupportedDatatype, Truncated, or BadRank.
+    Raises BadMagic, UnsupportedDatatype, Truncated, BadRank, or BadFormat
+    (a non-finite or non-integral vox_offset, a single-file vox_offset
+    inside the header, a non-finite scl_slope or scl_inter).
     """
     if len(data) < 348:
         raise Truncated(f"header needs 348 bytes, got {len(data)}")
@@ -137,27 +167,31 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
     if bitpix != _BITPIX[datatype]:
         raise UnsupportedDatatype(f"bitpix {bitpix} inconsistent with datatype {datatype}")
     vox_offset, scl_slope, scl_inter = struct.unpack_from(e + "3f", data, 108)
+    if not math.isfinite(scl_slope) or not math.isfinite(scl_inter):
+        raise BadFormat(f"non-finite intensity scaling scl_slope = {scl_slope}, scl_inter = {scl_inter}")
+    if not math.isfinite(vox_offset) or vox_offset != int(vox_offset):
+        raise BadFormat(f"vox_offset {vox_offset} is not a whole byte count")
+    offset = int(vox_offset)
+    if offset < 0:
+        raise Truncated(f"negative vox_offset {offset}")
 
     header = NiftiHeader(348, dim, datatype, bitpix, vox_offset, scl_slope, scl_inter, magic)
 
     if magic == MAGIC_SINGLE:
-        raster, offset = data, int(vox_offset)
+        if offset < 352:
+            raise BadFormat(f"vox_offset {offset} lies inside the 352-byte single-file header")
+        raster = data
     else:
         if detached_data is None:
             raise Truncated("magic 'ni1' needs the detached voxel bytes")
-        raster, offset = detached_data, int(vox_offset)
+        raster = detached_data
     count = nx * ny * nz
-    if offset < 0:
-        raise Truncated(f"negative vox_offset {offset}")
     need = offset + count * bitpix // 8
     if len(raster) < need:
         raise Truncated(f"voxel raster needs {need} bytes, got {len(raster)}")
 
     raw = np.frombuffer(raster, dtype=e + _NP_DTYPE[datatype], count=count, offset=offset)
-    voxels = raw.astype(np.float32)
-    if scl_slope != 0.0:
-        voxels = voxels * np.float32(scl_slope) + np.float32(scl_inter)
-    return header, Volume3D(nx, ny, nz, voxels)
+    return header, Volume3D(nx, ny, nz, raw, scl_slope, scl_inter)
 
 
 def compute_interval(m: int, n: int) -> int:
@@ -182,6 +216,7 @@ def plan_slices(plane: Plane, m: int, n: int, k1: int, k2: int) -> SlicePlan:
 def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
     """Fixed-index cross-section, min-max normalized to [0, 1].
 
+    Only this cross-section of the stored voxels is converted and scaled.
     Constant slices come back all-zero. Pixel layout follows the module
     convention (axial rows = y, cols = x; coronal rows = z, cols = y;
     sagittal rows = x, cols = z).
@@ -191,11 +226,12 @@ def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
         raise IndexOutOfRange(f"{plane.value} index {index} outside [0, {extent - 1}]")
     g = vol.grid()
     if plane is Plane.AXIAL:
-        arr = g[index]  # (y, x)
+        raw = g[index]  # (y, x)
     elif plane is Plane.CORONAL:
-        arr = g[:, :, index]  # (z, y)
+        raw = g[:, :, index]  # (z, y)
     else:
-        arr = g[:, index, :].T  # (x, z)
+        raw = g[:, index, :].T  # (x, z)
+    arr = vol.scaled(raw)
     lo = float(arr.min())
     hi = float(arr.max())
     if hi > lo:

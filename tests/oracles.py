@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from cqbrain.neuralkernel import Params
+from cqbrain.volio import Image2D, Plane
 
 
 def params_of(tensors, dtype=np.float32) -> Params:
@@ -253,3 +254,26 @@ def reference_step(name: str, params: dict, grads: dict, states: dict, lr: float
     """One update of every tensor in `params`, in place, keeping per-tensor state in `states`."""
     for key in sorted(params):
         params[key][...] = REFERENCE_RULES[name](params[key], grads[key], states.setdefault(key, {}), lr)
+
+
+def whole_field_slice(vol, plane, index: int):
+    """`volio.extract_slice` as it was when parsing built the whole float32 field up front.
+
+    The field is the stored voxels as float32, times the slope plus the
+    intercept (not in place) when the slope is nonzero; the slice is cut from
+    it and min-max normalized the same way.
+    """
+    field = vol.raw.astype(np.float32)
+    if vol.scl_slope != 0.0:
+        field = field * np.float32(vol.scl_slope) + np.float32(vol.scl_inter)
+    g = field.reshape(vol.nz, vol.ny, vol.nx)
+    if plane is Plane.AXIAL:
+        arr = g[index]
+    elif plane is Plane.CORONAL:
+        arr = g[:, :, index]
+    else:
+        arr = g[:, index, :].T
+    lo = float(arr.min())
+    hi = float(arr.max())
+    arr = (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)
+    return Image2D(width=arr.shape[1], height=arr.shape[0], pixels=arr)

@@ -1,5 +1,9 @@
 """End-to-end tests of dataset assembly and the CLI commands."""
+import json
+import math
 import os
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +171,43 @@ class TestCli:
         assert len(list((out / "axial").glob("*.pgm"))) == 15
         assert len(list((out / "coronal").glob("*.pgm"))) == 15
         assert len(list((out / "sagittal").glob("*.pgm"))) == 20
+
+    @pytest.mark.parametrize("field, value", [
+        (108, math.nan), (108, math.inf), (108, 3.5), (108, 0.0), (108, 348.0),
+        (112, math.nan), (112, math.inf), (116, math.nan), (116, -math.inf),
+    ])
+    def test_slice_bad_header_exits_2_naming_the_file(self, tmp_path, capsys, field, value):
+        vol_dir = tmp_path / "vols"
+        vol_dir.mkdir()
+        payload = bytearray(nifti_bytes((8, 8, 8), np.arange(512), datatype=4, scl_slope=1.0))
+        struct.pack_into("<f", payload, field, value)
+        (vol_dir / "bad.nii").write_bytes(bytes(payload))
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=2,
+                         k1_axial=0, k2_axial=0, k1_coronal=0, k2_coronal=0,
+                         k1_sagittal=0, k2_sagittal=0, size=8)
+        capsys.readouterr()
+        assert main(["slice", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad.nii: ")
+
+    def test_slice_holds_one_payload_at_a_time(self, tmp_path):
+        vol_dir = tmp_path / "vols"
+        vol_dir.mkdir()
+        rng = np.random.default_rng(6)
+        for name in ("a.nii", "b.nii"):
+            voxels = rng.integers(0, 1000, 64 ** 3)
+            (vol_dir / name).write_bytes(nifti_bytes((64, 64, 64), voxels, datatype=4, scl_slope=0.5))
+        payload = (vol_dir / "a.nii").stat().st_size
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=4,
+                         k1_axial=0, k2_axial=0, k1_coronal=0, k2_coronal=0,
+                         k1_sagittal=0, k2_sagittal=0, size=16)
+        tracemalloc.start()
+        try:
+            assert main(["slice", "-c", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "o").rglob("*.pgm"))) == 2 * 3 * 4
+        assert peak < 1.5 * payload, f"peak {peak} B, payload {payload} B"
 
     def test_slice_empty_dir_fails_with_runtime_code(self, tmp_path):
         empty = tmp_path / "none"
@@ -524,6 +565,63 @@ class TestLoadTimeBounds:
         cfg = _write_cfg(tmp_path / "c.cfg", dataset=TestRobustTraining._dataset(tmp_path, 16),
                          output_dir=tmp_path / "out", epochs=1, batch_size=1, dropout=0, fc_width=0)
         assert main(["train", "-c", str(cfg)]) == 0
+
+
+class TestMalformedManifests:
+    """train and evaluate on a file that is not a dataset manifest exit 2 with `error: <path>: ...`."""
+
+    _ENTRY = {"path": "x.pgm", "provenance": "real"}
+    _VALID = {"classes": {"a": {"train": [_ENTRY], "test": []}}, "plane": "axial",
+              "image_size": 16, "seed": 0}
+    CASES = [
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"junk", "not JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        (b"{}", "manifest keys []"),
+        (json.dumps({**_VALID, "bogus": 1}).encode(), "manifest keys"),
+        (json.dumps({**_VALID, "classes": []}).encode(), "classes is not an object"),
+        (json.dumps({**_VALID, "classes": {"a": {"train": []}}}).encode(), "train and test"),
+        (json.dumps({**_VALID, "classes": {"a": {"train": {}, "test": []}}}).encode(), "not a list"),
+        (json.dumps({**_VALID, "classes": {"a": {"train": [{**_ENTRY, "size": 3}], "test": []}}}).encode(),
+         "path and provenance"),
+        (json.dumps({**_VALID, "classes": {"a": {"train": [{"path": 1, "provenance": "real"}],
+                                                 "test": []}}}).encode(), "bad entry"),
+        (json.dumps({**_VALID, "image_size": "16"}).encode(), "image_size is not an integer"),
+        (json.dumps({**_VALID, "image_size": 0}).encode(), "image_size is below 1"),
+        (json.dumps({**_VALID, "seed": True}).encode(), "seed is not an integer"),
+        (json.dumps({**_VALID, "plane": None}).encode(), "plane is not a string"),
+        (json.dumps({**_VALID, "extra": [1]}).encode(), "extra is not an object"),
+    ]
+
+    @pytest.mark.parametrize("content, message", CASES, ids=[message for _, message in CASES])
+    def test_load_raises_bad_format_naming_the_file(self, tmp_path, content, message):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        with pytest.raises(BadFormat, match=f"^{path}: ") as info:
+            DatasetManifest.load(path)
+        assert message in str(info.value)
+
+    def test_valid_manifest_loads(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(self._VALID))
+        assert DatasetManifest.load(path).counts() == {"a": {"train": 1, "test": 0}}
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("content", [b"\xff", b"junk", b"{}", CASES[8][0]],
+                             ids=["not UTF-8", "not JSON", "no keys", "unknown entry field"])
+    def test_commands_exit_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        if command == "train":
+            settings = {"output_dir": tmp_path / "o"}
+        else:
+            ckpt = tmp_path / "c.cqck"
+            save_checkpoint(ckpt, commands.pack_cqcnn(commands.CqcnnModel(commands.CqcnnConfig(image_size=16))))
+            settings = {"checkpoint": ckpt, "output": tmp_path / "out.csv"}
+        cfg = _write_cfg(tmp_path / "c.cfg", dataset=path, **settings)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestMalformedCheckpoints:

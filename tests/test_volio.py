@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cqbrain.errors import (
     BadFormat,
     BadMagic,
     BadRank,
+    CqbrainError,
     EmptyPlan,
     IndexOutOfRange,
     InvalidRequest,
@@ -19,6 +22,14 @@ from cqbrain.errors import (
 from cqbrain.volio import Image2D, Plane
 
 from fixtures import nifti_bytes, volume_from_coordinate
+from oracles import whole_field_slice
+
+
+def _with_header_float(payload: bytes, offset: int, value: float) -> bytes:
+    """`payload` with the little-endian float32 header field at `offset` set to `value`."""
+    data = bytearray(payload)
+    struct.pack_into("<f", data, offset, value)
+    return bytes(data)
 
 
 class TestParseNifti:
@@ -83,6 +94,33 @@ class TestParseNifti:
         assert np.array_equal(vol.voxels, np.arange(8, dtype=np.float32))
         with pytest.raises(Truncated):
             volio.parse_nifti(hdr)
+
+    @pytest.mark.parametrize("vox_offset", [math.nan, math.inf, -math.inf, 3.5, 352.5])
+    def test_non_integral_vox_offset_is_bad_format(self, vox_offset):
+        payload = _with_header_float(nifti_bytes((2, 2, 2), np.zeros(8)), 108, vox_offset)
+        with pytest.raises(BadFormat, match="vox_offset"):
+            volio.parse_nifti(payload)
+
+    @pytest.mark.parametrize("vox_offset", [0.0, 16.0, 348.0, 351.0])
+    def test_single_file_vox_offset_inside_the_header_is_bad_format(self, vox_offset):
+        payload = _with_header_float(nifti_bytes((2, 2, 2), np.arange(8)), 108, vox_offset)
+        with pytest.raises(BadFormat, match="inside the 352-byte"):
+            volio.parse_nifti(payload)
+
+    @pytest.mark.parametrize("field", [112, 116])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scaling_is_bad_format(self, field, value):
+        payload = nifti_bytes((2, 2, 2), np.arange(8), datatype=4, scl_slope=2.0, scl_inter=1.0)
+        with pytest.raises(BadFormat, match="non-finite intensity scaling"):
+            volio.parse_nifti(_with_header_float(payload, field, value))
+
+    def test_raw_voxels_are_a_view_into_the_payload(self):
+        payload = nifti_bytes((2, 2, 2), np.arange(8), datatype=4, scl_slope=2.0, scl_inter=1.0)
+        _, vol = volio.parse_nifti(payload)
+        assert vol.raw.base is not None and not vol.raw.flags.owndata
+        assert vol.raw.dtype == np.dtype("<i2")
+        assert vol.raw.tolist() == list(range(8))
+        assert vol.voxels.tolist() == [2.0 * v + 1.0 for v in range(8)]
 
     def test_pure_function_of_bytes(self):
         payload = nifti_bytes((3, 3, 3), np.arange(27) - 13.0)
@@ -215,6 +253,133 @@ class TestExtractSlice:
                 images.append(volio.extract_slice(vol, plane, idx))
         assert len(images) == 50
         assert all(img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0 for img in images)
+
+
+def _volume_payload(dims, datatype, big_endian, slope, inter, seed=0):
+    """A random volume with a constant axial slice at z = 1."""
+    rng = np.random.default_rng(seed)
+    count = dims[0] * dims[1] * dims[2]
+    if datatype == 4:
+        values = rng.integers(-2000, 2000, count)
+    else:
+        values = rng.normal(0.0, 300.0, count)
+    values = values.reshape(dims[2], dims[1], dims[0])
+    values[1] = values[1, 0, 0]
+    return nifti_bytes(dims, values.reshape(-1), datatype=datatype, scl_slope=slope,
+                       scl_inter=inter, big_endian=big_endian)
+
+
+class TestPerSliceConversion:
+    """Slices convert only their cross-section, byte-identical to cutting the whole float32 field."""
+
+    @pytest.mark.parametrize("datatype", [4, 16])
+    @pytest.mark.parametrize("big_endian", [False, True])
+    @pytest.mark.parametrize("slope, inter", [(0.0, 0.0), (0.0, 9.0), (1.37, -5.5), (-0.3, 2000.0)])
+    def test_every_slice_equals_the_whole_field_oracle(self, datatype, big_endian, slope, inter):
+        payload = _volume_payload((7, 5, 6), datatype, big_endian, slope, inter)
+        _, vol = volio.parse_nifti(payload)
+        for plane in Plane:
+            for index in range(vol.plane_extent(plane)):
+                got = volio.extract_slice(vol, plane, index)
+                want = whole_field_slice(vol, plane, index)
+                assert (got.width, got.height) == (want.width, want.height)
+                assert got.pixels.dtype == want.pixels.dtype == np.float32
+                assert got.pixels.tobytes() == want.pixels.tobytes()
+                assert volio.write_pgm(volio.resize_bilinear(got, 9, 9)) == \
+                    volio.write_pgm(volio.resize_bilinear(want, 9, 9))
+        constant = volio.extract_slice(vol, Plane.AXIAL, 1)
+        assert not constant.pixels.any()
+
+    def test_parsing_and_slicing_peak_below_an_eighth_of_the_field(self):
+        dims = (64, 64, 64)
+        payload = _volume_payload(dims, 4, False, 1.5, 10.0)
+        field_bytes = 4 * dims[0] * dims[1] * dims[2]
+        tracemalloc.start()
+        try:
+            _, vol = volio.parse_nifti(payload)
+            for plane in Plane:
+                for index in range(0, 64, 8):
+                    volio.extract_slice(vol, plane, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes / 8, f"peak {peak} B, float32 field {field_bytes} B"
+
+
+_HEADER_FIELD_BYTES = [*range(0, 4), *range(40, 48), *range(70, 74), *range(108, 120), *range(344, 348)]
+
+
+@st.composite
+def _volumes(draw):
+    """(dims, stored values, datatype, big_endian, slope, inter, detached)."""
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    count = dims[0] * dims[1] * dims[2]
+    datatype = draw(st.sampled_from([4, 16]))
+    if datatype == 4:
+        elements = st.integers(-32768, 32767)
+    else:
+        elements = st.floats(-1e6, 1e6, width=32)
+    values = np.array(draw(st.lists(elements, min_size=count, max_size=count)),
+                      dtype=np.int16 if datatype == 4 else np.float32)
+    scaled = draw(st.booleans())
+    slope = draw(st.floats(-100, 100, width=32).filter(bool)) if scaled else 0.0
+    inter = draw(st.floats(-100, 100, width=32)) if scaled else 0.0
+    return dims, values, datatype, draw(st.booleans()), slope, inter, draw(st.booleans())
+
+
+def _encode(dims, values, datatype, big_endian, slope, inter, detached):
+    """(header-or-payload bytes, detached raster or None)."""
+    if detached:
+        return nifti_bytes(dims, values, datatype=datatype, scl_slope=slope, scl_inter=inter,
+                           magic=b"ni1\x00", vox_offset=0.0, big_endian=big_endian)
+    return nifti_bytes(dims, values, datatype=datatype, scl_slope=slope, scl_inter=inter,
+                       big_endian=big_endian), None
+
+
+class TestNiftiProperties:
+    """Any byte string parses or raises a CqbrainError; write-then-read is the identity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=500), st.one_of(st.none(), st.binary(max_size=64)))
+    def test_arbitrary_bytes_parse_or_raise_a_package_error(self, data, detached):
+        try:
+            volio.parse_nifti(data, detached)
+        except CqbrainError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_volumes(), st.data())
+    def test_damaged_payloads_parse_or_raise_a_package_error(self, volume, draw):
+        data, raster = _encode(*volume)
+        data = bytearray(data)
+        for _ in range(draw.draw(st.integers(1, 4))):
+            pos = draw.draw(st.one_of(st.sampled_from(_HEADER_FIELD_BYTES),
+                                      st.integers(0, len(data) - 1)))
+            data[pos] = draw.draw(st.integers(0, 255))
+        cut = draw.draw(st.integers(0, len(data)))
+        try:
+            _, vol = volio.parse_nifti(bytes(data[:cut] if draw.draw(st.booleans()) else data), raster)
+        except CqbrainError:
+            return
+        assert vol.raw.size == vol.nx * vol.ny * vol.nz
+
+    @settings(max_examples=200, deadline=None)
+    @given(_volumes())
+    def test_write_then_read_is_the_identity(self, volume):
+        dims, values, datatype, big_endian, slope, inter, detached = volume
+        header, vol = volio.parse_nifti(*_encode(*volume))
+        assert (vol.nx, vol.ny, vol.nz) == dims
+        assert header.dim[:4] == (3, *dims)
+        assert header.datatype == datatype
+        assert header.magic == (b"ni1\x00" if detached else b"n+1\x00")
+        assert header.vox_offset == (0.0 if detached else 352.0)
+        assert (vol.scl_slope, vol.scl_inter) == (header.scl_slope, header.scl_inter) == (slope, inter)
+        assert vol.raw.dtype == np.dtype((">" if big_endian else "<") + ("i2" if datatype == 4 else "f4"))
+        assert vol.raw.astype(values.dtype).tobytes() == values.tobytes()
+        field = values.astype(np.float32)
+        if slope != 0.0:
+            field = field * np.float32(slope) + np.float32(inter)
+        assert vol.voxels.tobytes() == field.tobytes()
 
 
 class TestResize:
