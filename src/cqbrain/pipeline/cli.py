@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Usage: cqbrain <command> -c CONFIG
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/validation error, 2 runtime error
+(a CqbrainError or an OSError while a command reads or writes files).
 """
 from __future__ import annotations
 
@@ -27,16 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, SCHEMAS[args.command])
+        COMMANDS[args.command](load_config(args.config, SCHEMAS[args.command]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except CqbrainError as exc:
+    except (CqbrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

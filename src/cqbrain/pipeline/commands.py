@@ -22,27 +22,27 @@ from ..cqcnn import (
     evaluate,
     train_epoch,
 )
-from ..diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, sample, train_step
+from ..diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, train_step
 from ..errors import ConfigError, CqbrainError, Diverged, EmptyInput
 from ..neuralkernel import make_optimizer
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
-from ..volio import Image2D, Plane, read_pgm, resize_bilinear, write_pgm
+from ..volio import Image2D, Plane, fit, read_pgm, resize_bilinear, write_pgm
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import Field
-from .dataset import DatasetManifest, build_dataset, load_split
+from .dataset import PLANES, DatasetManifest, build_dataset, load_split, sample_pgms
 from .modelio import (
     pack_cqcnn,
     pack_predictor,
     pack_unet,
     unpack_cqcnn,
-    unpack_predictor,
     unpack_unet,
 )
 from .report import CURVE_COLUMNS, SUMMARY_COLUMNS, summarize_runs, write_csv
 
 _TIMING = Field("choice", "wall", ("wall", "zero"))
+_PLANE = Field("choice", "3plane", (*PLANES, "3plane"))
 
 SEG_CURVE_COLUMNS = ["run", "seed", "epoch", "loss", "dice", "iou", "epoch_time_s"]
 DIFF_CURVE_COLUMNS = ["run", "seed", "epoch", "loss", "epoch_time_s"]
@@ -50,9 +50,9 @@ EVAL_COLUMNS = ["split", "n", "loss", "accuracy", "precision", "recall", "f1", "
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "slice": {
-        "input_dir": Field("in_path"),
+        "input_dir": Field("in_dir"),
         "output_dir": Field("out_path"),
-        "plane": Field("choice", "3plane", ("axial", "coronal", "sagittal", "3plane")),
+        "plane": _PLANE,
         "n": Field("int", 40, low=0),
         "k1_axial": Field("int", 10, low=-1),
         "k2_axial": Field("int", 18, low=-1),
@@ -63,8 +63,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "size": Field("int", 128, low=0),
     },
     "segment-train": {
-        "images_dir": Field("in_path"),
-        "masks_dir": Field("in_path"),
+        "images_dir": Field("in_dir"),
+        "masks_dir": Field("in_dir"),
         "output_dir": Field("out_path"),
         "size": Field("int", 128, low=0),
         "width_scale": Field("float", 1.0, low=0),
@@ -76,12 +76,12 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "timing": _TIMING,
     },
     "segment-apply": {
-        "checkpoint": Field("in_path"),
-        "input_dir": Field("in_path"),
+        "checkpoint": Field("in_file"),
+        "input_dir": Field("in_dir"),
         "output_dir": Field("out_path"),
     },
     "diffuse-train": {
-        "input_dir": Field("in_path"),
+        "input_dir": Field("in_dir"),
         "output_dir": Field("out_path"),
         "size": Field("int", 64, low=0),
         "widths": Field("ints", (8, 16), low=0),
@@ -97,24 +97,24 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "timing": _TIMING,
     },
     "diffuse-sample": {
-        "checkpoint": Field("in_path"),
+        "checkpoint": Field("in_file"),
         "output_dir": Field("out_path"),
         "count": Field("int", low=0),
         "seed": Field("int", 0),
     },
     "build-dataset": {
-        "input_dir": Field("in_path"),
+        "input_dir": Field("in_dir"),
         "output_dir": Field("out_path"),
-        "plane": Field("choice", "3plane", ("axial", "coronal", "sagittal", "3plane")),
+        "plane": _PLANE,
         "seed": Field("int", 0),
         "balance": Field("bool", True),
         "size": Field("int", 128, low=0),
-        "diffusion_ckpt_axial": Field("in_path", None),
-        "diffusion_ckpt_coronal": Field("in_path", None),
-        "diffusion_ckpt_sagittal": Field("in_path", None),
+        "diffusion_ckpt_axial": Field("in_file", None),
+        "diffusion_ckpt_coronal": Field("in_file", None),
+        "diffusion_ckpt_sagittal": Field("in_file", None),
     },
     "train": {
-        "dataset": Field("in_path"),
+        "dataset": Field("in_file"),
         "output_dir": Field("out_path"),
         "run": Field("str", "run"),
         "qubits": Field("int", 2),
@@ -126,16 +126,16 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "batch_size": Field("int", 1, low=0),
         "seed": Field("int", 0),
         "skull_strip": Field("bool", False),
-        "skullnet_ckpt": Field("in_path", None),
+        "skullnet_ckpt": Field("in_file", None),
         "timing": _TIMING,
     },
     "evaluate": {
-        "checkpoint": Field("in_path"),
-        "dataset": Field("in_path"),
+        "checkpoint": Field("in_file"),
+        "dataset": Field("in_file"),
         "output": Field("out_path"),
         "split": Field("choice", "test", ("train", "test")),
         "skull_strip": Field("bool", False),
-        "skullnet_ckpt": Field("in_path", None),
+        "skullnet_ckpt": Field("in_file", None),
     },
     "report": {
         "runs": Field("str"),
@@ -144,24 +144,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
 }
 
-_PLANE_KEYS = {
-    Plane.AXIAL: ("k1_axial", "k2_axial"),
-    Plane.CORONAL: ("k1_coronal", "k2_coronal"),
-    Plane.SAGITTAL: ("k1_sagittal", "k2_sagittal"),
-}
-
-
-def _load_pgm_dir(path: Path, size: int | None = None) -> list[tuple[str, np.ndarray]]:
+def _load_pgm_dir(path: Path, size: int) -> list[tuple[str, np.ndarray]]:
     files = sorted(path.glob("*.pgm"))
     if not files:
         raise EmptyInput(f"no .pgm files in {path}")
-    out = []
-    for f in files:
-        img = read_pgm(f.read_bytes())
-        if size is not None and (img.width, img.height) != (size, size):
-            img = resize_bilinear(img, size, size)
-        out.append((f.name, img.pixels))
-    return out
+    return [(f.name, fit(read_pgm(f.read_bytes()), size, size).pixels) for f in files]
 
 
 def cmd_slice(cfg: dict) -> dict:
@@ -180,7 +167,7 @@ def cmd_slice(cfg: dict) -> dict:
             raise type(exc)(f"{vol_path.name}: {exc}") from exc
         record: dict = {}
         for plane in planes:
-            k1, k2 = (cfg[k] for k in _PLANE_KEYS[plane])
+            k1, k2 = cfg[f"k1_{plane.value}"], cfg[f"k2_{plane.value}"]
             try:
                 plan = volio.plan_slices(plane, vol.plane_extent(plane), cfg["n"], k1, k2)
             except CqbrainError as exc:
@@ -213,6 +200,18 @@ def _checked(keys: str, build, *args, **kwargs):
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
+def _epoch_time(cfg: dict, seconds: float) -> str:
+    """An epoch's `epoch_time_s` column: 0.000 under `timing = zero`."""
+    return "0.000" if cfg["timing"] == "zero" else f"{seconds:.3f}"
+
+
+def _save_run(out_dir: Path, tensors: dict, columns: list[str], rows: list[dict]) -> None:
+    """A training run's outputs: out_dir/checkpoint.cqck and out_dir/curves.csv."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out_dir / "checkpoint.cqck", tensors)
+    write_csv(out_dir / "curves.csv", columns, rows)
+
+
 def cmd_segment_train(cfg: dict) -> list:
     unet_cfg = _checked("size", UNetConfig, input_size=cfg["size"], width_scale=cfg["width_scale"])
     images = _load_pgm_dir(cfg["images_dir"], cfg["size"])
@@ -223,15 +222,12 @@ def cmd_segment_train(cfg: dict) -> list:
     model = UNet(unet_cfg, Rng(cfg["seed"]).derive("init"))
     optimizer = make_optimizer("adam", lr=cfg["lr"])
     reports = train_segmenter(model, pairs, cfg["epochs"], optimizer, cfg["seed"], cfg["batch_size"])
-    out_dir: Path = cfg["output_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint.cqck", pack_unet(model))
     rows = [{
         "run": cfg["run"], "seed": cfg["seed"], "epoch": r.epoch,
         "loss": f"{r.loss:.6f}", "dice": f"{r.dice:.6f}", "iou": f"{r.iou:.6f}",
-        "epoch_time_s": "0.000" if cfg["timing"] == "zero" else f"{r.wall_time_s:.3f}",
+        "epoch_time_s": _epoch_time(cfg, r.wall_time_s),
     } for r in reports]
-    write_csv(out_dir / "curves.csv", SEG_CURVE_COLUMNS, rows)
+    _save_run(cfg["output_dir"], pack_unet(model), SEG_CURVE_COLUMNS, rows)
     return reports
 
 
@@ -269,42 +265,23 @@ def cmd_diffuse_train(cfg: dict) -> list:
                 raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
                                f"position {b0}: loss is {loss}")
             losses.append(loss)
-        elapsed = time.perf_counter() - start
         rows.append({
             "run": cfg["run"], "seed": cfg["seed"], "epoch": epoch,
             "loss": f"{float(np.mean(losses)):.6f}",
-            "epoch_time_s": "0.000" if cfg["timing"] == "zero" else f"{elapsed:.3f}",
+            "epoch_time_s": _epoch_time(cfg, time.perf_counter() - start),
         })
-    out_dir: Path = cfg["output_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint.cqck",
-                    pack_predictor(predictor, (cfg["T"], cfg["beta_start"], cfg["beta_end"])))
-    write_csv(out_dir / "curves.csv", DIFF_CURVE_COLUMNS, rows)
+    _save_run(cfg["output_dir"], pack_predictor(predictor, (cfg["T"], cfg["beta_start"], cfg["beta_end"])),
+              DIFF_CURVE_COLUMNS, rows)
     return rows
 
 
-def cmd_diffuse_sample(cfg: dict) -> list[str]:
-    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(cfg["checkpoint"]))
-    schedule = build_schedule(t_steps, beta_start, beta_end)
-    size = predictor.config.image_size
-    images = sample(predictor, schedule, (size, size), Rng(cfg["seed"]).derive("sample"),
-                    count=cfg["count"])
-    out_dir: Path = cfg["output_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, img in enumerate(images):
-        name = f"sample_{i:04d}.pgm"
-        (out_dir / name).write_bytes(write_pgm(Image2D(size, size, img)))
-        names.append(name)
-    return names
+def cmd_diffuse_sample(cfg: dict) -> list[Path]:
+    return sample_pgms(cfg["checkpoint"], cfg["count"], Rng(cfg["seed"]).derive("sample"),
+                       cfg["output_dir"], "sample")
 
 
 def cmd_build_dataset(cfg: dict) -> DatasetManifest:
-    ckpts = {}
-    for plane in ("axial", "coronal", "sagittal"):
-        path = cfg[f"diffusion_ckpt_{plane}"]
-        if path is not None:
-            ckpts[plane] = path
+    ckpts = {p: cfg[f"diffusion_ckpt_{p}"] for p in PLANES if cfg[f"diffusion_ckpt_{p}"] is not None}
     return build_dataset(cfg["input_dir"], cfg["output_dir"], cfg["plane"], cfg["seed"],
                          balance=cfg["balance"], diffusion_ckpts=ckpts, image_size=cfg["size"])
 
@@ -315,16 +292,9 @@ def _strip_dataset(data: list[tuple[np.ndarray, int]], ckpt: Path | None) -> lis
         raise ConfigError("skull_strip = true needs skullnet_ckpt")
     model = unpack_unet(load_checkpoint(ckpt))
     size = model.config.input_size
-    resized = [img if img.shape == (size, size) else
-               resize_bilinear(Image2D(img.shape[1], img.shape[0], img), size, size).pixels
-               for img, _ in data]
-    out = []
-    for (img, label), (_, stripped) in zip(data, segment_many(model, resized)):
-        height, width = img.shape
-        if stripped.shape != (height, width):
-            stripped = resize_bilinear(Image2D(size, size, stripped), width, height).pixels
-        out.append((stripped, label))
-    return out
+    resized = [fit(Image2D(img.shape[1], img.shape[0], img), size, size).pixels for img, _ in data]
+    return [(fit(Image2D(size, size, stripped), img.shape[1], img.shape[0]).pixels, label)
+            for (img, label), (_, stripped) in zip(data, segment_many(model, resized))]
 
 
 def _metric_row(result, split: str, extra: dict) -> dict:
@@ -374,19 +344,16 @@ def cmd_train(cfg: dict) -> dict:
     rows = []
     for epoch in range(cfg["epochs"]):
         report = train_epoch(model, train_set, optimizer, cfg["seed"], epoch, cfg["batch_size"])
-        elapsed = 0.0 if cfg["timing"] == "zero" else report.wall_time_s
         test_eval = evaluate(model, test_set) if test_set else None
         rows.append(_metric_row(report.train_eval, "train",
-                                {**base, "epoch": epoch, "epoch_time_s": f"{elapsed:.3f}",
+                                {**base, "epoch": epoch, "epoch_time_s": _epoch_time(cfg, report.wall_time_s),
                                  "loss": f"{report.loss:.6f}"}))
         if test_eval is not None:
             rows.append(_metric_row(test_eval, "test",
                                     {**base, "epoch": epoch, "epoch_time_s": "0.000"}))
 
     out_dir: Path = cfg["output_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint.cqck", pack_cqcnn(model))
-    write_csv(out_dir / "curves.csv", CURVE_COLUMNS, rows)
+    _save_run(out_dir, pack_cqcnn(model), CURVE_COLUMNS, rows)
     write_atomic(out_dir / "run.json", json.dumps(
         {"run": cfg["run"], "plane": manifest.plane, "qubits": qubits_label,
          "head": cfg["head"], "seed": cfg["seed"], "skull_strip": bool(cfg["skull_strip"]),

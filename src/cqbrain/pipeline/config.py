@@ -1,9 +1,10 @@
 """key = value configuration files with per-command schemas.
 
 Unknown keys are rejected outright (typo safety), values are typed per
-schema, and input paths are validated before any compute starts. Floats
-must be finite, and a field's strict lower bound (if any) holds for its
-value, or for every entry of an `ints` list.
+schema, and input paths are validated before any compute starts: an
+`in_file` key must name an existing file, an `in_dir` key an existing
+directory. Floats must be finite, and a field's strict lower bound (if
+any) holds for its value, or for every entry of an `ints` list.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # int | float | ints (comma-separated) | str | bool | in_path | out_path | choice
+    kind: str  # int | float | ints (comma-separated) | str | bool | in_file | in_dir | out_path | choice
     default: object = _MISSING
     choices: tuple[str, ...] = ()
     low: float | None = None  # numeric values must be > low
@@ -45,6 +46,9 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
+
+
+_INPUT_KINDS = {"in_file": (Path.is_file, "file"), "in_dir": (Path.is_dir, "directory")}
 
 
 def _check_low(key: str, number: float, field: Field) -> None:
@@ -80,10 +84,13 @@ def _convert(key: str, value: str, field: Field):
             if value not in field.choices:
                 raise ValueError(f"must be one of {field.choices}")
             return value
-        if field.kind == "in_path":
+        if field.kind in _INPUT_KINDS:
             path = Path(value)
             if not path.exists():
                 raise ConfigError(f"{key}: path {value!r} does not exist")
+            is_kind, noun = _INPUT_KINDS[field.kind]
+            if not is_kind(path):
+                raise ConfigError(f"{key}: path {value!r} is not a {noun}")
             return path
         if field.kind == "out_path":
             return Path(value)
@@ -112,6 +119,6 @@ def resolve_config(raw: dict[str, str], schema: dict[str, Field]) -> dict:
 def load_config(path: str | Path, schema: dict[str, Field]) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_config(parse_config_text(text), schema)

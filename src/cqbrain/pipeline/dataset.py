@@ -17,7 +17,7 @@ import numpy as np
 from ..diffusion import build_schedule, sample
 from ..errors import BadFormat, EmptyInput, MissingDiffusionModel
 from ..rng import Rng
-from ..volio import Image2D, read_pgm, resize_bilinear, write_pgm
+from ..volio import Image2D, fit, read_pgm, write_pgm
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint
 from .modelio import unpack_predictor
@@ -146,34 +146,23 @@ def split_90_10(files: list[str], rng: Rng) -> tuple[list[str], list[str]]:
     return train, test
 
 
-def _plane_dirs(root: Path, plane: str) -> list[str]:
-    return list(PLANES) if plane == "3plane" else [plane]
+def sample_pgms(ckpt: Path, count: int, rng: Rng, out_dir: Path, prefix: str,
+                size: int | None = None) -> list[Path]:
+    """Sample `count` images from a denoiser checkpoint into out_dir/<prefix>_NNNN.pgm.
 
-
-def _collect_class_files(root: Path, class_name: str, planes: list[str]) -> dict[str, list[str]]:
-    per_plane: dict[str, list[str]] = {}
-    for p in planes:
-        plane_dir = root / class_name / p
-        files = sorted(str(f) for f in plane_dir.glob("*.pgm")) if plane_dir.is_dir() else []
-        per_plane[p] = files
-    return per_plane
-
-
-def _synthesize(ckpt_path: Path, count: int, out_dir: Path, image_size: int,
-                seed: int, tag: str) -> list[str]:
-    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt_path))
+    Each image is fitted to size x size (by default the denoiser's own size).
+    """
+    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
     schedule = build_schedule(t_steps, beta_start, beta_end)
-    size = predictor.config.image_size
-    images = sample(predictor, schedule, (size, size), Rng(seed).derive(f"synth:{tag}"), count=count)
+    native = predictor.config.image_size
+    size = native if size is None else size
+    images = sample(predictor, schedule, (native, native), rng, count=count)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, img in enumerate(images):
-        pic = Image2D(size, size, img)
-        if size != image_size:
-            pic = resize_bilinear(pic, image_size, image_size)
-        path = out_dir / f"synthetic_{tag}_{i:04d}.pgm"
-        path.write_bytes(write_pgm(pic))
-        paths.append(str(path))
+        path = out_dir / f"{prefix}_{i:04d}.pgm"
+        path.write_bytes(write_pgm(fit(Image2D(native, native, img), size, size)))
+        paths.append(path)
     return paths
 
 
@@ -187,12 +176,12 @@ def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, see
     class_names = sorted(d.name for d in root.iterdir() if d.is_dir())
     if len(class_names) != 2:
         raise EmptyInput(f"need exactly two class directories under {root}, found {class_names}")
-    planes = _plane_dirs(root, plane)
+    planes = list(PLANES) if plane == "3plane" else [plane]
 
     classes: dict[str, dict[str, list[FileEntry]]] = {}
     per_class_plane_train: dict[str, dict[str, list[str]]] = {}
     for name in class_names:
-        per_plane = _collect_class_files(root, name, planes)
+        per_plane = {p: sorted(str(f) for f in (root / name / p).glob("*.pgm")) for p in planes}
         if sum(len(v) for v in per_plane.values()) == 0:
             raise EmptyInput(f"class {name!r} has no .pgm files for plane {plane!r}")
         split_rng = Rng(seed).derive(f"split:{name}")
@@ -223,9 +212,10 @@ def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, see
                 continue
             if p not in diffusion_ckpts:
                 raise MissingDiffusionModel(f"balancing needs a diffusion checkpoint for plane {p!r}")
-            out_dir = out_root / "synthetic" / minority / p
-            paths = _synthesize(Path(diffusion_ckpts[p]), want, out_dir, image_size, seed, f"{minority}_{p}")
-            classes[minority]["train"] += [FileEntry(f, SYNTHETIC) for f in paths]
+            tag = f"{minority}_{p}"
+            paths = sample_pgms(Path(diffusion_ckpts[p]), want, Rng(seed).derive(f"synth:{tag}"),
+                                out_root / "synthetic" / minority / p, f"synthetic_{tag}", image_size)
+            classes[minority]["train"] += [FileEntry(str(f), SYNTHETIC) for f in paths]
             remaining -= want
 
     manifest = DatasetManifest(classes, plane, image_size, seed)
@@ -237,12 +227,7 @@ def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, see
 
 def load_split(manifest: DatasetManifest, split: str) -> list[tuple[np.ndarray, int]]:
     """(image, label) pairs; labels follow sorted class-name order."""
-    data = []
     size = manifest.image_size
-    for label, name in enumerate(manifest.class_names()):
-        for entry in manifest.classes[name][split]:
-            img = read_pgm(Path(entry.path).read_bytes())
-            if (img.width, img.height) != (size, size):
-                img = resize_bilinear(img, size, size)
-            data.append((img.pixels, label))
-    return data
+    return [(fit(read_pgm(Path(entry.path).read_bytes()), size, size).pixels, label)
+            for label, name in enumerate(manifest.class_names())
+            for entry in manifest.classes[name][split]]

@@ -264,6 +264,13 @@ def resize_bilinear(img: Image2D, w: int, h: int) -> Image2D:
     return Image2D(width=w, height=h, pixels=np.clip(out, 0.0, 1.0))
 
 
+def fit(img: Image2D, w: int, h: int) -> Image2D:
+    """`img` itself when it is already w x h, else `resize_bilinear(img, w, h)`."""
+    if (img.width, img.height) == (w, h):
+        return img
+    return resize_bilinear(img, w, h)
+
+
 def write_pgm(img: Image2D) -> bytes:
     """Binary PGM (P5, maxval 255); pixel byte = round(p * 255)."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
@@ -293,12 +300,15 @@ def read_pgm(data: bytes) -> Image2D:
             raise BadFormat("unexpected end of PGM header")
         return data[start:pos]
 
+    def _number() -> int:
+        token = _token()
+        if not token.isdigit() or len(token) > 20:  # bytes.isdigit: ASCII digits only, unlike int()
+            raise BadFormat(f"PGM header field {token[:24]!r} is not 1 to 20 decimal digits")
+        return int(token)
+
     if _token() != b"P5":
         raise BadFormat("magic is not P5")
-    try:
-        w, h, maxval = int(_token()), int(_token()), int(_token())
-    except ValueError as exc:
-        raise BadFormat(f"non-numeric PGM header field: {exc}") from exc
+    w, h, maxval = _number(), _number(), _number()
     if w < 1 or h < 1:
         raise BadFormat(f"dimensions must be positive, got {w}x{h}")
     if maxval != 255:

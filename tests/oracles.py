@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from cqbrain.diffusion import build_schedule, sample
 from cqbrain.neuralkernel import Params
-from cqbrain.volio import Image2D, Plane
+from cqbrain.pipeline.checkpoint import load_checkpoint
+from cqbrain.pipeline.modelio import unpack_predictor
+from cqbrain.rng import Rng
+from cqbrain.volio import Image2D, Plane, resize_bilinear, write_pgm
 
 
 def params_of(tensors, dtype=np.float32) -> Params:
@@ -277,3 +281,34 @@ def whole_field_slice(vol, plane, index: int):
     hi = float(arr.max())
     arr = (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)
     return Image2D(width=arr.shape[1], height=arr.shape[0], pixels=arr)
+
+
+def diffuse_sample_pgms(ckpt, count: int, seed: int) -> dict[str, bytes]:
+    """The files `diffuse-sample` wrote when it ran its own sampling loop: name -> PGM bytes.
+
+    Images stay at the denoiser's size; the RNG is `Rng(seed).derive("sample")`.
+    """
+    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
+    schedule = build_schedule(t_steps, beta_start, beta_end)
+    size = predictor.config.image_size
+    images = sample(predictor, schedule, (size, size), Rng(seed).derive("sample"), count=count)
+    return {f"sample_{i:04d}.pgm": write_pgm(Image2D(size, size, img)) for i, img in enumerate(images)}
+
+
+def synthesized_pgms(ckpt, count: int, image_size: int, seed: int, tag: str) -> dict[str, bytes]:
+    """The synthetic files `build_dataset` wrote when balancing had its own sampling loop.
+
+    The RNG is `Rng(seed).derive(f"synth:{tag}")`; each image is resized to
+    image_size unless the denoiser already samples at that size.
+    """
+    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
+    schedule = build_schedule(t_steps, beta_start, beta_end)
+    size = predictor.config.image_size
+    images = sample(predictor, schedule, (size, size), Rng(seed).derive(f"synth:{tag}"), count=count)
+    out = {}
+    for i, img in enumerate(images):
+        pic = Image2D(size, size, img)
+        if size != image_size:
+            pic = resize_bilinear(pic, image_size, image_size)
+        out[f"synthetic_{tag}_{i:04d}.pgm"] = write_pgm(pic)
+    return out

@@ -1,6 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqbrain.errors import ConfigError
+from cqbrain.pipeline.cli import main
+from cqbrain.pipeline.commands import SCHEMAS
 from cqbrain.pipeline.config import Field, load_config, parse_config_text, resolve_config
 
 
@@ -71,12 +78,24 @@ class TestResolution:
             resolve_config({"name": "n", "enabled": "maybe"}, SCHEMA)
 
     def test_in_path_must_exist(self, tmp_path):
-        schema = {"src": Field("in_path")}
+        schema = {"src": Field("in_file"), "dir": Field("in_dir", None)}
         real = tmp_path / "exists.txt"
         real.write_text("x")
         assert resolve_config({"src": str(real)}, schema)["src"] == real
-        with pytest.raises(ConfigError):
+        assert resolve_config({"src": str(real), "dir": str(tmp_path)}, schema)["dir"] == tmp_path
+        with pytest.raises(ConfigError, match="^src: path .* does not exist$"):
             resolve_config({"src": str(tmp_path / "missing")}, schema)
+        with pytest.raises(ConfigError, match="^dir: path .* does not exist$"):
+            resolve_config({"src": str(real), "dir": str(tmp_path / "missing")}, schema)
+
+    def test_input_path_of_the_wrong_type_names_the_key(self, tmp_path):
+        schema = {"src": Field("in_file"), "dir": Field("in_dir", None)}
+        real = tmp_path / "exists.txt"
+        real.write_text("x")
+        with pytest.raises(ConfigError, match="^src: path .* is not a file$"):
+            resolve_config({"src": str(tmp_path)}, schema)
+        with pytest.raises(ConfigError, match="^dir: path .* is not a directory$"):
+            resolve_config({"src": str(real), "dir": str(real)}, schema)
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg"
@@ -87,6 +106,13 @@ class TestResolution:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg", SCHEMA)
+
+    @pytest.mark.parametrize("content", [b"dataset = \xff\xfe\n", b"\xff\xfe", b"name = \xc3\n"])
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, content):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="^cannot read config .*bad.cfg"):
+            load_config(path, SCHEMA)
 
 
 class TestBounds:
@@ -125,3 +151,26 @@ class TestBounds:
     def test_unparseable_int_lists_rejected(self, value):
         with pytest.raises(ConfigError, match="^sizes: cannot parse"):
             resolve_config({"sizes": value}, self.SCHEMA)
+
+
+_KEYS = sorted({key for schema in SCHEMAS.values() for key in schema})
+_VALUES = st.one_of(st.text(max_size=12), st.sampled_from(
+    ["0", "-1", "1", "16", "nan", "1e999", "8,16", "true", "3plane", "axial", "zero", ".", "1" * 5000]))
+_LINES = st.lists(st.tuples(st.one_of(st.sampled_from(_KEYS), st.text(max_size=6)), _VALUES),
+                  max_size=6).map(lambda pairs: "".join(f"{k} = {v}\n" for k, v in pairs).encode("utf-8"))
+
+
+class TestConfigProperties:
+    """Any bytes given as a config file either resolve or make `main` exit 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SCHEMAS)),
+           st.one_of(st.binary(max_size=80), _LINES, st.tuples(_LINES, st.binary(max_size=8)).map(b"".join)))
+    def test_any_bytes_resolve_or_exit_1(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            path.write_bytes(data)
+            try:
+                load_config(path, SCHEMAS[command])
+            except ConfigError:
+                assert main([command, "-c", str(path)]) == 1

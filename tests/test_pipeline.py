@@ -24,6 +24,7 @@ from cqbrain.skullnet import UNet, UNetConfig
 from cqbrain.volio import Image2D, write_pgm
 
 from fixtures import nifti_bytes
+from oracles import diffuse_sample_pgms, synthesized_pgms
 from synthcorpus import blob_image
 
 
@@ -58,6 +59,35 @@ class TestSplit:
     def test_deterministic(self):
         files = [f"f{i}" for i in range(37)]
         assert split_90_10(files, Rng(3).derive("x")) == split_90_10(files, Rng(3).derive("x"))
+
+
+class TestOneSampler:
+    """`diffuse-sample` and balancing share one sampler; its bytes match each command's old loop."""
+
+    @pytest.mark.parametrize("denoiser_size", [8, 16])
+    def test_diffuse_sample_bytes_match_the_reference(self, tmp_path, denoiser_size):
+        ckpt = _tiny_diffusion_ckpt(tmp_path, size=denoiser_size)
+        cfg = _write_cfg(tmp_path / "s.cfg", checkpoint=ckpt, output_dir=tmp_path / "out", count=3, seed=5)
+        assert main(["diffuse-sample", "-c", str(cfg)]) == 0
+        written = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+        assert written == diffuse_sample_pgms(ckpt, 3, 5)
+
+    @pytest.mark.parametrize("denoiser_size", [8, 16])  # resized into the 16 px dataset, and native
+    def test_build_dataset_synthetic_bytes_match_the_reference(self, tmp_path, denoiser_size):
+        root = tmp_path / "data"
+        _write_pgms(root / "healthy" / "axial", 12, seed=1, label=0)
+        _write_pgms(root / "disease" / "axial", 4, seed=2, label=1)
+        ckpt = _tiny_diffusion_ckpt(tmp_path, size=denoiser_size)
+        cfg = _write_cfg(tmp_path / "b.cfg", input_dir=root, output_dir=tmp_path / "out", plane="axial",
+                         seed=3, size=16, diffusion_ckpt_axial=ckpt)
+        assert main(["build-dataset", "-c", str(cfg)]) == 0
+        synth_dir = tmp_path / "out" / "synthetic" / "disease" / "axial"
+        written = {p.name: p.read_bytes() for p in sorted(synth_dir.iterdir())}
+        assert len(written) == 10 - 3  # train splits: 90% of 12 real against 90% of 4
+        assert written == synthesized_pgms(ckpt, len(written), 16, 3, "disease_axial")
+        manifest = DatasetManifest.load(tmp_path / "out" / "manifest.json")
+        assert [e.path for e in manifest.classes["disease"]["train"] if e.provenance == "synthetic"] == \
+            [str(synth_dir / name) for name in written]
 
 
 class TestBuildDataset:
@@ -214,6 +244,34 @@ class TestCli:
         empty.mkdir()
         cfg = _write_cfg(tmp_path / "s.cfg", input_dir=empty, output_dir=tmp_path / "o")
         assert main(["slice", "-c", str(cfg)]) == 2
+
+    def test_directory_given_for_a_file_exits_1_naming_the_key(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "t.cfg", dataset=tmp_path, output_dir=tmp_path / "o")
+        capsys.readouterr()
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: dataset: path {str(tmp_path)!r} is not a file\n"
+
+    def test_file_given_for_a_directory_exits_1_naming_the_key(self, tmp_path, capsys):
+        ckpt = _tiny_diffusion_ckpt(tmp_path)
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=ckpt, output_dir=tmp_path / "o")
+        capsys.readouterr()
+        assert main(["slice", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: input_dir: path {str(ckpt)!r} is not a directory\n"
+
+    def test_slice_directory_named_like_a_volume_exits_2(self, tmp_path, capsys):
+        (tmp_path / "vols" / "x.nii").mkdir(parents=True)
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=tmp_path / "vols", output_dir=tmp_path / "o")
+        capsys.readouterr()
+        assert main(["slice", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.nii" in err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_bytes(b"dataset = \xff\xfe\n")
+        capsys.readouterr()
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
 
     def test_unknown_config_key_fails_with_validation_code(self, tmp_path):
         cfg = _write_cfg(tmp_path / "bad.cfg", input_dir=tmp_path, output_dir=tmp_path,

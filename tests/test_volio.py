@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqbrain import volio
 from cqbrain.errors import (
@@ -413,6 +414,13 @@ class TestResize:
         out = volio.resize_bilinear(img, 9, 2)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
+    def test_fit_returns_the_image_itself_at_its_size(self):
+        img = Image2D(4, 3, np.linspace(0, 1, 12).reshape(3, 4))
+        assert volio.fit(img, 4, 3) is img
+        out = volio.fit(img, 3, 4)
+        assert (out.width, out.height) == (3, 4)
+        assert out.pixels.tobytes() == volio.resize_bilinear(img, 3, 4).pixels.tobytes()
+
 
 class TestPgm:
     def test_full_intensity_byte(self):
@@ -451,6 +459,14 @@ class TestPgm:
             with pytest.raises(BadFormat, match="after the 2x1 raster"):
                 volio.read_pgm(data + extra)
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n+2 0_1\n2_55\n..", b"P5\n2 1\n+255\n..", b"P5\n\xd9\xa1 1\n255\n.",
+        b"P5\n" + b"9" * 5000 + b" 1\n255\n.",
+    ])
+    def test_header_numbers_must_be_ascii_digits(self, data):
+        with pytest.raises(BadFormat, match="decimal digits"):
+            volio.read_pgm(data)
+
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(BadFormat):
             volio.read_pgm(b"P5\n0 1\n255\n\x00")
@@ -471,3 +487,57 @@ class TestPgm:
         # 1e-7 slack: pixels are stored float32, ties land exactly on 1/510
         err = np.abs(back.pixels.astype(np.float64) - pix.astype(np.float64)).max()
         assert err <= 1.0 / 510.0 + 1e-7
+
+
+# a header number spelled in decimal digits ("7", "07"), in a form only int() reads ("+7", "7_1"),
+# or in one neither reads ("7.0", "0x7")
+_NUMBERISH = st.builds(lambda n, form: form.format(n).encode("ascii"),
+                       st.integers(-2, 30), st.sampled_from(["{}", "+{}", "0{}", "{}_1", "{}.0", "0x{}"]))
+
+
+def _lenient_int(token: bytes) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        return 0
+
+
+class TestPgmProperties:
+    """Any byte string parses or raises a CqbrainError; write-then-read is the identity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=64),
+                     st.tuples(st.sampled_from([b"P5\n", b"P5 ", b"P5#\n"]), st.binary(max_size=64))
+                     .map(b"".join)))
+    def test_arbitrary_bytes_parse_or_raise_a_package_error(self, data):
+        try:
+            img = volio.read_pgm(data)
+        except CqbrainError:
+            return
+        assert img.pixels.shape == (img.height, img.width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NUMBERISH, _NUMBERISH, st.sampled_from([b"255", b"0255", b"+255", b"2_55", b"255.0", b"254"]))
+    @example(b"+2", b"0_1", b"2_55")
+    def test_header_numbers_are_ascii_decimal_digits(self, w, h, maxval):
+        width, height = _lenient_int(w), _lenient_int(h)
+        # the raster is as long as int() reads the dimensions, so only the spelling can fail
+        data = b"P5\n%s %s\n%s\n" % (w, h, maxval) + bytes(max(width, 1) * max(height, 1))
+        if (w.isdigit() and h.isdigit() and maxval.isdigit() and width >= 1 and height >= 1
+                and int(maxval) == 255):
+            img = volio.read_pgm(data)
+            assert (img.width, img.height) == (width, height)
+        else:
+            with pytest.raises(BadFormat):
+                volio.read_pgm(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    def test_write_then_read_is_the_identity_on_uint8_rasters(self, raster):
+        height, width = raster.shape
+        img = Image2D(width, height, raster.astype(np.float32) / np.float32(255.0))
+        data = volio.write_pgm(img)
+        assert data.endswith(raster.tobytes())
+        back = volio.read_pgm(data)
+        assert (back.width, back.height) == (width, height)
+        assert back.pixels.tobytes() == img.pixels.tobytes()
