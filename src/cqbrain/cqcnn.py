@@ -151,9 +151,6 @@ class CqcnnModel:
         """Trainable tensors of the active head, as views into one flat vector."""
         return self._params
 
-    def param_count(self) -> int:
-        return self._params.flat.size
-
     def _image(self, img: np.ndarray) -> np.ndarray:
         img = np.asarray(img, dtype=np.float32)
         size = self.config.image_size

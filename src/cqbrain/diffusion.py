@@ -153,9 +153,6 @@ class NoisePredictor:
     def params(self) -> Params:
         return self.unet.params()
 
-    def param_count(self) -> int:
-        return self.unet.param_count()
-
     def forward(self, x_t: np.ndarray, t) -> np.ndarray:
         """Noise estimate with x_t's shape; x_t is (N, 1, H, W), t scalar or (N,)."""
         x_t = np.asarray(x_t)

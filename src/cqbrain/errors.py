@@ -29,7 +29,7 @@ class Truncated(CqbrainError):
 
 class BadFormat(CqbrainError):
     """Malformed content beyond the magic check (PGM header or raster, PGM or CQCK trailing bytes,
-    NIfTI offset or scaling fields, dataset manifests)."""
+    CQCK dims, NIfTI offset or scaling fields, dataset manifests, curves.csv files for `report`)."""
 
 
 class UnsupportedDatatype(CqbrainError):

@@ -1,10 +1,7 @@
-"""One flat parameter vector per model, and Adam, SGD, RMSprop and Adagrad over it.
+"""One flat parameter vector per model, and Adam over it.
 
 A step updates the whole vector with one state vector per moment and one
 counter `t` (every backward fills every gradient, so one counter is exact).
-Each rule runs in place into preallocated buffers, in the operand order of
-the textbook expression (Adam: b1*m, then (1-b1)*g, then their sum, ...):
-no full-size temporaries, and the bytes of the per-tensor rules.
 """
 from __future__ import annotations
 
@@ -48,82 +45,50 @@ class Params(Mapping):
         return Params({name: v.shape for name, v in self._views.items()}, self.flat.dtype)
 
 
-def _sgd(opt: "Optimizer", p, g, step) -> None:
-    np.multiply(opt.lr, g, out=step)
-    p -= step
-
-
-def _scaled_step(opt: "Optimizer", p, g, acc, a, b) -> None:
-    """p -= lr * g / (sqrt(acc) + eps), with a and b as work vectors."""
-    np.sqrt(acc, out=b)
-    b += opt.eps
-    np.multiply(opt.lr, g, out=a)
-    a /= b
-    p -= a
-
-
-def _rmsprop(opt: "Optimizer", p, g, v, a, b) -> None:
-    v *= opt.rho
-    np.square(g, out=a)
-    a *= 1.0 - opt.rho
-    v += a
-    _scaled_step(opt, p, g, v, a, b)
-
-
-def _adagrad(opt: "Optimizer", p, g, acc, a, b) -> None:
-    np.square(g, out=a)
-    acc += a
-    _scaled_step(opt, p, g, acc, a, b)
-
-
-def _adam(opt: "Optimizer", p, g, m, v, a, b) -> None:
-    b1, b2, t = opt.beta1, opt.beta2, opt.t
-    m *= b1
-    np.multiply(1.0 - b1, g, out=a)
-    m += a
-    v *= b2
-    np.square(g, out=a)
-    a *= 1.0 - b2
-    v += a
-    np.divide(m, 1.0 - b1**t, out=a)  # m_hat
-    np.divide(v, 1.0 - b2**t, out=b)  # v_hat
-    np.sqrt(b, out=b)
-    b += opt.eps
-    a *= opt.lr
-    a /= b
-    p -= a
-
-
-# name -> (rule, number of state and work vectors it takes after p and g)
-_RULES = {"adam": (_adam, 4), "sgd": (_sgd, 1), "rmsprop": (_rmsprop, 3), "adagrad": (_adagrad, 3)}
-
-
 class Optimizer:
-    """One step rule over a flat parameter vector; the first `step` sizes its state."""
+    """Adam over a flat parameter vector; the first `step` sizes its state.
 
-    beta1, beta2, rho, eps = 0.9, 0.999, 0.9, 1e-8
+    The update runs in place in the operand order of the textbook expression
+    (b1*m, then (1-b1)*g, then their sum, ...) with two work vectors, so it
+    allocates nothing per step and keeps the bytes of the per-tensor rule.
+    """
 
-    def __init__(self, name: str, lr: float = 1e-3):
-        if name not in _RULES:
-            raise ValueError(f"unknown optimizer {name!r}, pick from {sorted(_RULES)}")
-        self.name = name
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self._buffers: list[np.ndarray] = []
+        self._m = self._v = self._a = self._b = np.zeros(0, np.float32)
 
     def step(self, params: Params, grads: Params) -> None:
         """Update every parameter in place from gradients in the same layout."""
         p, g = params.flat, grads.flat
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient vector holds {g.size} values, parameters {p.size}")
-        rule, n_buffers = _RULES[self.name]
-        if not self._buffers:
-            self._buffers = [np.zeros_like(p) for _ in range(n_buffers)]
-        elif self._buffers[0].shape != p.shape:
-            raise ShapeMismatch(f"optimizer state holds {self._buffers[0].size} values, parameters {p.size}")
+        if self.t == 0:
+            self._m, self._v, self._a, self._b = (np.zeros_like(p) for _ in range(4))
+        elif self._m.shape != p.shape:
+            raise ShapeMismatch(f"optimizer state holds {self._m.size} values, parameters {p.size}")
         self.t += 1
-        rule(self, p, g, *self._buffers)
+        b1, b2, t, m, v, a, b = self.beta1, self.beta2, self.t, self._m, self._v, self._a, self._b
+        m *= b1
+        np.multiply(1.0 - b1, g, out=a)
+        m += a
+        v *= b2
+        np.square(g, out=a)
+        a *= 1.0 - b2
+        v += a
+        np.divide(m, 1.0 - b1**t, out=a)  # m_hat
+        np.divide(v, 1.0 - b2**t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a *= self.lr
+        a /= b
+        p -= a
 
 
 def make_optimizer(name: str, lr: float = 1e-3) -> Optimizer:
-    return Optimizer(name, lr)
+    """The one optimizer the trainers use; `name` must be "adam"."""
+    if name != "adam":
+        raise ValueError(f"unknown optimizer {name!r}, only 'adam' is available")
+    return Optimizer(lr)

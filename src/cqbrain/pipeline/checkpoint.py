@@ -73,7 +73,10 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
         n_values = math.prod(dims)  # Python ints: a huge product cannot wrap
         raw = take(4 * n_values)
-        arr = np.frombuffer(raw, dtype="<f4", count=n_values).reshape(dims)
+        try:  # an empty tensor can still name dims whose nonzero product numpy cannot index
+            arr = np.frombuffer(raw, dtype="<f4", count=n_values).reshape(dims)
+        except ValueError as exc:
+            raise BadFormat(f"tensor {name!r} dims {dims}: {exc}") from exc
         tensors[name] = arr.copy()  # writable, native layout
     if pos != len(data):
         raise BadFormat(f"{len(data) - pos} trailing bytes after the last tensor at offset {pos}")

@@ -6,6 +6,7 @@ which the `timing = zero` switch pins to 0 for byte-reproducible runs.
 """
 from __future__ import annotations
 
+import glob
 import json
 import math
 import time
@@ -374,16 +375,9 @@ def cmd_evaluate(cfg: dict) -> dict:
 
 
 def cmd_report(cfg: dict) -> list[dict]:
-    run_dirs: list[Path] = []
-    for token in str(cfg["runs"]).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if any(ch in token for ch in "*?["):
-            base = Path(".")
-            run_dirs.extend(sorted(base.glob(token)))
-        else:
-            run_dirs.append(Path(token))
+    # each comma-separated token is a directory or a glob, relative or absolute
+    run_dirs = [path for token in str(cfg["runs"]).split(",")
+                for path in sorted(map(Path, glob.glob(token.strip())))]
     rows = summarize_runs(run_dirs, cfg["threshold"])
     write_csv(cfg["output"], SUMMARY_COLUMNS, rows)
     return rows

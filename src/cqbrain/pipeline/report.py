@@ -6,7 +6,7 @@ import io
 import math
 from pathlib import Path
 
-from ..errors import NoRuns
+from ..errors import BadFormat, NoRuns
 from .atomic import write_atomic
 
 CURVE_COLUMNS = ["run", "plane", "skull_stripped", "qubits", "seed", "epoch", "split",
@@ -67,30 +67,32 @@ def summarize_runs(run_dirs: list[str | Path], threshold: float = 0.95) -> list[
 
     Metrics are the final-epoch test values per run, reported as mean and
     sample std across the runs in the group; training time is the summed
-    epoch wall time, formatted hh:mm:ss (std mm:ss).
+    epoch wall time, formatted hh:mm:ss (std mm:ss). A curves.csv that is
+    not a classifier run's (a missing column, a non-numeric value) raises
+    `BadFormat` naming the file.
     """
-    runs = []
+    groups: dict[tuple, list[dict]] = {}
     for run_dir in run_dirs:
         curve_path = Path(run_dir) / "curves.csv"
         if not curve_path.exists():
             continue
-        rows = read_csv(curve_path)
-        if rows:
-            runs.append(rows)
-    if not runs:
+        try:
+            rows = read_csv(curve_path)
+            if not rows:
+                continue
+            test_rows = [r for r in rows if r["split"] == "test"]
+            final = max(test_rows, key=lambda r: int(r["epoch"])) if test_rows else None
+            groups.setdefault((rows[0]["plane"], rows[0]["skull_stripped"], rows[0]["qubits"]), []).append({
+                "final": {metric: float(final[metric]) for metric in SUMMARY_METRICS} if final else None,
+                "train_time": sum(float(r["epoch_time_s"]) for r in rows if r["split"] == "train"),
+                "epochs_to_threshold": _epochs_to_threshold(rows, threshold),
+            })
+        except KeyError as exc:
+            raise BadFormat(f"{curve_path}: no {exc.args[0]!r} column; not a classifier run's curves") from exc
+        except (TypeError, ValueError) as exc:
+            raise BadFormat(f"{curve_path}: {exc}") from exc
+    if not groups:
         raise NoRuns("no completed runs with curves.csv found")
-
-    groups: dict[tuple, list[dict]] = {}
-    for rows in runs:
-        key = (rows[0]["plane"], rows[0]["skull_stripped"], rows[0]["qubits"])
-        test_rows = [r for r in rows if r["split"] == "test"]
-        final = max(test_rows, key=lambda r: int(r["epoch"])) if test_rows else None
-        summary = {
-            "final": final,
-            "train_time": sum(float(r["epoch_time_s"]) for r in rows if r["split"] == "train"),
-            "epochs_to_threshold": _epochs_to_threshold(rows, threshold),
-        }
-        groups.setdefault(key, []).append(summary)
 
     out = []
     for key in sorted(groups):
@@ -99,7 +101,7 @@ def summarize_runs(run_dirs: list[str | Path], threshold: float = 0.95) -> list[
         row = {"plane": plane, "skull_stripped": stripped, "qubits": qubits,
                "n_runs": len(members)}
         for metric in SUMMARY_METRICS:
-            vals = [float(m["final"][metric]) for m in members if m["final"] is not None]
+            vals = [m["final"][metric] for m in members if m["final"] is not None]
             mean, std = mean_std(vals) if vals else (0.0, 0.0)
             row[f"{metric}_mean"] = f"{mean:.6f}"
             row[f"{metric}_std"] = f"{std:.6f}"

@@ -22,16 +22,8 @@ _FNV_PRIME = 0x100000001B3
 _TWO_NEG53 = float(2.0**-53)
 
 
-def _finalize_scalar(x: int) -> int:
-    """SplitMix64 output function on a Python int, wrapped to 64 bits."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _finalize_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 output function; uint64 arrays wrap natively."""
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function on a uint64 array; uint64 arithmetic wraps natively."""
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
     return x ^ (x >> np.uint64(31))
@@ -49,18 +41,18 @@ class Rng:
 
     def __init__(self, seed: int, _key: int | None = None):
         if _key is None:
-            _key = _finalize_scalar((seed & _MASK64) * _GOLDEN)
-        self._key = np.uint64(_key)
+            _key = (seed & _MASK64) * _GOLDEN & _MASK64
+        self._key = _finalize(np.array([_key], np.uint64))[0]
         self._counter = 0
 
     def derive(self, label: str) -> "Rng":
         """Independent child stream; same (seed, label) always gives the same stream."""
-        return Rng(0, _key=_finalize_scalar(int(self._key) ^ _fnv1a(label)))
+        return Rng(0, _key=int(self._key) ^ _fnv1a(label))
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        return _finalize_array(self._key + idx * np.uint64(_GOLDEN))
+        return _finalize(self._key + idx * np.uint64(_GOLDEN))
 
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
         """Uniform float64 in [0, 1)."""

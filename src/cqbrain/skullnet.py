@@ -67,10 +67,6 @@ class UNetConfig:
         return tuple(max(1, math.ceil(w * self.width_scale)) for w in self.widths)
 
     @property
-    def bottleneck_size(self) -> int:
-        return self.input_size // 2 ** (self.depth - 1)
-
-    @property
     def bottleneck_channels(self) -> int:
         return self.scaled_widths[-1]
 
@@ -113,9 +109,6 @@ class UNet:
     def params(self) -> Params:
         return self._params
 
-    def param_count(self) -> int:
-        return self._params.flat.size
-
     def _conv_block(self, name: str, x: np.ndarray, cache: dict) -> np.ndarray:
         for stage in ("c1", "c2"):
             key = f"{name}_{stage}"
@@ -153,8 +146,6 @@ class UNet:
         if bottleneck_add is not None:
             add = np.asarray(bottleneck_add)
             add = add.astype(np.float64 if add.dtype == np.float64 else np.float32)
-            if add.ndim == 1:
-                add = np.tile(add, (x.shape[0], 1))
             if add.shape != (x.shape[0], cfg.bottleneck_channels):
                 raise ShapeMismatch(f"bottleneck vector must be (N, {cfg.bottleneck_channels}), got {add.shape}")
             x = x + add[:, :, None, None]
@@ -225,16 +216,9 @@ class MaskPair:
             raise ShapeMismatch(f"image {self.image.shape} vs mask {self.mask.shape}")
 
 
-def soft_dice(probs: np.ndarray, mask: np.ndarray, smooth: float = 1.0) -> float:
-    """Differentiable overlap score in [0, 1]."""
-    p = np.asarray(probs, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    return float((2.0 * (p * m).sum() + smooth) / (p.sum() + m.sum() + smooth))
-
-
 def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
                       smooth: float = 1.0) -> tuple[float, np.ndarray]:
-    """Per-batch BCE + (1 - soft Dice); returns (loss, dloss/dlogits).
+    """Per-batch BCE + (1 - soft Dice) over (N, ...) logits; returns (loss, dloss/dlogits).
 
     Dice is computed per item and averaged, matching the per-image
     progress curves logged during training.
@@ -243,9 +227,6 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
     m = np.asarray(mask, dtype=np.float64)
     if z.shape != m.shape:
         raise ShapeMismatch(f"logits {z.shape} vs mask {m.shape}")
-    single = z.ndim == 2
-    if single:
-        z, m = z[None], m[None]
     n = z.shape[0]
     npix = z[0].size
 
@@ -264,9 +245,7 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
     loss_dice /= n
     dz_dice = dp_dice / n * p * (1.0 - p)
 
-    loss = bce + loss_dice
-    dz = (dz_bce + dz_dice).astype(np.float32)
-    return loss, (dz[0] if single else dz)
+    return bce + loss_dice, (dz_bce + dz_dice).astype(np.float32)
 
 
 @dataclass
@@ -284,24 +263,15 @@ def _stack_pairs(pairs: list[MaskPair], idx: np.ndarray) -> tuple[np.ndarray, np
     return imgs, masks
 
 
-def seg_scores(model: UNet, pairs: list[MaskPair], batch_size: int = 8) -> tuple[float, float]:
-    """Mean per-image Dice and IoU of binarized predictions."""
-    dices, ious = [], []
-    for start in range(0, len(pairs), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(pairs)))
-        imgs, masks = _stack_pairs(pairs, idx)
-        logits = model.forward(imgs)
-        preds = logits >= 0.0  # sigmoid(z) >= 0.5 iff z >= 0
-        for i in range(len(idx)):
-            d, j = dice_iou(preds[i, 0].astype(np.float32), masks[i, 0])
-            dices.append(d)
-            ious.append(j)
+def seg_scores(model: UNet, pairs: list[MaskPair]) -> tuple[float, float]:
+    """Mean per-image Dice and IoU of the masks `segment_many` predicts."""
+    masks = segment_many(model, [pair.image for pair in pairs])
+    dices, ious = zip(*(dice_iou(pred, pair.mask) for (pred, _), pair in zip(masks, pairs)))
     return float(np.mean(dices)), float(np.mean(ious))
 
 
 def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: Optimizer,
-                    seed: int, batch_size: int = 8,
-                    on_epoch=None) -> list[SegEpochReport]:
+                    seed: int, batch_size: int = 8) -> list[SegEpochReport]:
     """Seeded mini-batch training; logs per-epoch loss and train Dice/IoU."""
     if not pairs:
         raise EmptyDataset("no training pairs")
@@ -323,21 +293,13 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
             optimizer.step(model.params(), grads)
             total_loss += loss
             batches += 1
-        dice, iou = seg_scores(model, pairs, batch_size)
-        report = SegEpochReport(epoch, total_loss / batches, dice, iou, time.perf_counter() - start)
-        reports.append(report)
-        if on_epoch is not None and on_epoch(report):
-            break
+        dice, iou = seg_scores(model, pairs)
+        reports.append(SegEpochReport(epoch, total_loss / batches, dice, iou, time.perf_counter() - start))
     return reports
 
 
-def segment_apply(model: UNet, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(binary mask, masked image) for one slice."""
-    return next(segment_many(model, [img]))
-
-
 def segment_many(model: UNet, images: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`segment_apply` for each (H, W) image in order, APPLY_CHUNK images per U-Net call.
+    """(binary mask, masked image) for each (H, W) image in order, APPLY_CHUNK images per U-Net call.
 
     The conv kernels compute each batch item on its own, so every mask and
     masked image equals its one-image result bit for bit.

@@ -12,7 +12,7 @@ from cqbrain.diffusion import build_schedule, sample
 from cqbrain.neuralkernel import Params
 from cqbrain.pipeline.checkpoint import load_checkpoint
 from cqbrain.pipeline.modelio import unpack_predictor
-from cqbrain.rng import Rng
+from cqbrain.rng import _MASK64, _MIX1, _MIX2, Rng
 from cqbrain.volio import Image2D, Plane, resize_bilinear, write_pgm
 
 
@@ -218,9 +218,9 @@ def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
     return dxp[:, :, p : p + h, p : p + w]
 
 
-# -- per-tensor optimizer rules (the reference for neuralkernel.optim) ----
+# -- per-tensor Adam (the reference for neuralkernel.optim) ----------------
 #
-# Each rule computes with ordinary expressions, one tensor at a time, and
+# The rule computes with ordinary expressions, one tensor at a time, and
 # keeps its own state per tensor; `reference_step` walks a parameter dict
 # in sorted-name order the way the optimizer did before it held one flat
 # vector.
@@ -235,29 +235,20 @@ def adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return (param - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
 
 
-def sgd_step(param, grad, state, lr):
-    return (param - lr * grad).astype(param.dtype)
-
-
-def rmsprop_step(param, grad, state, lr, rho=0.9, eps=1e-8):
-    v = rho * state.get("v", np.zeros_like(param)) + (1.0 - rho) * np.square(grad)
-    state["v"] = v.astype(param.dtype)
-    return (param - lr * grad / (np.sqrt(v) + eps)).astype(param.dtype)
-
-
-def adagrad_step(param, grad, state, lr, eps=1e-8):
-    acc = state.get("acc", np.zeros_like(param)) + np.square(grad)
-    state["acc"] = acc.astype(param.dtype)
-    return (param - lr * grad / (np.sqrt(acc) + eps)).astype(param.dtype)
-
-
-REFERENCE_RULES = {"adam": adam_step, "sgd": sgd_step, "rmsprop": rmsprop_step, "adagrad": adagrad_step}
-
-
-def reference_step(name: str, params: dict, grads: dict, states: dict, lr: float) -> None:
-    """One update of every tensor in `params`, in place, keeping per-tensor state in `states`."""
+def reference_step(params: dict, grads: dict, states: dict, lr: float) -> None:
+    """One Adam update of every tensor in `params`, in place, keeping per-tensor state in `states`."""
     for key in sorted(params):
-        params[key][...] = REFERENCE_RULES[name](params[key], grads[key], states.setdefault(key, {}), lr)
+        params[key][...] = adam_step(params[key], grads[key], states.setdefault(key, {}), lr)
+
+
+# -- scalar SplitMix64 (the reference for rng's one-element-array keys) ---
+
+def finalize_scalar(x: int) -> int:
+    """SplitMix64 output function on a Python int, wrapped to 64 bits."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
 
 
 def whole_field_slice(vol, plane, index: int):

@@ -102,6 +102,11 @@ class TestWireFormat:
         with pytest.raises(Truncated):
             deserialize_tensors(header + b"\x00" * 64)
 
+    def test_empty_tensor_with_dims_numpy_cannot_hold_is_bad_format(self):
+        data = b"CQCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(BadFormat, match="'w' dims"):
+            deserialize_tensors(data)
+
     def test_file_roundtrip(self, tmp_path):
         tensors = {"t": np.arange(6, dtype=np.float32).reshape(2, 3)}
         path = tmp_path / "model.cqck"

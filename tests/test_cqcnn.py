@@ -72,7 +72,7 @@ class TestShapesAndCounts:
         for head in ("quantum", "classical_softmax"):
             cfg = _small_config(head=head)
             model = CqcnnModel(cfg)
-            assert model.param_count() == param_count(cfg) == sum(v.size for v in model.params().values())
+            assert model.params().flat.size == param_count(cfg) == sum(v.size for v in model.params().values())
         cfg = CqcnnConfig(n_qubits=3, fc_width=4, head="classical_softmax")  # head: dense(4 -> 2)
         assert param_count(cfg) == (2 * 25 + 2) + (4 * 2 * 25 + 4) + (4 * 3364 + 4) + 2 * 4 + 2
 
@@ -263,7 +263,7 @@ class TestTraining:
                         batch[k] += v
             for k in batch:
                 batch[k] /= np.float32(len(order[start : start + 4]))
-            reference_step("adam", ref_params, batch, states, lr=1e-2)
+            reference_step(ref_params, batch, states, lr=1e-2)
         for key, value in ref_model.params().items():
             assert np.array_equal(flat_model.params()[key], value), key
 

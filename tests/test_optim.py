@@ -4,7 +4,7 @@ import pytest
 from cqbrain.errors import ShapeMismatch
 from cqbrain.neuralkernel import Params, make_optimizer
 
-from oracles import REFERENCE_RULES, params_of, reference_step
+from oracles import params_of, reference_step
 
 
 def _hand_adam(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -27,10 +27,10 @@ def _vector(values) -> Params:
     return params_of({"w": np.asarray(values, np.float32)})
 
 
-def _steps(name: str, values, grad_values, n: int, lr: float = 1e-3) -> list[np.ndarray]:
-    """Parameter vector after each of n steps with a constant gradient."""
+def _steps(values, grad_values, n: int, lr: float = 1e-3) -> list[np.ndarray]:
+    """Parameter vector after each of n Adam steps with a constant gradient."""
     params, grads = _vector(values), _vector(grad_values)
-    opt = make_optimizer(name, lr=lr)
+    opt = make_optimizer("adam", lr=lr)
     out = []
     for _ in range(n):
         opt.step(params, grads)
@@ -67,7 +67,7 @@ class TestParams:
 class TestAdam:
     def test_first_step_magnitude_and_direction(self):
         grad = np.array([0.5, -2.0, 10.0], np.float32)
-        (new_param,) = _steps("adam", np.zeros(3), grad, 1)
+        (new_param,) = _steps(np.zeros(3), grad, 1)
         assert np.allclose(np.abs(new_param), 1e-3, rtol=1e-4)
         assert np.array_equal(np.sign(new_param), -np.sign(grad))
 
@@ -79,14 +79,14 @@ class TestAdam:
         assert opt.t == 3
 
     def test_zero_gradient_leaves_param(self):
-        (new_param,) = _steps("adam", [1.0, 2.0], np.zeros(2), 1)
+        (new_param,) = _steps([1.0, 2.0], np.zeros(2), 1)
         assert np.array_equal(new_param, [1.0, 2.0])
 
     def test_two_identical_gradients_hand_iteration(self):
         _, updates = _hand_adam([0.7, 0.7])
         assert updates[1] <= updates[0] + 1e-12
 
-        p1, p2 = _steps("adam", [0.0], [0.7], 2)
+        p1, p2 = _steps([0.0], [0.7], 2)
         first = abs(float(p1[0]))
         second = abs(float(p1[0] - p2[0]))
         assert second <= first + 1e-9
@@ -101,27 +101,11 @@ class TestAdam:
             opt.step(_vector(np.zeros(4)), _vector(np.ones(4)))
 
 
-class TestOtherRules:
-    def test_sgd_step(self):
-        (p,) = _steps("sgd", [1.0], [1.0], 1, lr=0.1)
-        assert p[0] == pytest.approx(0.9)
-
-    def test_rmsprop_asymptotic_step_is_lr(self):
-        # fixed point of v <- rho v + (1-rho) g^2 is v = g^2, so step -> lr
-        path = _steps("rmsprop", [0.0], [3.0], 600, lr=0.01)
-        assert abs(float(path[-2][0] - path[-1][0])) == pytest.approx(0.01, rel=1e-3)
-
-    def test_adagrad_steps_shrink(self):
-        path = [np.zeros(1, np.float32)] + _steps("adagrad", [0.0], [1.5], 10, lr=0.5)
-        steps = [abs(float(a[0] - b[0])) for a, b in zip(path, path[1:])]
-        assert all(b < a for a, b in zip(steps, steps[1:]))
-
-    @pytest.mark.parametrize("name", ["adam", "sgd", "rmsprop", "adagrad"])
-    def test_steps_preserve_shape_and_finiteness(self, name):
+    def test_steps_preserve_shape_and_finiteness(self):
         rng = np.random.default_rng(42)
         params = params_of({"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)})
         grads = params_of({k: rng.standard_normal(v.shape) * 10 for k, v in params.items()})
-        opt = make_optimizer(name, lr=1e-2)
+        opt = make_optimizer("adam", lr=1e-2)
         for _ in range(5):
             opt.step(params, grads)
         assert params["a"].shape == (3, 4) and params["b"].shape == (5,)
@@ -137,23 +121,23 @@ class TestOtherRules:
 
         assert np.array_equal(run(), run())
 
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ValueError):
-            make_optimizer("lbfgs")
+    @pytest.mark.parametrize("name", ["lbfgs", "sgd"])
+    def test_unknown_optimizer_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            make_optimizer(name)
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_RULES))
-def test_flat_rule_matches_the_per_tensor_reference_bit_for_bit(name):
+def test_flat_rule_matches_the_per_tensor_reference_bit_for_bit():
     """50 steps over mixed shapes (0-d included), gradients spanning 1e-6 to 30."""
     rng = np.random.default_rng(7)
     shapes = {"conv_w": (4, 2, 3, 3), "bias": (4,), "scale": (), "theta": (3,), "fc_w": (2, 9)}
     init = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
-    flat, opt = params_of(init), make_optimizer(name, lr=3e-3)
+    flat, opt = params_of(init), make_optimizer("adam", lr=3e-3)
     ref, states = {k: v.copy() for k, v in init.items()}, {}
     for _ in range(50):
         grads = {k: (rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-6, np.log10(30), s)).astype(np.float32)
                  for k, s in shapes.items()}
         opt.step(flat, params_of(grads))
-        reference_step(name, ref, grads, states, lr=3e-3)
+        reference_step(ref, grads, states, lr=3e-3)
     for key, value in ref.items():
         assert np.array_equal(flat[key].view(np.uint32), value.view(np.uint32)), key

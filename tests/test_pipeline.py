@@ -415,10 +415,11 @@ class TestCli:
             blobs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.pgm"))})
         assert blobs[0] == blobs[1]
 
-    def test_report_accepts_glob_patterns(self, tmp_path, monkeypatch):
-        from cqbrain.pipeline.report import CURVE_COLUMNS, write_csv
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_report_accepts_glob_patterns(self, tmp_path, monkeypatch, absolute):
+        from cqbrain.pipeline.report import CURVE_COLUMNS
 
-        for name in ("runA", "runB"):
+        for name in ("runB", "runA", "runC"):
             d = tmp_path / name
             d.mkdir()
             write_csv(d / "curves.csv", CURVE_COLUMNS, [{
@@ -426,10 +427,35 @@ class TestCli:
                 "seed": "0", "epoch": "0", "split": "test", "loss": "0.1",
                 "accuracy": "0.9", "precision": "0.9", "recall": "0.9", "f1": "0.9",
                 "specificity": "0.9", "epoch_time_s": "0.0"}])
+        seen = []
+        real = commands.summarize_runs
+        monkeypatch.setattr(commands, "summarize_runs", lambda dirs, threshold: seen.extend(dirs) or real(dirs, threshold))
         monkeypatch.chdir(tmp_path)
-        cfg = _write_cfg(tmp_path / "rep.cfg", runs="run*", output=tmp_path / "sum.csv")
+        pattern = f"{tmp_path}/run*" if absolute else "run*"
+        cfg = _write_cfg(tmp_path / "rep.cfg", runs=pattern, output=tmp_path / "sum.csv")
         assert main(["report", "-c", str(cfg)]) == 0
-        assert len((tmp_path / "sum.csv").read_text().splitlines()) == 2
+        assert [d.name for d in seen] == ["runA", "runB", "runC"]
+        assert all(d.is_absolute() == absolute for d in seen)
+        assert (tmp_path / "sum.csv").read_text().splitlines()[1].startswith("axial,false,2,3,")
+
+    @pytest.mark.parametrize("case", ["segment_train_run", "no_classifier_columns", "non_numeric_epoch"])
+    def test_report_on_a_foreign_curves_csv_exits_2_naming_it(self, tmp_path, capsys, case):
+        from cqbrain.pipeline.report import CURVE_COLUMNS
+
+        run = tmp_path / "run"
+        run.mkdir()
+        if case == "segment_train_run":
+            write_csv(run / "curves.csv", commands.SEG_CURVE_COLUMNS, [
+                {"run": "run", "seed": 0, "epoch": 0, "loss": 0.5, "dice": 0.8, "iou": 0.7, "epoch_time_s": 0}])
+        elif case == "no_classifier_columns":
+            write_csv(run / "curves.csv", ["epoch", "split", "loss"], [{"epoch": 0, "split": "test", "loss": 0.5}])
+        else:
+            row = dict.fromkeys(CURVE_COLUMNS, "0")
+            write_csv(run / "curves.csv", CURVE_COLUMNS, [{**row, "split": "test", "epoch": "last"}])
+        cfg = _write_cfg(tmp_path / "rep.cfg", runs=run, output=tmp_path / "sum.csv")
+        assert main(["report", "-c", str(cfg)]) == 2
+        assert f"error: {run / 'curves.csv'}: " in capsys.readouterr().err
+        assert not (tmp_path / "sum.csv").exists()
 
     def test_skull_strip_flag_in_training(self, tmp_path):
         img_dir = tmp_path / "imgs"

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from cqbrain.rng import Rng
+from cqbrain.rng import _GOLDEN, _MASK64, Rng, _fnv1a
+
+from oracles import finalize_scalar
 
 
 def test_same_seed_same_stream():
@@ -69,3 +72,15 @@ def test_shapes():
     assert Rng(1).uniform((3, 4)).shape == (3, 4)
     assert Rng(1).normal((2, 5)).shape == (2, 5)
     assert Rng(1).integers(0, 10, (2, 2)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+@pytest.mark.parametrize("label", ["", "größe:µ"])
+def test_keys_and_first_draws_match_the_scalar_finalizer(seed, label):
+    root_key = finalize_scalar((seed & _MASK64) * _GOLDEN)
+    child_key = finalize_scalar(root_key ^ _fnv1a(label))
+    root, child = Rng(seed), Rng(seed).derive(label)
+    assert (int(root._key), int(child._key)) == (root_key, child_key)
+    for rng, key in ((root, root_key), (child, child_key)):
+        raw = [finalize_scalar(key + i * _GOLDEN) for i in range(3)]
+        assert rng.uniform(3).tolist() == [(x >> 11) * 2.0**-53 for x in raw]
