@@ -12,15 +12,15 @@ Index convention: output[c] is the probability of class c; class 1 is the
 positive class for confusion counts.
 
 Inference: `CqcnnModel.predict` (behind `evaluate`) runs the trunk over
-EVAL_CHUNK images per call and the head over the whole stack at once: one
-`qsim.pqc_forward_rows` call scores every image. It keeps no activation
-cache. `forward` runs the same trunk and head code on one image (its
-circuit through `pqc_forward`, the one-row case of the same evaluator) and
-caches its activations for `backward`. Every predicted distribution equals
-the one-image `forward` result bit for bit: the conv kernels compute each
-batch item on its own, `dense` runs one row at a time (a stacked matrix
-product may sum in another order than the matrix-vector one), and the
-quantum head computes each row's phase product on its own.
+EVAL_CHUNK images per call and `_head` over the whole stack at once: one
+`qsim.pqc_forward` call scores every image. It keeps no activation cache.
+`forward` runs the same trunk code on one image, sends its one row through
+the same `_head`, and caches its activations for `backward`. Every predicted
+distribution equals the one-image `forward` result bit for bit: the conv
+kernels compute each batch item on its own, `dense` runs one row at a time
+(a stacked matrix product may sum in another order than the matrix-vector
+one), and the circuit evaluator forms each row's phase product in a fixed
+order.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .neuralkernel import (
     relu_backward,
     sigmoid,
 )
-from .qsim import pqc_backward, pqc_forward, pqc_forward_rows
+from .qsim import pqc_backward, pqc_forward
 from .rng import Rng
 
 HEAD_QUANTUM = "quantum"
@@ -173,16 +173,21 @@ class CqcnnModel:
             raise Diverged("head input is not finite")
         return fc_out
 
-    def _quantum_gamma(self, p_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(o1, class distributions (R, 2)) from circuit probabilities p_q (R,)."""
-        o1 = sigmoid(float(self._params["w_out"]) * p_q + float(self._params["b_out"]))
-        return o1, np.stack([o1, 1.0 - o1], axis=1).astype(np.float32)
+    def _head(self, fc_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(class distributions (R, 2), p_q, o1) for head inputs (R, fc_out).
 
-    def _softmax_gamma(self, fc_rows: np.ndarray) -> np.ndarray:
-        """Classical head's class distributions (R, 2) for head inputs (R, fc_out)."""
-        logits = np.stack([dense(row, self._params["head_w"], self._params["head_b"]) for row in fc_rows])
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return (shifted / shifted.sum(axis=1, keepdims=True)).astype(np.float32)
+        p_q and o1 (R,) are the quantum head's circuit probabilities and sigmoid
+        outputs, which backward reads; the classical head returns None for both.
+        """
+        p = self._params
+        if self.config.head == HEAD_CLASSICAL:
+            logits = np.stack([dense(row, p["head_w"], p["head_b"]) for row in fc_rows])
+            shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return (shifted / shifted.sum(axis=1, keepdims=True)).astype(np.float32), None, None
+        x_sub = fc_rows[:, : self.config.n_qubits].astype(np.float64)
+        p_q = pqc_forward(x_sub, p["theta"].astype(np.float64))
+        o1 = sigmoid(float(p["w_out"]) * p_q + float(p["b_out"]))
+        return np.stack([o1, 1.0 - o1], axis=1).astype(np.float32), p_q, o1
 
     def forward(self, img: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
         """Class distribution (2,) for one image; caches activations for backward."""
@@ -190,14 +195,9 @@ class CqcnnModel:
         d, cache["mask"] = dropout(cache["p2"], self.config.dropout_rate, mode, rng)
         cache["flat"] = d.reshape(-1)
         fc_out = cache["fc_out"] = self._fc(cache["flat"])
-        if self.config.head == HEAD_QUANTUM:
-            x_sub = fc_out[: self.config.n_qubits].astype(np.float64)
-            p_q = pqc_forward(x_sub, self._params["theta"].astype(np.float64))
-            o1, gamma = self._quantum_gamma(np.array([p_q]))
-            cache.update({"x_sub": x_sub, "p_q": p_q, "o1": float(o1[0])})
-        else:
-            gamma = self._softmax_gamma(fc_out[None])
-            cache["gamma64"] = gamma[0].astype(np.float64)
+        gamma, p_q, o1 = self._head(fc_out[None])
+        if p_q is not None:
+            cache.update({"p_q": float(p_q[0]), "o1": float(o1[0])})
         cache["gamma"] = gamma[0]
         self._cache = cache
         return cache["gamma"]
@@ -209,11 +209,7 @@ class CqcnnModel:
             chunk = np.stack([self._image(img) for img in images[start : start + EVAL_CHUNK]])
             pooled = self._trunk(chunk[:, None])["p2"]
             fc_rows.extend(self._fc(p.reshape(-1)) for p in pooled)
-        fc = np.stack(fc_rows)
-        if self.config.head == HEAD_QUANTUM:
-            x_sub = fc[:, : self.config.n_qubits].astype(np.float64)
-            return self._quantum_gamma(pqc_forward_rows(x_sub, self._params["theta"].astype(np.float64)))[1]
-        return self._softmax_gamma(fc)
+        return self._head(np.stack(fc_rows))[0]
 
     def backward(self, y: np.ndarray) -> Params:
         """Loss gradients of every parameter, in the layout of `params()`; needs a cached forward."""
@@ -233,13 +229,14 @@ class CqcnnModel:
             grads["w_out"] = np.float32(dz_out * c["p_q"])
             grads["b_out"] = np.float32(dz_out)
             dp_q = dz_out * float(p["w_out"])
-            grad_x_sub, grad_theta = pqc_backward(c["x_sub"], p["theta"].astype(np.float64), upstream=dp_q)
+            x_sub = c["fc_out"][: cfg.n_qubits].astype(np.float64)
+            grad_x_sub, grad_theta = pqc_backward(x_sub, p["theta"].astype(np.float64), upstream=dp_q)
             grads["theta"] = grad_theta.astype(np.float32)
             dfc = np.zeros(cfg.fc_out, np.float32)
             dfc[: cfg.n_qubits] = grad_x_sub.astype(np.float32)
         else:
             # softmax + cross-entropy collapse to (probabilities - labels)
-            dlogits = (c["gamma64"] - y).astype(np.float32)
+            dlogits = c["gamma"] - y
             dfc, grads["head_w"], grads["head_b"] = dense_backward(dlogits, c["fc_out"], p["head_w"])
 
         dflat, grads["fc_w"], grads["fc_b"] = dense_backward(dfc, c["flat"], p["fc_w"])

@@ -88,20 +88,13 @@ def forward_step(x_prev: np.ndarray, t: int, schedule: NoiseSchedule, rng: Rng) 
 def forward_jump(x0: np.ndarray, t, schedule: NoiseSchedule, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form jump to x_t; returns (x_t, eps) with the exact noise used.
 
-    Accepts one timestep or a per-item vector when x0 has a batch axis.
+    t is one timestep per item of x0's first axis, or one for every item.
     """
     x0 = np.asarray(x0, dtype=np.float32)
-    if np.ndim(t) == 0:
-        _, _, abar = schedule.at(int(t))
-        eps = rng.normal(x0.shape).astype(np.float32)
-        return np.float32(math.sqrt(abar)) * x0 + np.float32(math.sqrt(1.0 - abar)) * eps, eps
     ts = _timestep_index(t, x0.shape[0], schedule.T)
-    abars = schedule.alpha_bars[ts - 1].astype(np.float32)
-    shape_tail = (1,) * (x0.ndim - 1)
-    a = np.sqrt(abars).reshape(-1, *shape_tail)
-    b = np.sqrt(1.0 - abars).reshape(-1, *shape_tail)
+    abars = schedule.alpha_bars[ts - 1].astype(np.float32).reshape(-1, *(1,) * (x0.ndim - 1))
     eps = rng.normal(x0.shape).astype(np.float32)
-    return a * x0 + b * eps, eps
+    return np.sqrt(abars) * x0 + np.sqrt(1.0 - abars) * eps, eps
 
 
 def _check_emb_dim(dim: int) -> None:

@@ -25,10 +25,7 @@ def cross_entropy(gamma: np.ndarray, y: np.ndarray, eps: float = CE_EPS) -> floa
 
 
 def cross_entropy_grad(gamma: np.ndarray, y: np.ndarray, eps: float = CE_EPS) -> np.ndarray:
-    """d loss / d gamma; the clamp acts as identity for gradient flow."""
+    """d loss / d gamma, one sample as a batch of one; the clamp acts as identity for gradient flow."""
     gamma, y = _check(gamma, y)
     g = np.clip(gamma, eps, 1.0)
-    grad = -y / g
-    if gamma.ndim == 2:
-        grad = grad / np.float32(gamma.shape[0])
-    return grad.astype(np.float32)
+    return (-y / g / np.float32(len(np.atleast_2d(gamma)))).astype(np.float32)

@@ -308,13 +308,8 @@ def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.nda
     if dy.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"upstream width {dy.shape[-1]} does not match {w.shape[0]} outputs")
     dx = dy @ w
-    if x.ndim == 1:
-        dw = np.outer(dy, x)
-        db = dy.copy()
-    else:
-        dw = dy.T @ x
-        db = dy.sum(axis=0)
-    return dx, dw, db
+    rows = np.atleast_2d(dy)  # one row is a one-row batch
+    return dx, rows.T @ np.atleast_2d(x), rows.sum(axis=0)
 
 
 def dropout(x: np.ndarray, rate: float, mode: str, rng: Rng | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -187,7 +187,6 @@ def cmd_slice(cfg: dict) -> dict:
             }
         manifest["volumes"][vol_path.name] = record
         del vol  # its raw voxels keep the payload alive; free it before the next file is read
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "manifest.json",
                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
     return manifest
@@ -208,7 +207,6 @@ def _epoch_time(cfg: dict, seconds: float) -> str:
 
 def _save_run(out_dir: Path, tensors: dict, columns: list[str], rows: list[dict]) -> None:
     """A training run's outputs: out_dir/checkpoint.cqck and out_dir/curves.csv."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.cqck", tensors)
     write_csv(out_dir / "curves.csv", columns, rows)
 
@@ -287,10 +285,14 @@ def cmd_build_dataset(cfg: dict) -> DatasetManifest:
                          balance=cfg["balance"], diffusion_ckpts=ckpts, image_size=cfg["size"])
 
 
-def _strip_dataset(data: list[tuple[np.ndarray, int]], ckpt: Path | None) -> list:
+def _check_strip(cfg: dict) -> None:
+    """Reject skull stripping without a U-Net checkpoint, before any input is read."""
+    if cfg["skull_strip"] and cfg["skullnet_ckpt"] is None:
+        raise ConfigError("skullnet_ckpt: required when skull_strip = true")
+
+
+def _strip_dataset(data: list[tuple[np.ndarray, int]], ckpt: Path) -> list:
     """Skull-strip every image; images keep their size, whatever the U-Net's input size."""
-    if ckpt is None:
-        raise ConfigError("skull_strip = true needs skullnet_ckpt")
     model = unpack_unet(load_checkpoint(ckpt))
     size = model.config.input_size
     resized = [fit(Image2D(img.shape[1], img.shape[0], img), size, size).pixels for img, _ in data]
@@ -319,6 +321,7 @@ def _check_head(cfg: dict) -> None:
 
 def cmd_train(cfg: dict) -> dict:
     _check_head(cfg)
+    _check_strip(cfg)
     manifest = DatasetManifest.load(cfg["dataset"])
     train_set = load_split(manifest, "train")
     test_set = load_split(manifest, "test")
@@ -363,6 +366,7 @@ def cmd_train(cfg: dict) -> dict:
 
 
 def cmd_evaluate(cfg: dict) -> dict:
+    _check_strip(cfg)
     model = unpack_cqcnn(load_checkpoint(cfg["checkpoint"]))
     manifest = DatasetManifest.load(cfg["dataset"])
     data = load_split(manifest, cfg["split"])

@@ -220,7 +220,6 @@ def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, see
 
     manifest = DatasetManifest(classes, plane, image_size, seed)
     manifest.validate()
-    out_root.mkdir(parents=True, exist_ok=True)
     manifest.save(out_root / "manifest.json")
     return manifest
 

@@ -6,11 +6,11 @@ single-qubit Ry ansatz, and a full-parity Z measurement mapped to a
 probability. Gradients come from the two-point parameter-shift rule applied
 per gate occurrence, with the chain rule onto features and ansatz angles.
 
-`pqc_forward_rows`, `pqc_forward` (its one-row case) and `pqc_backward`
-share one closed-form evaluator that runs a stack of circuits (one circuit
-per feature row, or all +-pi/2 shifts of one circuit) as one array.
-The gate-level simulator (`StateVector`, `apply_*`) and the dense-matrix
-oracle in the tests are the references it is checked against.
+`pqc_forward` and `pqc_backward` share one closed-form evaluator that runs
+a stack of circuits (one per feature row, or all +-pi/2 shifts of one
+circuit) as one array, in one fixed order, so a row's value never depends
+on the stack around it. The gate-level simulator (`StateVector`, `apply_*`)
+and the dense-matrix oracle in the tests are its references.
 
 Qubit 0 is the least-significant bit of the basis index. Simulation is
 complex128 throughout; the register is capped at 12 qubits.
@@ -163,26 +163,18 @@ def _encoding_angles(x: np.ndarray) -> np.ndarray:
                           axis=-1)
 
 
-def _parity_expectations(n: int, rows: np.ndarray, row_by_row: bool = False) -> np.ndarray:
+def _parity_expectations(n: int, rows: np.ndarray) -> np.ndarray:
     """<Z x ... x Z> of the head circuit for each row of (encoding angles, Ry angles).
 
     After the Hadamard layer the encoding is diagonal, so the encoded state is
     2^{-n/2} exp(i * table . angles); the Ry layer is one real rotation per
-    tensor axis, qubit 0 (the least-significant bit) first. Everything after
-    the phase product is elementwise or a per-row reduction, so a row's value
-    does not depend on the rest of the stack. The phase product is not: one
-    matrix product over R > 1 rows may sum in another order than R one-row
-    products (at n >= 3 they differ in the last bits). `row_by_row` computes
-    it one row at a time, which makes every row equal its one-row call.
+    tensor axis, qubit 0 (the least-significant bit) first. The phase product
+    adds the table's columns left to right, from zero; each term is an angle
+    or +-0, so the fixed order of the additions, not a BLAS kernel picked by
+    the row count, sets its rounding. All else is elementwise or per row.
     """
     table, signs, _, _ = _bit_table(n)
-    encoding = rows[:, :-n]
-    if row_by_row:
-        phases = np.empty((len(rows), table.shape[0]))
-        for phase, angles in zip(phases, encoding):
-            phase[:] = angles[None] @ table.T
-    else:
-        phases = encoding @ table.T
+    phases = sum(angles[:, None] * column for angles, column in zip(rows[:, :-n].T, table.T))
     amps = np.exp(1j * phases) * 2.0 ** (-n / 2.0)
     half = rows[:, -n:] / 2.0
     cos, sin = np.cos(half), np.sin(half)
@@ -219,25 +211,23 @@ def expectation_parity(s: StateVector) -> float:
     return float(np.sum(_bit_table(s.n_qubits)[1] * np.abs(s.amps) ** 2))
 
 
-def pqc_forward(x, theta) -> float:
-    """Probability output (parity expectation + 1) / 2, in [0, 1]."""
-    return float(pqc_forward_rows(np.reshape(x, (1, -1)), theta)[0])
+def pqc_forward(x, theta) -> float | np.ndarray:
+    """Probability output (parity expectation + 1) / 2, in [0, 1], under ansatz angles theta.
 
-
-def pqc_forward_rows(xs, theta) -> np.ndarray:
-    """pqc_forward of each feature row of xs (R, n) under one theta, as one stack.
-
-    Row r equals pqc_forward(xs[r], theta) bit for bit, whatever R is.
+    One feature vector x (n,) gives a float; a stack x (R, n) gives the (R,)
+    outputs of its rows, each equal to its one-vector call bit for bit.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or len(xs) == 0:
-        raise BadLength(f"expected a non-empty stack of feature rows, got shape {xs.shape}")
-    n = _validated(xs[0]).size
-    if not np.isfinite(xs).all():
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim not in (1, 2) or xs.size == 0:
+        raise BadLength(f"expected a feature vector or a non-empty stack of them, got shape {xs.shape}")
+    stack = np.atleast_2d(xs)
+    n = _validated(stack[0]).size
+    if not np.isfinite(stack).all():
         raise BadLength("vector entries must be finite")
     theta = _validated(theta, n)
-    rows = np.concatenate([_encoding_angles(xs), np.broadcast_to(theta, xs.shape)], axis=1)
-    return (_parity_expectations(n, rows, row_by_row=True) + 1.0) / 2.0
+    rows = np.concatenate([_encoding_angles(stack), np.broadcast_to(theta, stack.shape)], axis=1)
+    p = (_parity_expectations(n, rows) + 1.0) / 2.0
+    return float(p[0]) if xs.ndim == 1 else p
 
 
 def pqc_backward(x, theta, upstream: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

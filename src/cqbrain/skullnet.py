@@ -235,14 +235,11 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
     bce = float(np.mean(np.maximum(z, 0.0) - z * m + np.log1p(np.exp(-np.abs(z)))))
     dz_bce = (p - m) / (npix * n)
 
-    loss_dice = 0.0
-    dp_dice = np.zeros_like(p)
-    for i in range(n):
-        a = 2.0 * (p[i] * m[i]).sum() + smooth
-        b = p[i].sum() + m[i].sum() + smooth
-        loss_dice += 1.0 - a / b
-        dp_dice[i] = -(2.0 * m[i] * b - a) / (b * b)
-    loss_dice /= n
+    items = (n,) + (1,) * (z.ndim - 1)  # a per-item value against (N, ...) arrays
+    a = 2.0 * (p * m).reshape(n, -1).sum(axis=1) + smooth
+    b = p.reshape(n, -1).sum(axis=1) + m.reshape(n, -1).sum(axis=1) + smooth
+    loss_dice = sum(1.0 - a / b) / n  # Python's sum adds in item order; np.sum pairs terms from 8 items up
+    dp_dice = -(2.0 * m * b.reshape(items) - a.reshape(items)) / (b * b).reshape(items)
     dz_dice = dp_dice / n * p * (1.0 - p)
 
     return bce + loss_dice, (dz_bce + dz_dice).astype(np.float32)

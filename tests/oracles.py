@@ -303,3 +303,29 @@ def synthesized_pgms(ckpt, count: int, image_size: int, seed: int, tag: str) -> 
             pic = resize_bilinear(pic, image_size, image_size)
         out[f"synthetic_{tag}_{i:04d}.pgm"] = write_pgm(pic)
     return out
+
+
+def segmentation_loss_per_item(logits: np.ndarray, mask: np.ndarray,
+                               smooth: float = 1.0) -> tuple[float, np.ndarray]:
+    """BCE + (1 - soft Dice) as `skullnet.segmentation_loss` computed it item by item."""
+    z = np.asarray(logits, dtype=np.float64)
+    m = np.asarray(mask, dtype=np.float64)
+    n = z.shape[0]
+    npix = z[0].size
+
+    p = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    p = np.where(z >= 0, p, 1.0 - p)
+    bce = float(np.mean(np.maximum(z, 0.0) - z * m + np.log1p(np.exp(-np.abs(z)))))
+    dz_bce = (p - m) / (npix * n)
+
+    loss_dice = 0.0
+    dp_dice = np.zeros_like(p)
+    for i in range(n):
+        a = 2.0 * (p[i] * m[i]).sum() + smooth
+        b = p[i].sum() + m[i].sum() + smooth
+        loss_dice += 1.0 - a / b
+        dp_dice[i] = -(2.0 * m[i] * b - a) / (b * b)
+    loss_dice /= n
+    dz_dice = dp_dice / n * p * (1.0 - p)
+
+    return bce + loss_dice, (dz_bce + dz_dice).astype(np.float32)

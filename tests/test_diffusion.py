@@ -132,6 +132,14 @@ class TestForwardProcess:
         abar = float(sched.alpha_bars[-1])
         assert np.allclose(x_t, np.float32(math.sqrt(1.0 - abar)) * eps)
 
+    @pytest.mark.parametrize("shape", [(6, 5, 5), (3, 1, 4, 4), (4, 4)])
+    def test_scalar_timestep_is_the_same_timestep_for_every_item(self, shape):
+        sched = build_schedule(T=20)
+        x0 = np.random.default_rng(3).random(shape).astype(np.float32)
+        one = forward_jump(x0, 13, sched, Rng(8))
+        each = forward_jump(x0, np.full(shape[0], 13), sched, Rng(8))
+        assert one[0].tobytes() == each[0].tobytes() and one[1].tobytes() == each[1].tobytes()
+
     def test_jump_matches_iterated_steps_in_distribution(self):
         # first two moments over 10^4 trials at t=5 on 2x2 images, 3 SE bound
         sched = build_schedule(T=5, beta_start=0.05, beta_end=0.3)

@@ -1,18 +1,28 @@
-"""Every name a module under src/ imports, and every private name it defines, is used in that module.
+"""Every name a module under src/ imports or defines is used.
 
 No linter ships with the toolchain, so this parses each module with `ast`:
 a name bound by `import` or `from ... import` must be read somewhere in the
 module or listed in its `__all__`, and a module-level `def`, `class` or
 assignment whose name starts with `_` (dunders aside) must be read in the
 module, so deleting a caller cannot leave its private helper behind.
+
+A public module-level `def`, `class` or assignment, and a public method,
+must be read somewhere in src/, in the acceptance gate or in perfbench/,
+so a public name that only unit tests call cannot come back. A string
+constant equal to the name counts as a read: perfbench's tracer wraps
+functions and methods named as strings.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+READERS = MODULES + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+# gate-level references the unit tests check the circuit evaluator against, kept on purpose
+TEST_REFERENCES = {"encode_zz", "apply_ansatz", "expectation_parity"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,3 +82,55 @@ def test_the_check_finds_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Name -> line of each public module-level def, class or assignment, and of each public method."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            names = [(node.name, node.lineno)] + [
+                (m.name, m.lineno) for m in members if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name, line in names:
+            if not name.startswith("_"):
+                defined.setdefault(name, line)
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Names, attributes and imported names the source reads, and its string constants."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_the_check_finds_unread_public_names():
+    source = ("import m\nfrom k import used_elsewhere\nA, B = 1, 2\nC: int = A\n"
+              "class K:\n    def method(self): return self.other()\n    def other(self): pass\n"
+              "    def _private(self): pass\n    def __init__(self): pass\n"
+              "def f(): return getattr(m, 'traced')\ndef traced(): pass\ndef used_elsewhere(): pass\n")
+    read = names_read(source)
+    assert sorted(n for n in public_definitions(source) if n not in read) == ["B", "C", "K", "f", "method"]
+
+
+def test_no_unread_public_names():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in READERS))
+    unread = {name: f"{path.relative_to(SRC)}:{line}" for path in MODULES
+              for name, line in public_definitions(path.read_text(encoding="utf-8")).items()
+              if name not in read}
+    # exactly the kept references: a new unread name fails, and so does a stale allowlist entry
+    assert unread.keys() == TEST_REFERENCES, unread

@@ -424,6 +424,19 @@ class TestReluDenseDropout:
             num = finite_difference_grad(lambda _: float((dense(x, w, b).astype(np.float64) * up).sum()), arr)
             assert grads_close(analytic, num, LAYER_TOL)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_backward_of_one_row_is_the_one_row_batch(self, seed):
+        rng = np.random.default_rng(seed + 450)
+        k, m = rng.integers(1, 9), rng.integers(1, 300)
+        x = rng.standard_normal(m).astype(np.float32)
+        w = rng.standard_normal((k, m)).astype(np.float32)
+        up = rng.standard_normal(k).astype(np.float32)
+        dx, dw, db = dense_backward(up, x, w)
+        _, dw2, db2 = dense_backward(up[None], x[None], w)
+        assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
+        assert dx.shape == (m,) and dw.shape == (k, m) and db.shape == (k,)
+        assert np.array_equal(dw, np.outer(up, x)) and np.array_equal(db, up)
+
     @pytest.mark.parametrize("seed", range(N_GRADCHECK_SEEDS))
     def test_dropout_gradient_with_frozen_mask(self, seed):
         rng = np.random.default_rng(seed + 500)

@@ -538,6 +538,53 @@ class TestAtomicWrites:
         assert target.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.cqck"]
 
+    def test_failed_write_into_a_new_directory_leaves_no_temp(self, tmp_path, monkeypatch):
+        self._fail_halfway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(tmp_path / "new" / "sub" / "x.csv", b"a,b\n" * 100)
+        assert list((tmp_path / "new" / "sub").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_output_in_a_missing_directory_is_created(self, tmp_path, command):
+        run = tmp_path / "run"
+        manifest = TestRobustTraining._dataset(tmp_path, 16)
+        cfg = _write_cfg(tmp_path / "t.cfg", dataset=manifest, output_dir=run, epochs=1, timing="zero")
+        assert main(["train", "-c", str(cfg)]) == 0
+        out = tmp_path / "new" / "sub" / "x.csv"
+        settings = ({"checkpoint": run / "checkpoint.cqck", "dataset": manifest} if command == "evaluate"
+                    else {"runs": run})
+        cfg = _write_cfg(tmp_path / "c.cfg", output=out, **settings)
+        assert main([command, "-c", str(cfg)]) == 0
+        assert out.read_text().startswith("split," if command == "evaluate" else "plane,")
+        assert [f.name for f in out.parent.iterdir()] == ["x.csv"]
+
+
+class TestSkullStripRule:
+    """skull_strip = true without skullnet_ckpt exits 1 naming the key, before any input is read."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        # each would make the command exit 2 once it is read
+        manifest = tmp_path / "ds.json"
+        entry = {"path": str(tmp_path / "missing.pgm"), "provenance": "real"}
+        manifest.write_text(json.dumps({"classes": {"a": {"train": [entry], "test": [entry]}},
+                                        "plane": "axial", "image_size": 16, "seed": 0}))
+        not_cqck = tmp_path / "junk.cqck"
+        not_cqck.write_bytes(b"junk")
+        return {"train": {"dataset": manifest, "output_dir": tmp_path / "out"},
+                "evaluate": {"checkpoint": not_cqck, "dataset": manifest, "output": tmp_path / "out" / "e.csv"}}
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_rule_is_checked_before_the_inputs(self, tmp_path, capsys, command):
+        settings = self._inputs(tmp_path)[command]
+        cfg = _write_cfg(tmp_path / "c.cfg", **settings)
+        assert main([command, "-c", str(cfg)]) == 2  # the inputs are read without the flag
+        capsys.readouterr()
+        cfg = _write_cfg(tmp_path / "c.cfg", skull_strip="true", **settings)
+        assert main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: skullnet_ckpt: required when skull_strip = true\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestRobustTraining:
     @staticmethod

@@ -361,15 +361,18 @@ class TestStackedForward:
         rng = np.random.default_rng(200 + 10 * n + rows)
         xs = rng.uniform(-4, 4, (rows, n))
         theta = rng.uniform(0, math.pi, n)
-        single = np.array([qsim.pqc_forward(x, theta) for x in xs])
-        assert np.array_equal(qsim.pqc_forward_rows(xs, theta), single)
+        single = [qsim.pqc_forward(x, theta) for x in xs]
+        assert all(type(p) is float for p in single)
+        stacked = qsim.pqc_forward(xs, theta)
+        assert stacked.shape == (rows,)
+        assert np.array_equal(stacked, np.array(single))
 
-    def test_rejects_bad_stacks(self):
+    @pytest.mark.parametrize("x, theta", [
+        (np.zeros((0, 2)), [0.1, 0.2]),  # empty stack
+        (np.zeros((2, 3, 2)), [0.1, 0.2]),  # 3-D input
+        (np.zeros((3, 2)), [0.1]),  # theta length differs from the rows'
+        ([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2]),  # a NaN row
+    ])
+    def test_rejects_bad_stacks(self, x, theta):
         with pytest.raises(BadLength):
-            qsim.pqc_forward_rows(np.zeros((0, 2)), [0.1, 0.2])
-        with pytest.raises(BadLength):
-            qsim.pqc_forward_rows(np.zeros(2), [0.1, 0.2])
-        with pytest.raises(BadLength):
-            qsim.pqc_forward_rows(np.zeros((3, 2)), [0.1])
-        with pytest.raises(BadLength):
-            qsim.pqc_forward_rows([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2])
+            qsim.pqc_forward(x, theta)

@@ -16,7 +16,13 @@ from cqbrain.skullnet import (
     train_segmenter,
 )
 
-from oracles import finite_difference_grad, finite_difference_grad_at, grads_close, with_float64_params
+from oracles import (
+    finite_difference_grad,
+    finite_difference_grad_at,
+    grads_close,
+    segmentation_loss_per_item,
+    with_float64_params,
+)
 from synthcorpus import annulus_corpus
 
 
@@ -217,6 +223,17 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             segmentation_loss(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("shape", [(13, 11), (1, 16, 16)])
+    def test_batched_dice_equals_the_per_item_loop(self, n, shape):
+        rng = np.random.default_rng(10 + n)
+        logits = (rng.standard_normal((n, *shape)) * 4).astype(np.float32)
+        mask = (rng.random((n, *shape)) > 0.6).astype(np.float32)
+        loss, dz = segmentation_loss(logits, mask)
+        want_loss, want_dz = segmentation_loss_per_item(logits, mask)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dz.tobytes() == want_dz.tobytes()
 
 
 class TestTraining:
