@@ -17,7 +17,7 @@ EVAL_CHUNK images per call and `_head` over the whole stack at once: one
 `forward` runs the same trunk code on one image, sends its one row through
 the same `_head`, and caches its activations for `backward`. Every predicted
 distribution equals the one-image `forward` result bit for bit: the conv
-kernels compute each batch item on its own, `dense` runs one row at a time
+kernels compute each batch item on its own, `dense` takes one row
 (a stacked matrix product may sum in another order than the matrix-vector
 one), and the circuit evaluator forms each row's phase product in a fixed
 order.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, EmptyDataset, ShapeMismatch
+from .errors import Diverged, EmptyInput, InvalidArgument
 from .neuralkernel import (
     ConfusionCounts,
     Optimizer,
@@ -80,13 +80,13 @@ class CqcnnConfig:
 
     def __post_init__(self):
         if self.head not in (HEAD_QUANTUM, HEAD_CLASSICAL):
-            raise ValueError(f"head must be {HEAD_QUANTUM!r} or {HEAD_CLASSICAL!r}")
+            raise InvalidArgument(f"head must be {HEAD_QUANTUM!r} or {HEAD_CLASSICAL!r}")
         if self.n_qubits not in (2, 3):
-            raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits}")
+            raise InvalidArgument(f"n_qubits must be 2 or 3, got {self.n_qubits}")
         if self.fc_width is not None and self.fc_width < self.n_qubits:
-            raise ValueError(f"fc_width must be >= n_qubits = {self.n_qubits}, got {self.fc_width}")
+            raise InvalidArgument(f"fc_width must be >= n_qubits = {self.n_qubits}, got {self.fc_width}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise InvalidArgument(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def fc_out(self) -> int:
@@ -104,7 +104,7 @@ class CqcnnConfig:
         s2 = p1 - self.kernel + 1
         p2 = s2 // 2
         if min(s1, p1, s2, p2) < 1:
-            raise ShapeMismatch(f"image_size {self.image_size} too small for two {self.kernel}x{self.kernel} conv+pool stages")
+            raise InvalidArgument(f"image_size {self.image_size} too small for two {self.kernel}x{self.kernel} conv+pool stages")
         return {
             "conv1": (self.conv1_out, s1, s1),
             "pool1": (self.conv1_out, p1, p1),
@@ -155,7 +155,7 @@ class CqcnnModel:
         img = np.asarray(img, dtype=np.float32)
         size = self.config.image_size
         if img.shape != (size, size):
-            raise ShapeMismatch(f"expected {size}x{size} image, got {img.shape}")
+            raise InvalidArgument(f"expected {size}x{size} image, got {img.shape}")
         return img
 
     def _trunk(self, x0: np.ndarray) -> dict[str, np.ndarray]:
@@ -214,7 +214,7 @@ class CqcnnModel:
     def backward(self, y: np.ndarray) -> Params:
         """Loss gradients of every parameter, in the layout of `params()`; needs a cached forward."""
         if self._cache is None:
-            raise ShapeMismatch("backward called before forward")
+            raise InvalidArgument("backward called before forward")
         c = self._cache
         y = np.asarray(y, dtype=np.float32)
         cfg = self.config
@@ -287,7 +287,7 @@ def _one_hot(label: int) -> np.ndarray:
 def evaluate(model: CqcnnModel, dataset: Dataset) -> EvalResult:
     """Deterministic eval-mode pass: argmax predictions vs labels, via `predict`."""
     if not dataset:
-        raise EmptyDataset("evaluation set is empty")
+        raise EmptyInput("evaluation set is empty")
     counts = ConfusionCounts()
     total_loss = 0.0
     gammas = model.predict([img for img, _ in dataset])
@@ -310,7 +310,7 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
     gradients across the batch before stepping.
     """
     if not dataset:
-        raise EmptyDataset("training set is empty")
+        raise EmptyInput("training set is empty")
     start = time.perf_counter()
     rng = Rng(seed).derive(f"epoch:{epoch}")
     order = rng.derive("shuffle").permutation(len(dataset))

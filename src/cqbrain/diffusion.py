@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, BadTimestep, EmptyBatch, ShapeMismatch
+from .errors import EmptyInput, InvalidArgument
 from .neuralkernel import Optimizer, Params, glorot
 from .rng import Rng
 from .skullnet import UNet, UNetConfig
 
-DEFAULT_T = 1000
+# diffuse-train's schedule defaults
 DESK_T = 200
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
@@ -42,26 +42,26 @@ class NoiseSchedule:
         """Degenerate endpoints (beta of 0 or 1) are allowed here for identities."""
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
-            raise BadRange("need at least one beta")
+            raise InvalidArgument("need at least one beta")
         if (betas < 0.0).any() or (betas > 1.0).any():
-            raise BadRange("betas must lie in [0, 1]")
+            raise InvalidArgument("betas must lie in [0, 1]")
         alphas = 1.0 - betas
         return cls(betas.size, betas, alphas, np.cumprod(alphas))
 
     def at(self, t: int) -> tuple[float, float, float]:
         """(beta_t, alpha_t, abar_t); validates 1 <= t <= T."""
         if not 1 <= t <= self.T:
-            raise BadTimestep(f"t = {t} outside [1, {self.T}]")
+            raise InvalidArgument(f"t = {t} outside [1, {self.T}]")
         return float(self.betas[t - 1]), float(self.alphas[t - 1]), float(self.alpha_bars[t - 1])
 
 
-def build_schedule(T: int = DEFAULT_T, beta_start: float = DEFAULT_BETA_START,
+def build_schedule(T: int, beta_start: float = DEFAULT_BETA_START,
                    beta_end: float = DEFAULT_BETA_END) -> NoiseSchedule:
     """Linear beta interpolation from beta_start to beta_end over T steps."""
     if T < 1:
-        raise BadRange(f"T must be >= 1, got {T}")
+        raise InvalidArgument(f"T must be >= 1, got {T}")
     if not 0.0 < beta_start <= beta_end < 1.0:
-        raise BadRange(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
+        raise InvalidArgument(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
     betas = np.linspace(beta_start, beta_end, T) if T > 1 else np.array([beta_start])
     return NoiseSchedule.from_betas(betas)
 
@@ -71,9 +71,9 @@ def _timestep_index(t, n: int, T: int) -> np.ndarray:
     if ts.size == 1:
         ts = np.full(n, int(ts[0]), dtype=np.int64)
     if ts.size != n:
-        raise ShapeMismatch(f"need 1 or {n} timesteps, got {ts.size}")
+        raise InvalidArgument(f"need 1 or {n} timesteps, got {ts.size}")
     if (ts < 1).any() or (ts > T).any():
-        raise BadTimestep(f"timesteps outside [1, {T}]")
+        raise InvalidArgument(f"timesteps outside [1, {T}]")
     return ts
 
 
@@ -99,7 +99,7 @@ def forward_jump(x0: np.ndarray, t, schedule: NoiseSchedule, rng: Rng) -> tuple[
 
 def _check_emb_dim(dim: int) -> None:
     if dim < 2 or dim % 2:
-        raise ShapeMismatch(f"embedding dim must be even and >= 2, got {dim}")
+        raise InvalidArgument(f"embedding dim must be even and >= 2, got {dim}")
 
 
 def sinusoidal_embedding(ts: np.ndarray, dim: int) -> np.ndarray:
@@ -157,7 +157,7 @@ class NoisePredictor:
 
     def backward(self, dy: np.ndarray) -> Params:
         """Gradients of every parameter, in the layout of `params()`."""
-        grads, _, dba = self.unet.backward(dy, input_grad=False)
+        grads, dba = self.unet.backward(dy)
         grads["temb_w"] = dba.T @ self._emb
         grads["temb_b"] = dba.sum(axis=0)
         return grads
@@ -175,7 +175,7 @@ def train_step(predictor, x0_batch: np.ndarray, schedule: NoiseSchedule,
     if x0.ndim == 3:
         x0 = x0[:, None]
     if x0.ndim != 4 or x0.shape[0] == 0:
-        raise EmptyBatch(f"need a nonempty (N, H, W) or (N, 1, H, W) batch, got {x0_batch.shape}")
+        raise EmptyInput(f"need a nonempty (N, H, W) or (N, 1, H, W) batch, got {x0_batch.shape}")
     n = x0.shape[0]
     ts = rng.derive("timesteps").integers(1, schedule.T + 1, n)
     x_t, eps = forward_jump(x0, ts, schedule, rng.derive("noise"))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidArgument
 
 CE_EPS = 1e-7  # lower clamp: keeps log finite when a probability hits exact 0
 
@@ -12,7 +12,7 @@ def _check(gamma: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gamma = np.asarray(gamma, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
     if gamma.shape != y.shape or gamma.ndim not in (1, 2):
-        raise ShapeMismatch(f"probabilities {gamma.shape} vs labels {y.shape}")
+        raise InvalidArgument(f"probabilities {gamma.shape} vs labels {y.shape}")
     return gamma, y
 
 

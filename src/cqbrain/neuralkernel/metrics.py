@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidArgument
 
 
 @dataclass
@@ -59,7 +59,7 @@ def dice_iou(pred_mask: np.ndarray, true_mask: np.ndarray) -> tuple[float, float
     pred_mask = np.asarray(pred_mask)
     true_mask = np.asarray(true_mask)
     if pred_mask.shape != true_mask.shape:
-        raise ShapeMismatch(f"mask shapes differ: {pred_mask.shape} vs {true_mask.shape}")
+        raise InvalidArgument(f"mask shapes differ: {pred_mask.shape} vs {true_mask.shape}")
     a = pred_mask >= 0.5
     b = true_mask >= 0.5
     inter = int(np.count_nonzero(a & b))

@@ -1,8 +1,9 @@
 """Layer kernels (conv, pool, dense, dropout, activations) and weight init.
 
 All kernels accept a single item (channel-first, e.g. (C, H, W)) or a
-leading batch axis, compute in float32, and keep reductions in a fixed
-serial order so repeated runs are bit-identical.
+leading batch axis, except `dense` and `dense_backward`, which take one
+row. They compute in float32 and keep reductions in a fixed serial
+order so repeated runs are bit-identical.
 
 Backward kernels compute only what their caller uses:
 `conv2d_backward(..., input_grad=False)` returns None in place of dx and
@@ -47,7 +48,7 @@ import threading
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidArgument
 from ..rng import Rng
 
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major tie-break order
@@ -75,7 +76,7 @@ def _batched(x: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
         return x[None], True
     if x.ndim == ndim + 1:
         return x, False
-    raise ShapeMismatch(f"expected rank {ndim} or {ndim + 1}, got shape {x.shape}")
+    raise InvalidArgument(f"expected rank {ndim} or {ndim + 1}, got shape {x.shape}")
 
 
 _workspace = threading.local()
@@ -149,27 +150,27 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, 
 def _conv_geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str):
     """(c_out, c_in, k, h_out, w_out, pad) of a conv, after checking every shape."""
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise ShapeMismatch(f"weights must be (C_out, C_in, K, K), got {w.shape}")
+        raise InvalidArgument(f"weights must be (C_out, C_in, K, K), got {w.shape}")
     c_out, c_in, k, _ = w.shape
     if x.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, weights expect {c_in}")
+        raise InvalidArgument(f"input has {x.shape[1]} channels, weights expect {c_in}")
     if b.shape != (c_out,):
-        raise ShapeMismatch(f"bias must be ({c_out},), got {b.shape}")
+        raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
     if padding == "same":
         if stride != 1:
-            raise ShapeMismatch("'same' padding only supports stride 1")
+            raise InvalidArgument("'same' padding only supports stride 1")
         if k % 2 == 0:
-            raise ShapeMismatch(f"'same' padding needs an odd kernel, got {k}")
+            raise InvalidArgument(f"'same' padding needs an odd kernel, got {k}")
         h_out, w_out, pad = x.shape[2], x.shape[3], (k - 1) // 2
     elif padding == "valid":
         h, wdt = x.shape[2], x.shape[3]
         if k > h or k > wdt:
-            raise ShapeMismatch(f"kernel {k} exceeds input {h}x{wdt}")
+            raise InvalidArgument(f"kernel {k} exceeds input {h}x{wdt}")
         if (h - k) % stride or (wdt - k) % stride:
-            raise ShapeMismatch(f"stride {stride} does not evenly cover {h}x{wdt} with kernel {k}")
+            raise InvalidArgument(f"stride {stride} does not evenly cover {h}x{wdt} with kernel {k}")
         h_out, w_out, pad = (h - k) // stride + 1, (wdt - k) // stride + 1, 0
     else:
-        raise ShapeMismatch(f"padding must be 'valid' or 'same', got {padding!r}")
+        raise InvalidArgument(f"padding must be 'valid' or 'same', got {padding!r}")
     return c_out, c_in, k, h_out, w_out, pad
 
 
@@ -195,7 +196,7 @@ def conv2d_backward(
     dyb, _ = _batched(dy, 3)
     c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, np.zeros(w.shape[0], np.float32), stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
-        raise ShapeMismatch(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
+        raise InvalidArgument(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
     cols = _im2col(xb, k, stride, h_out, w_out, pad)
     dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
 
@@ -213,12 +214,12 @@ def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
     if w.ndim != 4 or w.shape[2:] != (2, 2):
-        raise ShapeMismatch(f"weights must be (C_in, C_out, 2, 2), got {w.shape}")
+        raise InvalidArgument(f"weights must be (C_in, C_out, 2, 2), got {w.shape}")
     c_in, c_out = w.shape[:2]
     if xb.shape[1] != c_in:
-        raise ShapeMismatch(f"input has {xb.shape[1]} channels, weights expect {c_in}")
+        raise InvalidArgument(f"input has {xb.shape[1]} channels, weights expect {c_in}")
     if b.shape != (c_out,):
-        raise ShapeMismatch(f"bias must be ({c_out},), got {b.shape}")
+        raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
     n, _, h, wdt = xb.shape
     y = np.zeros((n, c_out, 2 * h, 2 * wdt), dtype=xb.dtype)
     for di, dj in _WINDOW_OFFSETS:
@@ -235,7 +236,7 @@ def conv_transpose2x2_backward(
     dyb, _ = _batched(dy, 3)
     c_in, c_out = w.shape[:2]
     if dyb.shape[1:] != (c_out, 2 * xb.shape[2], 2 * xb.shape[3]):
-        raise ShapeMismatch(f"upstream shape {dyb.shape} does not match doubled input {xb.shape}")
+        raise InvalidArgument(f"upstream shape {dyb.shape} does not match doubled input {xb.shape}")
     dx = np.zeros_like(xb)
     dw = np.zeros_like(w)
     for di, dj in _WINDOW_OFFSETS:
@@ -273,7 +274,7 @@ def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
     if dyb.shape[1:] != (xb.shape[1], xb.shape[2] // 2, xb.shape[3] // 2):
-        raise ShapeMismatch(f"upstream shape {dyb.shape} does not match pooled {xb.shape}")
+        raise InvalidArgument(f"upstream shape {dyb.shape} does not match pooled {xb.shape}")
     views = _pool_windows(xb)
     y = _window_max(views)
     dx = np.zeros_like(xb)
@@ -296,20 +297,19 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W x + b; w is (N_out, N_in), x is (N_in,) or (N, N_in)."""
+    """Affine map W x + b of one row; w is (N_out, N_in), x is (N_in,)."""
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
-    if w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise ShapeMismatch(f"dense shapes x={x.shape} w={w.shape} b={b.shape}")
+    if x.ndim != 1 or w.ndim != 2 or x.shape[0] != w.shape[1] or b.shape != (w.shape[0],):
+        raise InvalidArgument(f"dense shapes x={x.shape} w={w.shape} b={b.shape}")
     return x @ w.T + b
 
 
 def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dw, db) of one row: dw is the outer product dy x^T, db is dy itself."""
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
-    if dy.shape[-1] != w.shape[0]:
-        raise ShapeMismatch(f"upstream width {dy.shape[-1]} does not match {w.shape[0]} outputs")
-    dx = dy @ w
-    rows = np.atleast_2d(dy)  # one row is a one-row batch
-    return dx, rows.T @ np.atleast_2d(x), rows.sum(axis=0)
+    if dy.ndim != 1 or x.ndim != 1 or w.shape != (dy.shape[0], x.shape[0]):
+        raise InvalidArgument(f"dense_backward shapes dy={dy.shape} x={x.shape} w={w.shape}")
+    return dy @ w, np.outer(dy, x), dy
 
 
 def dropout(x: np.ndarray, rate: float, mode: str, rng: Rng | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +320,13 @@ def dropout(x: np.ndarray, rate: float, mode: str, rng: Rng | None = None) -> tu
     """
     x = _as_f32(x)
     if not 0.0 <= rate < 1.0:
-        raise ShapeMismatch(f"dropout rate must be in [0, 1), got {rate}")
+        raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
     if mode == "eval" or rate == 0.0:
         return x, np.ones_like(x)
     if mode != "train":
-        raise ShapeMismatch(f"mode must be 'train' or 'eval', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if rng is None:
-        raise ShapeMismatch("train-mode dropout needs an explicit rng stream")
+        raise InvalidArgument("train-mode dropout needs an explicit rng stream")
     mask = (rng.uniform(x.shape) >= rate).astype(x.dtype)
     return x * mask / (1.0 - rate), mask
 

@@ -10,7 +10,7 @@ from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidArgument
 
 
 class Params(Mapping):
@@ -32,7 +32,7 @@ class Params(Mapping):
         """Copy `value` into the named view; its shape must match."""
         view = self._views[name]
         if np.shape(value) != view.shape:
-            raise ShapeMismatch(f"{name}: got shape {np.shape(value)}, holds {view.shape}")
+            raise InvalidArgument(f"{name}: got shape {np.shape(value)}, holds {view.shape}")
         view[...] = value
 
     def __iter__(self) -> Iterator[str]:
@@ -64,11 +64,11 @@ class Optimizer:
         """Update every parameter in place from gradients in the same layout."""
         p, g = params.flat, grads.flat
         if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient vector holds {g.size} values, parameters {p.size}")
+            raise InvalidArgument(f"gradient vector holds {g.size} values, parameters {p.size}")
         if self.t == 0:
             self._m, self._v, self._a, self._b = (np.zeros_like(p) for _ in range(4))
         elif self._m.shape != p.shape:
-            raise ShapeMismatch(f"optimizer state holds {self._m.size} values, parameters {p.size}")
+            raise InvalidArgument(f"optimizer state holds {self._m.size} values, parameters {p.size}")
         self.t += 1
         b1, b2, t, m, v, a, b = self.beta1, self.beta2, self.t, self._m, self._v, self._a, self._b
         m *= b1
@@ -90,5 +90,5 @@ class Optimizer:
 def make_optimizer(name: str, lr: float = 1e-3) -> Optimizer:
     """The one optimizer the trainers use; `name` must be "adam"."""
     if name != "adam":
-        raise ValueError(f"unknown optimizer {name!r}, only 'adam' is available")
+        raise InvalidArgument(f"unknown optimizer {name!r}, only 'adam' is available")
     return Optimizer(lr)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadFormat, BadMagic, BadVersion, DuplicateName, Truncated
+from ..errors import BadFormat, BadMagic, InvalidArgument, Truncated
 from .atomic import write_atomic
 
 MAGIC = b"CQCK"
@@ -32,7 +32,7 @@ def serialize_tensors(tensors: dict[str, np.ndarray]) -> bytes:
         arr = np.asarray(tensors[name]).astype("<f4", copy=False)  # 0-d stays 0-d
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise DuplicateName(f"tensor name too long ({len(encoded)} bytes)")
+            raise InvalidArgument(f"tensor name too long ({len(encoded)} bytes)")
         out += struct.pack("<H", len(encoded))
         out += encoded
         out += struct.pack("<B", arr.ndim)
@@ -49,7 +49,7 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
         raise Truncated("container shorter than its fixed header")
     version, count = struct.unpack_from("<II", data, 4)
     if version != VERSION:
-        raise BadVersion(f"version {version} unsupported (expected {VERSION})")
+        raise BadFormat(f"version {version} unsupported (expected {VERSION})")
     pos = 12
     tensors: dict[str, np.ndarray] = {}
 
@@ -68,7 +68,7 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise BadFormat(f"tensor name at offset {pos - name_len} is not UTF-8: {exc}") from exc
         if name in tensors:
-            raise DuplicateName(f"tensor {name!r} appears twice")
+            raise BadFormat(f"tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
         n_values = math.prod(dims)  # Python ints: a huge product cannot wrap

@@ -23,8 +23,16 @@ from ..cqcnn import (
     evaluate,
     train_epoch,
 )
-from ..diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, train_step
-from ..errors import ConfigError, CqbrainError, Diverged, EmptyInput
+from ..diffusion import (
+    DEFAULT_BETA_END,
+    DEFAULT_BETA_START,
+    DESK_T,
+    NoisePredictor,
+    NoisePredictorConfig,
+    build_schedule,
+    train_step,
+)
+from ..errors import ConfigError, CqbrainError, Diverged, EmptyInput, InvalidArgument
 from ..neuralkernel import make_optimizer
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
@@ -87,9 +95,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "size": Field("int", 64, low=0),
         "widths": Field("ints", (8, 16), low=0),
         "emb_dim": Field("int", 16, low=1),
-        "T": Field("int", 200, low=0),
-        "beta_start": Field("float", 1e-4, low=0),
-        "beta_end": Field("float", 0.02, low=0),
+        "T": Field("int", DESK_T, low=0),
+        "beta_start": Field("float", DEFAULT_BETA_START, low=0),
+        "beta_end": Field("float", DEFAULT_BETA_END, low=0),
         "epochs": Field("int", 500, low=0),
         "batch_size": Field("int", 16, low=0),
         "lr": Field("float", 2e-3, low=0),
@@ -196,7 +204,7 @@ def _checked(keys: str, build, *args, **kwargs):
     """build(*args, **kwargs), with the model's own check failing as a config error naming `keys`."""
     try:
         return build(*args, **kwargs)
-    except (CqbrainError, ValueError) as exc:
+    except InvalidArgument as exc:
         raise ConfigError(f"{keys}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diffusion import build_schedule, sample
-from ..errors import BadFormat, EmptyInput, MissingDiffusionModel
+from ..errors import BadFormat, EmptyInput, InvalidArgument
 from ..rng import Rng
 from ..volio import Image2D, fit, read_pgm, write_pgm
 from .atomic import write_atomic
@@ -211,7 +211,7 @@ def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, see
             if want == 0:
                 continue
             if p not in diffusion_ckpts:
-                raise MissingDiffusionModel(f"balancing needs a diffusion checkpoint for plane {p!r}")
+                raise InvalidArgument(f"balancing needs a diffusion checkpoint for plane {p!r}")
             tag = f"{minority}_{p}"
             paths = sample_pgms(Path(diffusion_ckpts[p]), want, Rng(seed).derive(f"synth:{tag}"),
                                 out_root / "synthetic" / minority / p, f"synthetic_{tag}", image_size)

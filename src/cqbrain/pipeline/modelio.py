@@ -13,7 +13,7 @@ import numpy as np
 
 from ..cqcnn import CqcnnConfig, CqcnnModel, HEAD_CLASSICAL, HEAD_QUANTUM
 from ..diffusion import NoisePredictor, NoisePredictorConfig
-from ..errors import BadFormat, ShapeMismatch
+from ..errors import BadFormat, InvalidArgument
 from ..rng import Rng
 from ..skullnet import UNet, UNetConfig
 
@@ -51,7 +51,7 @@ def _load(tensors: dict, kind: int, what: str, make_config, model_cls):
     try:
         config = make_config()
         shapes = config.param_shapes()
-    except (ValueError, ShapeMismatch) as exc:
+    except InvalidArgument as exc:
         raise BadFormat(f"checkpoint metadata describes no {what}: {exc}") from exc
     stored = {k[len("param_"):]: v for k, v in tensors.items() if k.startswith("param_")}
     if stored.keys() != shapes.keys():

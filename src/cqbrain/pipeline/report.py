@@ -6,7 +6,7 @@ import io
 import math
 from pathlib import Path
 
-from ..errors import BadFormat, NoRuns
+from ..errors import BadFormat, EmptyInput
 from .atomic import write_atomic
 
 CURVE_COLUMNS = ["run", "plane", "skull_stripped", "qubits", "seed", "epoch", "split",
@@ -92,7 +92,7 @@ def summarize_runs(run_dirs: list[str | Path], threshold: float = 0.95) -> list[
         except (TypeError, ValueError) as exc:
             raise BadFormat(f"{curve_path}: {exc}") from exc
     if not groups:
-        raise NoRuns("no completed runs with curves.csv found")
+        raise EmptyInput("no completed runs with curves.csv found")
 
     out = []
     for key in sorted(groups):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, BadQubit
+from .errors import InvalidArgument
 
 MAX_QUBITS = 12
 
@@ -39,15 +39,15 @@ class StateVector:
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise BadQubit(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+            raise InvalidArgument(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         if self.amps.shape != (2**self.n_qubits,):
-            raise BadLength(f"need {2**self.n_qubits} amplitudes, got shape {self.amps.shape}")
+            raise InvalidArgument(f"need {2**self.n_qubits} amplitudes, got shape {self.amps.shape}")
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
         if not 1 <= n_qubits <= MAX_QUBITS:
-            raise BadQubit(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+            raise InvalidArgument(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n_qubits, amps)
@@ -58,7 +58,7 @@ class StateVector:
 
 def _check_qubit(s: StateVector, q: int) -> None:
     if not 0 <= q < s.n_qubits:
-        raise BadQubit(f"qubit {q} outside [0, {s.n_qubits})")
+        raise InvalidArgument(f"qubit {q} outside [0, {s.n_qubits})")
 
 
 def _bit(n_states: int, q: int) -> np.ndarray:
@@ -96,7 +96,7 @@ def apply_cz(s: StateVector, q1: int, q2: int) -> StateVector:
     _check_qubit(s, q1)
     _check_qubit(s, q2)
     if q1 == q2:
-        raise BadQubit(f"controlled-Z needs two distinct qubits, got {q1} twice")
+        raise InvalidArgument(f"controlled-Z needs two distinct qubits, got {q1} twice")
     out = s.amps.copy()
     both = (_bit(out.size, q1) & _bit(out.size, q2)) == 1
     out[both] *= -1.0
@@ -118,7 +118,7 @@ def apply_zz_phase(s: StateVector, q1: int, q2: int, phi: float) -> StateVector:
     _check_qubit(s, q1)
     _check_qubit(s, q2)
     if q1 == q2:
-        raise BadQubit(f"pairwise phase needs two distinct qubits, got {q1} twice")
+        raise InvalidArgument(f"pairwise phase needs two distinct qubits, got {q1} twice")
     out = s.amps.copy()
     odd = (_bit(out.size, q1) ^ _bit(out.size, q2)) == 1
     out[odd] *= np.exp(1j * phi)
@@ -130,11 +130,11 @@ def apply_zz_phase(s: StateVector, q1: int, q2: int, phi: float) -> StateVector:
 def _validated(x, n: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     if n is not None and arr.size != n:
-        raise BadLength(f"expected length {n}, got {arr.size}")
+        raise InvalidArgument(f"expected length {n}, got {arr.size}")
     if arr.size < 1 or arr.size > MAX_QUBITS:
-        raise BadLength(f"vector length must be in [1, {MAX_QUBITS}], got {arr.size}")
+        raise InvalidArgument(f"vector length must be in [1, {MAX_QUBITS}], got {arr.size}")
     if not np.isfinite(arr).all():
-        raise BadLength("vector entries must be finite")
+        raise InvalidArgument("vector entries must be finite")
     return arr
 
 
@@ -219,11 +219,11 @@ def pqc_forward(x, theta) -> float | np.ndarray:
     """
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim not in (1, 2) or xs.size == 0:
-        raise BadLength(f"expected a feature vector or a non-empty stack of them, got shape {xs.shape}")
+        raise InvalidArgument(f"expected a feature vector or a non-empty stack of them, got shape {xs.shape}")
     stack = np.atleast_2d(xs)
     n = _validated(stack[0]).size
     if not np.isfinite(stack).all():
-        raise BadLength("vector entries must be finite")
+        raise InvalidArgument("vector entries must be finite")
     theta = _validated(theta, n)
     rows = np.concatenate([_encoding_angles(stack), np.broadcast_to(theta, stack.shape)], axis=1)
     p = (_parity_expectations(n, rows) + 1.0) / 2.0

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,7 +77,7 @@ class Rng:
     def integers(self, low: int, high: int, shape: int | tuple[int, ...] = ()) -> np.ndarray | int:
         """Uniform integers in [low, high). Modulo bias is negligible for spans << 2^64."""
         if high <= low:
-            raise ValueError(f"empty range [{low}, {high})")
+            raise InvalidArgument(f"empty range [{low}, {high})")
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         vals = low + (self._raw(n) % np.uint64(high - low)).astype(np.int64)

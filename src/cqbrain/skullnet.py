@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, EmptyDataset, ShapeMismatch
+from .errors import Diverged, EmptyInput, InvalidArgument
 from .neuralkernel import (
     Optimizer,
     Params,
@@ -53,10 +53,10 @@ class UNetConfig:
 
     def __post_init__(self):
         if len(self.widths) < 2:
-            raise ShapeMismatch("need at least two levels (encoder + bottleneck)")
+            raise InvalidArgument("need at least two levels (encoder + bottleneck)")
         down = 2 ** (len(self.widths) - 1)
         if self.input_size % down or self.input_size < down:
-            raise ShapeMismatch(f"input_size {self.input_size} must be a multiple of {down}")
+            raise InvalidArgument(f"input_size {self.input_size} must be a multiple of {down}")
 
     @property
     def depth(self) -> int:
@@ -119,7 +119,7 @@ class UNet:
         return x
 
     def _conv_block_backward(self, name: str, dy: np.ndarray, cache: dict,
-                             grads: Params, input_grad: bool = True) -> np.ndarray | None:
+                             grads: Params, input_grad: bool) -> np.ndarray | None:
         """Gradient of the block's input; None (not computed) when input_grad is False."""
         for stage in ("c2", "c1"):
             key = f"{name}_{stage}"
@@ -133,7 +133,7 @@ class UNet:
         """Logits with the input's spatial shape; x is (N, C, H, W)."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != (cfg.input_size, cfg.input_size):
-            raise ShapeMismatch(f"expected (N, {cfg.in_channels}, {cfg.input_size}, {cfg.input_size}), got {x.shape}")
+            raise InvalidArgument(f"expected (N, {cfg.in_channels}, {cfg.input_size}, {cfg.input_size}), got {x.shape}")
         cache: dict = {}
         skips: list[np.ndarray] = []
         for lvl in range(cfg.depth):
@@ -147,7 +147,7 @@ class UNet:
             add = np.asarray(bottleneck_add)
             add = add.astype(np.float64 if add.dtype == np.float64 else np.float32)
             if add.shape != (x.shape[0], cfg.bottleneck_channels):
-                raise ShapeMismatch(f"bottleneck vector must be (N, {cfg.bottleneck_channels}), got {add.shape}")
+                raise InvalidArgument(f"bottleneck vector must be (N, {cfg.bottleneck_channels}), got {add.shape}")
             x = x + add[:, :, None, None]
         cache["used_bottleneck_add"] = bottleneck_add is not None
 
@@ -155,7 +155,7 @@ class UNet:
             up = conv_transpose2x2(x, self._params[f"up{lvl}_w"], self._params[f"up{lvl}_b"])
             skip = skips[lvl]
             if up.shape[2:] != skip.shape[2:]:
-                raise ShapeMismatch(f"decoder level {lvl}: upsampled {up.shape} vs skip {skip.shape}")
+                raise InvalidArgument(f"decoder level {lvl}: upsampled {up.shape} vs skip {skip.shape}")
             cache[f"up{lvl}_in"] = x
             joined = np.concatenate([up, skip], axis=1)
             cache[f"dec{lvl}_join"] = joined.shape[1] // 2
@@ -166,16 +166,15 @@ class UNet:
         self._cache = cache
         return logits
 
-    def backward(self, dlogits: np.ndarray, input_grad: bool = True
-                 ) -> tuple[Params, np.ndarray | None, np.ndarray | None]:
-        """Returns (parameter grads, input grad, bottleneck-vector grad or None).
+    def backward(self, dlogits: np.ndarray) -> tuple[Params, np.ndarray | None]:
+        """Returns (parameter grads, bottleneck-vector grad or None).
 
         Parameter grads have the layout of `params()`, an owner's entries zero.
-        With input_grad False the first conv skips its input gradient and the
-        input grad comes back as None (training never uses it: the input is data).
+        The first conv skips its input gradient: the input is data, which no
+        caller differentiates.
         """
         if self._cache is None:
-            raise ShapeMismatch("backward called before forward")
+            raise InvalidArgument("backward called before forward")
         cfg = self.config
         cache = self._cache
         grads = self._params.zeros_like()
@@ -184,7 +183,7 @@ class UNet:
             dlogits, cache["head_in"], self._params["head_w"])
 
         for lvl in range(cfg.depth - 1):
-            dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads)
+            dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads, input_grad=True)
             half = cache[f"dec{lvl}_join"]
             dup, dskip = dy[:, :half], dy[:, half:]
             dx_level, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
@@ -198,8 +197,8 @@ class UNet:
             if lvl < cfg.depth - 1:
                 dy = maxpool2x2_backward(dy, cache[f"pool{lvl}_in"])
                 dy = dy + cache[f"skip{lvl}_grad"]
-            dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads, input_grad or lvl > 0)
-        return grads, dy, d_bottleneck
+            dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads, input_grad=lvl > 0)
+        return grads, d_bottleneck
 
 
 @dataclass
@@ -213,7 +212,7 @@ class MaskPair:
         self.image = np.asarray(self.image, dtype=np.float32)
         self.mask = (np.asarray(self.mask, dtype=np.float32) >= 0.5).astype(np.float32)
         if self.image.shape != self.mask.shape:
-            raise ShapeMismatch(f"image {self.image.shape} vs mask {self.mask.shape}")
+            raise InvalidArgument(f"image {self.image.shape} vs mask {self.mask.shape}")
 
 
 def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
@@ -226,7 +225,7 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
     z = np.asarray(logits, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
     if z.shape != m.shape:
-        raise ShapeMismatch(f"logits {z.shape} vs mask {m.shape}")
+        raise InvalidArgument(f"logits {z.shape} vs mask {m.shape}")
     n = z.shape[0]
     npix = z[0].size
 
@@ -271,7 +270,7 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
                     seed: int, batch_size: int = 8) -> list[SegEpochReport]:
     """Seeded mini-batch training; logs per-epoch loss and train Dice/IoU."""
     if not pairs:
-        raise EmptyDataset("no training pairs")
+        raise EmptyInput("no training pairs")
     reports = []
     for epoch in range(epochs):
         start = time.perf_counter()
@@ -286,7 +285,7 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
             if not math.isfinite(loss):
                 raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
                                f"position {b0}: loss is {loss}")
-            grads, _, _ = model.backward(dz, input_grad=False)
+            grads, _ = model.backward(dz)
             optimizer.step(model.params(), grads)
             total_loss += loss
             batches += 1

@@ -26,16 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadFormat,
-    BadMagic,
-    BadRank,
-    EmptyPlan,
-    IndexOutOfRange,
-    InvalidRequest,
-    Truncated,
-    UnsupportedDatatype,
-)
+from .errors import BadFormat, BadMagic, InvalidArgument, Truncated
 
 MAGIC_SINGLE = b"n+1\x00"  # header and voxels in one file
 MAGIC_DETACHED = b"ni1\x00"  # voxels supplied as a separate byte string
@@ -138,9 +129,12 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
     "n+1" payloads hold their voxels at vox_offset (at least 352) inside
     `data`. The volume's `raw` voxels are a view into the raster bytes.
 
-    Raises BadMagic, UnsupportedDatatype, Truncated, BadRank, or BadFormat
-    (a non-finite or non-integral vox_offset, a single-file vox_offset
-    inside the header, a non-finite scl_slope or scl_inter).
+    Raises BadMagic (no NIfTI-1 magic or header size), Truncated (a short
+    header or raster, a negative vox_offset, "ni1" without detached
+    bytes), or BadFormat (rank other than 3, a non-positive extent, an
+    unsupported datatype or bitpix, a non-finite or non-integral
+    vox_offset, a single-file vox_offset inside the header, a non-finite
+    scl_slope or scl_inter).
     """
     if len(data) < 348:
         raise Truncated(f"header needs 348 bytes, got {len(data)}")
@@ -156,16 +150,16 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
 
     dim = struct.unpack_from(e + "8h", data, 40)
     if dim[0] != 3:
-        raise BadRank(f"dim[0] = {dim[0]}, only rank-3 volumes supported")
+        raise BadFormat(f"dim[0] = {dim[0]}, only rank-3 volumes supported")
     nx, ny, nz = dim[1], dim[2], dim[3]
     if min(nx, ny, nz) < 1:
-        raise BadRank(f"non-positive extent in dim[1..3] = {(nx, ny, nz)}")
+        raise BadFormat(f"non-positive extent in dim[1..3] = {(nx, ny, nz)}")
 
     datatype, bitpix = struct.unpack_from(e + "2h", data, 70)
     if datatype not in _BITPIX:
-        raise UnsupportedDatatype(f"datatype code {datatype} not in {sorted(_BITPIX)}")
+        raise BadFormat(f"datatype code {datatype} not in {sorted(_BITPIX)}")
     if bitpix != _BITPIX[datatype]:
-        raise UnsupportedDatatype(f"bitpix {bitpix} inconsistent with datatype {datatype}")
+        raise BadFormat(f"bitpix {bitpix} inconsistent with datatype {datatype}")
     vox_offset, scl_slope, scl_inter = struct.unpack_from(e + "3f", data, 108)
     if not math.isfinite(scl_slope) or not math.isfinite(scl_inter):
         raise BadFormat(f"non-finite intensity scaling scl_slope = {scl_slope}, scl_inter = {scl_inter}")
@@ -197,19 +191,19 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
 def compute_interval(m: int, n: int) -> int:
     """Slice spacing floor(m / n) for extracting n of m slices."""
     if n == 0 or n > m:
-        raise InvalidRequest(f"cannot take n={n} slices from m={m}")
+        raise InvalidArgument(f"cannot take n={n} slices from m={m}")
     return m // n
 
 
 def plan_slices(plane: Plane, m: int, n: int, k1: int, k2: int) -> SlicePlan:
     """Extraction schedule: stride i = floor(m/n), keep ceil(m/i) - (k1+k2) slices."""
     if k1 < 0 or k2 < 0:
-        raise InvalidRequest(f"exclusions must be non-negative, got k1={k1}, k2={k2}")
+        raise InvalidArgument(f"exclusions must be non-negative, got k1={k1}, k2={k2}")
     i = compute_interval(m, n)
     total = math.ceil(m / i)
     n_slices = total - (k1 + k2)
     if n_slices < 1:
-        raise EmptyPlan(f"ceil({m}/{i}) = {total} slices, all excluded by k1+k2 = {k1 + k2}")
+        raise InvalidArgument(f"ceil({m}/{i}) = {total} slices, all excluded by k1+k2 = {k1 + k2}")
     return SlicePlan(plane, m, n, i, k1, k2, n_slices)
 
 
@@ -223,7 +217,7 @@ def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
     """
     extent = vol.plane_extent(plane)
     if not 0 <= index < extent:
-        raise IndexOutOfRange(f"{plane.value} index {index} outside [0, {extent - 1}]")
+        raise InvalidArgument(f"{plane.value} index {index} outside [0, {extent - 1}]")
     g = vol.grid()
     if plane is Plane.AXIAL:
         raw = g[index]  # (y, x)
@@ -244,7 +238,7 @@ def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
 def resize_bilinear(img: Image2D, w: int, h: int) -> Image2D:
     """Corner-aligned bilinear resample, clamped to [0, 1]."""
     if w < 1 or h < 1:
-        raise InvalidRequest(f"target size must be positive, got {w}x{h}")
+        raise InvalidArgument(f"target size must be positive, got {w}x{h}")
     src = img.pixels.astype(np.float64)
 
     def _coords(out_n: int, src_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
-from cqbrain.errors import BadFormat, BadMagic, BadVersion, CqbrainError, DuplicateName, Truncated
+from cqbrain.errors import BadFormat, BadMagic, CqbrainError, InvalidArgument, Truncated
 from cqbrain.pipeline.checkpoint import (
     deserialize_tensors,
     load_checkpoint,
@@ -66,7 +66,7 @@ class TestWireFormat:
     def test_bad_version(self):
         data = bytearray(serialize_tensors({}))
         data[4] = 9
-        with pytest.raises(BadVersion):
+        with pytest.raises(BadFormat, match="version 9 unsupported"):
             deserialize_tensors(bytes(data))
 
     def test_truncated_tail(self):
@@ -89,8 +89,12 @@ class TestWireFormat:
         single = serialize_tensors({"w": np.ones(1, np.float32)})
         body = single[12:]
         doubled = single[:8] + (2).to_bytes(4, "little") + body + body
-        with pytest.raises(DuplicateName):
+        with pytest.raises(BadFormat, match="appears twice"):
             deserialize_tensors(doubled)
+
+    def test_too_long_name_rejected(self):
+        with pytest.raises(InvalidArgument, match="too long"):
+            serialize_tensors({"n" * 0x10000: np.ones(1, np.float32)})
 
     def test_non_utf8_name_rejected(self):
         data = serialize_tensors({"ab": np.ones(1, np.float32)})

@@ -14,7 +14,7 @@ from cqbrain.cqcnn import (
     param_count,
     train_epoch,
 )
-from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
+from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
 from cqbrain.neuralkernel import ConfusionCounts, cross_entropy, make_optimizer
 from cqbrain.rng import Rng
 
@@ -82,12 +82,14 @@ class TestShapesAndCounts:
         assert abs(q - c) / q < 0.01
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CqcnnConfig(n_qubits=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CqcnnConfig(head="bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CqcnnConfig(n_qubits=3, fc_width=2)
+        with pytest.raises(InvalidArgument):
+            CqcnnConfig(dropout_rate=1.0)
 
 
 class TestForward:
@@ -109,7 +111,7 @@ class TestForward:
                 assert float(gamma.sum()) == pytest.approx(1.0, abs=1e-6)
 
     def test_wrong_image_size_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             CqcnnModel(_small_config()).forward(np.zeros((8, 8), np.float32))
 
     def test_identical_trunks_give_identical_features(self):
@@ -294,9 +296,9 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         model = CqcnnModel(_small_config())
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmptyInput):
             train_epoch(model, [], make_optimizer("adam"), seed=0)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmptyInput):
             evaluate(model, [])
 
 
@@ -382,5 +384,5 @@ class TestBatchedInference:
 
     def test_wrong_image_size_rejected(self):
         model = CqcnnModel(_small_config())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             model.predict([np.zeros((16, 16), np.float32), np.zeros((8, 8), np.float32)])

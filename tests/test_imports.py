@@ -11,6 +11,10 @@ must be read somewhere in src/, in the acceptance gate or in perfbench/,
 so a public name that only unit tests call cannot come back. A string
 constant equal to the name counts as a read: perfbench's tracer wraps
 functions and methods named as strings.
+
+Every class in errors.py must be raised somewhere in src/ or be the base
+of one that is, and every `raise` of a class in src/ must name an
+errors.py class, so the error taxonomy cannot grow dead or stray types.
 """
 import ast
 from pathlib import Path
@@ -23,6 +27,9 @@ MODULES = sorted(SRC.rglob("*.py"))
 READERS = MODULES + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 # gate-level references the unit tests check the circuit evaluator against, kept on purpose
 TEST_REFERENCES = {"encode_zz", "apply_ansatz", "expectation_parity"}
+ERRORS = SRC / "cqbrain" / "errors.py"
+# (module, function, class) of a raise outside errors.py: `_convert` turns its own ValueError into a ConfigError
+FOREIGN_RAISES = {("pipeline/config.py", "_convert", "ValueError")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -134,3 +141,68 @@ def test_no_unread_public_names():
               if name not in read}
     # exactly the kept references: a new unread name fails, and so does a stale allowlist entry
     assert unread.keys() == TEST_REFERENCES, unread
+
+
+def raised_classes(source: str) -> list[tuple[str, str, int]]:
+    """(class, innermost enclosing function, line) of each `raise C(...)` or `raise C` naming a CapWords class."""
+    found: list[tuple[str, str, int]] = []
+
+    def visit(node: ast.AST, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                target = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(target, ast.Name) and target.id[:1].isupper():
+                    found.append((target.id, func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def error_bases(errors_source: str) -> dict[str, str]:
+    """Class -> the name of its first base, for each module-level class."""
+    return {node.name: node.bases[0].id for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)}
+
+
+def unraised_error_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """Error classes that no source raises and that are no base of a raised one."""
+    bases = error_bases(errors_source)
+    live: set[str] = set()
+    for source in sources:
+        for name, _, _ in raised_classes(source):
+            while name in bases and name not in live:
+                live.add(name)
+                name = bases[name]
+    return sorted(bases.keys() - live)
+
+
+def foreign_raises(errors_source: str, sources: dict[str, str], allowed: set[tuple[str, str, str]]) -> list[str]:
+    """`module:line: class in function` for each raised class that errors_source does not define."""
+    bases = error_bases(errors_source)
+    return [f"{module}:{line}: {name} in {func}" for module, source in sources.items()
+            for name, func, line in raised_classes(source)
+            if name not in bases and (module, func, name) not in allowed]
+
+
+def test_the_check_finds_dead_and_foreign_error_classes():
+    errors = "class Base(Exception): pass\nclass Dead(Base): pass\nclass Kind(Base): pass\nclass Sub(Kind): pass\n"
+    source = ("def f(x):\n    if x: raise ValueError(x)\n    raise Sub('no')\n"
+              "def g():\n    def h(): raise KeyError\n    raise _make()\n"
+              "try:\n    pass\nexcept Base as exc:\n    raise type(exc)('m') from exc\n")
+    assert raised_classes(source) == [("ValueError", "f", 2), ("Sub", "f", 3), ("KeyError", "h", 5)]
+    assert unraised_error_classes(errors, [source]) == ["Dead"]
+    assert foreign_raises(errors, {"m.py": source}, {("m.py", "f", "ValueError")}) == ["m.py:5: KeyError in h"]
+
+
+def test_every_error_class_is_raised():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unraised_error_classes(ERRORS.read_text(encoding="utf-8"), sources) == []
+
+
+def test_every_raised_class_is_an_error_class():
+    root = SRC / "cqbrain"
+    sources = {str(path.relative_to(root)): path.read_text(encoding="utf-8") for path in MODULES}
+    assert foreign_raises(ERRORS.read_text(encoding="utf-8"), sources, FOREIGN_RAISES) == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqbrain.errors import ShapeMismatch
+from cqbrain.errors import InvalidArgument
 from cqbrain.neuralkernel import ConfusionCounts, classify_metrics, dice_iou
 
 
@@ -75,7 +75,7 @@ class TestDiceIou:
         assert dice_iou(a, b) == (1.0, 1.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             dice_iou(np.zeros((2, 2)), np.zeros((3, 3)))
 
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))

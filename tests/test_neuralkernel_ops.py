@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cqbrain.errors import ShapeMismatch
+from cqbrain.errors import InvalidArgument
 from cqbrain.neuralkernel import ops
 from cqbrain.neuralkernel import (
     conv2d,
@@ -84,11 +84,11 @@ class TestConv2d:
         assert y[0, 0, 0] == x[0, 0, 0] + x[0, 0, 1] + x[0, 1, 0] + x[0, 1, 1]
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             conv2d(np.zeros((2, 4, 4), np.float32), np.zeros((1, 3, 3, 3), np.float32), np.zeros(1, np.float32))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             conv2d(np.zeros((1, 4, 4), np.float32), np.zeros((1, 1, 5, 5), np.float32), np.zeros(1, np.float32))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             conv2d(np.zeros((1, 5, 5), np.float32), np.zeros((1, 1, 2, 2), np.float32),
                    np.zeros(1, np.float32), stride=2)
 
@@ -267,9 +267,9 @@ class TestSamePaddingWithoutPad:
 
     def test_even_kernel_rejected(self):
         x = np.zeros((1, 6, 6), np.float32)
-        with pytest.raises(ShapeMismatch, match="odd kernel"):
+        with pytest.raises(InvalidArgument, match="odd kernel"):
             conv2d(x, np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.float32), padding="same")
-        with pytest.raises(ShapeMismatch, match="odd kernel"):
+        with pytest.raises(InvalidArgument, match="odd kernel"):
             conv2d_backward(np.zeros((1, 6, 6), np.float32), x, np.zeros((1, 1, 4, 4), np.float32),
                             padding="same")
 
@@ -367,7 +367,7 @@ class TestReluDenseDropout:
         assert np.allclose(y, x)
 
     def test_dense_shape_error(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             dense(np.zeros(3, np.float32), np.zeros((2, 4), np.float32), np.zeros(2, np.float32))
 
     def test_dropout_rate_zero_is_identity(self):
@@ -425,17 +425,20 @@ class TestReluDenseDropout:
             assert grads_close(analytic, num, LAYER_TOL)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_dense_backward_of_one_row_is_the_one_row_batch(self, seed):
+    def test_dense_takes_one_row_and_rejects_a_batch(self, seed):
         rng = np.random.default_rng(seed + 450)
         k, m = rng.integers(1, 9), rng.integers(1, 300)
         x = rng.standard_normal(m).astype(np.float32)
         w = rng.standard_normal((k, m)).astype(np.float32)
         up = rng.standard_normal(k).astype(np.float32)
         dx, dw, db = dense_backward(up, x, w)
-        _, dw2, db2 = dense_backward(up[None], x[None], w)
-        assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
         assert dx.shape == (m,) and dw.shape == (k, m) and db.shape == (k,)
         assert np.array_equal(dw, np.outer(up, x)) and np.array_equal(db, up)
+        with pytest.raises(InvalidArgument):
+            dense(x[None], w, np.zeros(k, np.float32))
+        for dy_rows, x_rows in ((up[None], x[None]), (up[None], x), (up, x[None])):
+            with pytest.raises(InvalidArgument):
+                dense_backward(dy_rows, x_rows, w)
 
     @pytest.mark.parametrize("seed", range(N_GRADCHECK_SEEDS))
     def test_dropout_gradient_with_frozen_mask(self, seed):
@@ -481,7 +484,7 @@ class TestCrossEntropy:
         assert loss == pytest.approx(-np.log(1e-7), rel=1e-5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             cross_entropy(np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("seed", range(N_GRADCHECK_SEEDS))

@@ -11,7 +11,7 @@ import pytest
 
 from cqbrain import skullnet
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
-from cqbrain.errors import BadFormat, EmptyInput, MissingDiffusionModel
+from cqbrain.errors import BadFormat, EmptyInput, InvalidArgument
 from cqbrain.pipeline import commands
 from cqbrain.pipeline.atomic import write_atomic
 from cqbrain.pipeline.checkpoint import save_checkpoint
@@ -118,7 +118,7 @@ class TestBuildDataset:
         root = tmp_path / "data"
         _write_pgms(root / "a" / "axial", 30, seed=5)
         _write_pgms(root / "b" / "axial", 10, seed=6)
-        with pytest.raises(MissingDiffusionModel):
+        with pytest.raises(InvalidArgument, match="needs a diffusion checkpoint"):
             build_dataset(root, tmp_path / "out", "axial", seed=0, balance=True, image_size=16)
 
     def test_three_plane_pooling(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cqbrain import qsim
-from cqbrain.errors import BadLength, BadQubit
+from cqbrain.errors import InvalidArgument
 from cqbrain.qsim import StateVector
 
 from oracles import dense_circuit_state
@@ -65,7 +65,7 @@ class TestGates:
         assert np.allclose(a.amps, b.amps)
 
     def test_cz_needs_distinct_qubits(self):
-        with pytest.raises(BadQubit):
+        with pytest.raises(InvalidArgument):
             qsim.apply_cz(StateVector.zero(2), 1, 1)
 
     def test_ry_pi_maps_zero_to_one(self):
@@ -101,11 +101,11 @@ class TestGates:
 
     def test_bad_qubit_indices(self):
         s = StateVector.zero(2)
-        with pytest.raises(BadQubit):
+        with pytest.raises(InvalidArgument):
             qsim.apply_h(s, 2)
-        with pytest.raises(BadQubit):
+        with pytest.raises(InvalidArgument):
             qsim.apply_p(s, -1, 0.3)
-        with pytest.raises(BadQubit):
+        with pytest.raises(InvalidArgument):
             qsim.apply_ry(s, 5, 0.3)
 
 
@@ -194,11 +194,11 @@ class TestEncoding:
                 assert np.abs(qsim.encode_zz(x).amps - expected).max() < 1e-12
 
     def test_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.encode_zz([])
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.encode_zz(np.zeros(13))
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.encode_zz([np.nan])
 
 
@@ -221,7 +221,7 @@ class TestAnsatzAndMeasurement:
         assert np.abs(a.amps - b.amps).max() < 1e-12
 
     def test_ansatz_length_mismatch(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.apply_ansatz(StateVector.zero(2), [0.1])
 
     def test_parity_basis_states(self):
@@ -281,7 +281,7 @@ class TestPqc:
         assert abs(grad_theta[0]) <= 1e-8
 
     def test_backward_length_mismatch(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.pqc_backward([0.1, 0.2], [0.1])
 
     def test_shift_rule_matches_finite_differences(self):
@@ -374,5 +374,5 @@ class TestStackedForward:
         ([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2]),  # a NaN row
     ])
     def test_rejects_bad_stacks(self, x, theta):
-        with pytest.raises(BadLength):
+        with pytest.raises(InvalidArgument):
             qsim.pqc_forward(x, theta)

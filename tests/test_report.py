@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from cqbrain.errors import NoRuns
+from cqbrain.errors import EmptyInput
 from cqbrain.pipeline.report import (
     CURVE_COLUMNS,
     SUMMARY_COLUMNS,
@@ -113,5 +113,5 @@ class TestSummaries:
         assert [r["qubits"] for r in rows] == ["0", "2", "3"]
 
     def test_no_runs_error(self, tmp_path):
-        with pytest.raises(NoRuns):
+        with pytest.raises(EmptyInput):
             summarize_runs([tmp_path / "missing"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqbrain.errors import InvalidArgument
 from cqbrain.rng import _GOLDEN, _MASK64, Rng, _fnv1a
 
 from oracles import finalize_scalar
@@ -60,6 +61,9 @@ def test_integers_range():
     v = Rng(9).integers(3, 17, 1000)
     assert v.min() >= 3 and v.max() < 17
     assert len(np.unique(v)) == 14
+    for high in (3, 2):
+        with pytest.raises(InvalidArgument, match="empty range"):
+            Rng(9).integers(3, high)
 
 
 def test_permutation_is_a_permutation():

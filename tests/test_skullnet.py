@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqbrain.errors import Diverged, EmptyDataset, ShapeMismatch
+from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
 from cqbrain.neuralkernel import dice_iou, make_optimizer
 from cqbrain.rng import Rng
 from cqbrain import skullnet
@@ -47,13 +47,13 @@ class TestConfig:
         assert cfg.scaled_widths == (1, 1)
 
     def test_indivisible_input_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             UNetConfig(input_size=100)  # not a multiple of 16
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             UNetConfig(input_size=8)
 
     def test_single_level_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             UNetConfig(input_size=16, widths=(8,))
 
 
@@ -83,21 +83,21 @@ class TestForward:
         img = np.random.default_rng(2).random((32, 32)).astype(np.float32)
         mask, stripped = next(segment_many(model, [img]))
         assert mask.shape == stripped.shape == (32, 32)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             next(segment_many(model, [np.zeros((1, 32, 32), np.float32)]))
 
     def test_wrong_input_shape_rejected(self):
         model = UNet(UNetConfig(input_size=32, width_scale=0.125), Rng(4))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             model.forward(np.zeros((1, 1, 16, 16), np.float32))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             model.forward(np.zeros((1, 2, 32, 32), np.float32))
 
     def test_bottleneck_add_requires_matching_channels(self):
         cfg = UNetConfig(input_size=16, widths=(2, 4))
         model = UNet(cfg, Rng(5))
         x = np.zeros((1, 1, 16, 16), np.float32)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             model.forward(x, bottleneck_add=np.zeros((1, 3), np.float32))
 
 
@@ -111,7 +111,7 @@ class TestGradients:
         x = rng.random((1, 1, 16, 16))
         up = rng.standard_normal((1, 1, 16, 16))
         model.forward(x)
-        grads, dx, _ = model.backward(up)
+        grads, _ = model.backward(up)
 
         def loss(_):
             return float((model.forward(x) * up).sum())
@@ -125,10 +125,6 @@ class TestGradients:
                 assert abs(analytic[i] - val) <= 1e-3 * max(1.0, abs(val), abs(analytic[i])), (
                     f"{name}[{i}]: analytic {analytic[i]} vs numeric {val}")
 
-        num_dx = finite_difference_grad_at(loss, x, rng.choice(x.size, 25, replace=False), h_scale=1e-5)
-        for i, val in num_dx.items():
-            assert abs(dx.reshape(-1)[i] - val) <= 1e-3 * max(1.0, abs(val))
-
     def test_bottleneck_vector_gradient(self):
         cfg = UNetConfig(input_size=16, widths=(2, 4))
         model = _f64_model(cfg, 7)
@@ -137,7 +133,7 @@ class TestGradients:
         up = rng.standard_normal((2, 1, 16, 16))
         badd = rng.standard_normal((2, cfg.bottleneck_channels))
         model.forward(x, bottleneck_add=badd)
-        _, _, dba = model.backward(up)
+        _, dba = model.backward(up)
 
         def loss(_):
             return float((model.forward(x, bottleneck_add=badd) * up).sum())
@@ -148,7 +144,7 @@ class TestGradients:
 
 class TestSkippedInputGradient:
     @pytest.mark.parametrize("use_add", [False, True])
-    def test_parameter_grads_unchanged_and_dx_none(self, use_add):
+    def test_parameter_grads_match_a_backward_that_computes_every_input_gradient(self, use_add, monkeypatch):
         cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
         model = UNet(cfg, Rng(4))
         rng = np.random.default_rng(4)
@@ -156,9 +152,11 @@ class TestSkippedInputGradient:
         up = rng.standard_normal((3, 1, 16, 16)).astype(np.float32)
         badd = rng.standard_normal((3, cfg.bottleneck_channels)).astype(np.float32) if use_add else None
         model.forward(x, bottleneck_add=badd)
-        full, dx_full, dba_full = model.backward(up)
-        skipped, dx, dba = model.backward(up, input_grad=False)
-        assert dx is None and dx_full.shape == x.shape
+        skipped, dba = model.backward(up)
+        real = skullnet.conv2d_backward
+        monkeypatch.setattr(skullnet, "conv2d_backward",
+                            lambda *args, **kwargs: real(*args, **{**kwargs, "input_grad": True}))
+        full, dba_full = model.backward(up)
         assert full.keys() == skipped.keys()
         assert all(np.array_equal(full[k], skipped[k]) for k in full)
         assert (dba is None) == (dba_full is None) == (not use_add)
@@ -176,22 +174,22 @@ class TestSkippedInputGradient:
         monkeypatch.setattr(skullnet, "conv2d_backward", spy)
         model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
         model.forward(np.zeros((1, 1, 16, 16), np.float32))
-        model.backward(np.ones((1, 1, 16, 16), np.float32), input_grad=False)
+        model.backward(np.ones((1, 1, 16, 16), np.float32))
         assert calls.count(False) == 1 and calls[-1] is False  # enc0_c1 runs last
 
     def test_training_skips_the_input_gradient(self, monkeypatch):
         flags = []
-        real = UNet.backward
+        real = skullnet.conv2d_backward
 
-        def spy(self, dlogits, *args, **kwargs):
-            flags.append(kwargs.get("input_grad", args[0] if args else True))
-            return real(self, dlogits, *args, **kwargs)
+        def spy(dy, x, w, *args, **kwargs):
+            flags.append(kwargs.get("input_grad", True))
+            return real(dy, x, w, *args, **kwargs)
 
-        monkeypatch.setattr(UNet, "backward", spy)
+        monkeypatch.setattr(skullnet, "conv2d_backward", spy)
         model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
         train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=1,
                         optimizer=make_optimizer("adam"), seed=0, batch_size=2)
-        assert flags == [False, False]
+        assert flags.count(False) == 2  # one first conv per batch
 
 
 class TestLoss:
@@ -221,7 +219,7 @@ class TestLoss:
         assert grads_close(dz, num, 1e-4)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             segmentation_loss(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -288,7 +286,7 @@ class TestTraining:
 
     def test_empty_pairs_rejected(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(0))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmptyInput):
             train_segmenter(model, [], epochs=1, optimizer=make_optimizer("adam"), seed=0)
 
 
@@ -339,7 +337,7 @@ class TestApply:
         assert iou == float(np.mean([j for _, j in one_image]))
 
     def test_mask_pair_validation(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidArgument):
             MaskPair(np.zeros((4, 4)), np.zeros((5, 5)))
         pair = MaskPair(np.zeros((4, 4)), np.full((4, 4), 0.7))
         assert set(np.unique(pair.mask)) <= {0.0, 1.0}
