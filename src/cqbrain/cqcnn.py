@@ -21,6 +21,14 @@ kernels compute each batch item on its own, `dense` takes one row
 (a stacked matrix product may sum in another order than the matrix-vector
 one), and the circuit evaluator forms each row's phase product in a fixed
 order.
+
+Training keeps its conv columns: `forward` builds each conv's im2col
+columns (25 x 15376 and 50 x 3364 values at 128 px) in two buffers the
+model owns, allocated on first use per dtype, and `backward` hands the same
+arrays to `conv2d_backward`, so a training step builds each set of columns
+once. `predict` builds its columns in the shared workspace of
+`neuralkernel.ops` and leaves the model's buffers alone, so a `predict`
+between `forward` and `backward` changes no gradient.
 """
 from __future__ import annotations
 
@@ -81,6 +89,9 @@ class CqcnnConfig:
     def __post_init__(self):
         if self.head not in (HEAD_QUANTUM, HEAD_CLASSICAL):
             raise InvalidArgument(f"head must be {HEAD_QUANTUM!r} or {HEAD_CLASSICAL!r}")
+        for name in ("conv1_out", "conv2_out", "kernel"):
+            if getattr(self, name) < 1:
+                raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_qubits not in (2, 3):
             raise InvalidArgument(f"n_qubits must be 2 or 3, got {self.n_qubits}")
         if self.fc_width is not None and self.fc_width < self.n_qubits:
@@ -146,6 +157,7 @@ class CqcnnModel:
             p["w_out"].fill(1.0)
             p["theta"] = rng.derive("init:theta").uniform(config.n_qubits) * np.pi
         self._cache: dict | None = None
+        self._cols: dict[tuple[str, np.dtype], np.ndarray] = {}  # see `_columns`
 
     def params(self) -> Params:
         """Trainable tensors of the active head, as views into one flat vector."""
@@ -158,14 +170,30 @@ class CqcnnModel:
             raise InvalidArgument(f"expected {size}x{size} image, got {img.shape}")
         return img
 
-    def _trunk(self, x0: np.ndarray) -> dict[str, np.ndarray]:
-        """Conv/ReLU/pool activations for one (1, H, W) image or an (N, 1, H, W) stack."""
-        z1 = conv2d(x0, self._params["conv1_w"], self._params["conv1_b"])
+    def _columns(self, layer: str, x: np.ndarray) -> np.ndarray:
+        """This model's own column buffer of conv `layer` for one image x, one per layer and dtype."""
+        cols = self._cols.get((layer, x.dtype))
+        if cols is None:
+            side, k = self.config.shape_trace()[layer][1], self.config.kernel
+            cols = self._cols[layer, x.dtype] = np.empty((1, x.shape[0] * k * k, side * side), x.dtype)
+        return cols
+
+    def _trunk(self, x0: np.ndarray, keep: bool = False) -> dict[str, np.ndarray]:
+        """Conv/ReLU/pool activations for one (1, H, W) image or an (N, 1, H, W) stack.
+
+        keep (one image only): build each conv's columns in this model's own
+        buffers and return them too, for `backward`.
+        """
+        p = self._params
+        cols1 = self._columns("conv1", x0) if keep else None
+        z1 = conv2d(x0, p["conv1_w"], p["conv1_b"], cols=cols1)
         a1 = relu(z1)
         p1 = maxpool2x2(a1)
-        z2 = conv2d(p1, self._params["conv2_w"], self._params["conv2_b"])
+        cols2 = self._columns("conv2", p1) if keep else None
+        z2 = conv2d(p1, p["conv2_w"], p["conv2_b"], cols=cols2)
         a2 = relu(z2)
-        return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2)}
+        return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2),
+                "cols1": cols1, "cols2": cols2}
 
     def _fc(self, flat: np.ndarray) -> np.ndarray:
         fc_out = dense(flat, self._params["fc_w"], self._params["fc_b"])
@@ -191,7 +219,7 @@ class CqcnnModel:
 
     def forward(self, img: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
         """Class distribution (2,) for one image; caches activations for backward."""
-        cache = self._trunk(self._image(img)[None])
+        cache = self._trunk(self._image(img)[None], keep=True)
         d, cache["mask"] = dropout(cache["p2"], self.config.dropout_rate, mode, rng)
         cache["flat"] = d.reshape(-1)
         fc_out = cache["fc_out"] = self._fc(cache["flat"])
@@ -244,10 +272,11 @@ class CqcnnModel:
         dp2 = dropout_backward(dd, c["mask"], cfg.dropout_rate)
         da2 = maxpool2x2_backward(dp2, c["a2"])
         dz2 = relu_backward(da2, c["z2"])
-        dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"])
+        dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"], cols=c["cols2"])
         da1 = maxpool2x2_backward(dp1, c["a1"])
         dz1 = relu_backward(da1, c["z1"])
-        _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(dz1, c["x0"], p["conv1_w"], input_grad=False)
+        _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(
+            dz1, c["x0"], p["conv1_w"], input_grad=False, cols=c["cols1"])
         return grads
 
 

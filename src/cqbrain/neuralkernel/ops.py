@@ -14,6 +14,25 @@ gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
 
+Valid padding in one pass: a valid-padded `_im2col` (any stride) is one
+`np.copyto` from a read-only strided view of the input, indexed (n, c, ki,
+kj, i, j), into the columns. A valid stride-1 `_col2im` is one
+`np.add.reduce(view, axis=(2, 3), initial=+0.0)` over a view of the
+columns zero-padded per tap: the view's last axis runs over the
+flattened dx, and its tap axes shift the read so that dx element (i, j)
+reads tap (ki, kj) at column position (i - ki, j - kj), or at a zero
+where that lies outside the columns. (A 1x1 kernel's dx is its one term
+plus +0.0, with no padded copy.) numpy orders a reduction's loops by the view's strides, and the
+tap axes' strides lie between the channel's and the element's, so the
+inner loop runs along dx, one elementwise add per tap, never along the
+taps (which would form pairwise partial sums), and each dx element gets
+its terms in row-major tap order, like the per-tap loops. The padding
+adds +0.0 terms, which change no sum: the sum starts at +0.0 (`initial`),
+and a sum that starts at +0.0 never becomes -0.0 under round-to-nearest,
+so adding +0.0 leaves it as it is. dx is thus bit for bit the per-tap
+result; tests/test_neuralkernel_ops.py checks this against the loops for
+the installed numpy.
+
 Same padding without a padded copy: a same-padded conv (odd K, stride 1,
 pad P = (K-1)/2) never builds a padded input. For each tap, `_im2col`
 copies the rectangle of output positions whose input position lies inside
@@ -28,25 +47,33 @@ start at +0.0: dx is zeroed, not seeded with a tap's values, because a
 sum that starts at +0.0 never becomes -0.0 under round-to-nearest, while
 a seeded one would keep a -0.0 term's sign. So dx is bit for bit the
 padded-and-sliced result, and it comes back as its own contiguous array,
-not as a strided view into a larger padded buffer. A valid-padded conv
-runs the same loops: every tap's rectangle is then the whole output, and
-there are no border strips to zero.
+not as a strided view into a larger padded buffer. Same padding keeps
+these loops: in a trial, padded copies for the one-pass paths cost the
+U-Net 19% more peak memory and 8-17% of its inference speed. A valid
+stride-2 `_col2im` runs the same loops, each tap's rectangle the whole
+output.
 
-Column workspace: `conv2d` and `conv2d_backward` build their im2col
-columns in one grow-only buffer per dtype and per thread, instead of a
-fresh array per call (1.5 MB for a 128 px first layer, which the allocator
+Columns: `conv2d` and `conv2d_backward` build their im2col columns in one
+grow-only workspace buffer per dtype and per thread, instead of a fresh
+array per call (1.5 MB for a 128 px first layer, which the allocator
 would otherwise hand back to the system and page in again on every call).
-Lifetime rule: columns live only until the kernel that built them
-returns. No kernel returns them, keeps them, or builds a second set while
-the first is in use, and every returned array is freshly allocated, so no
-output aliases the buffer. The buffer keeps the size of the largest
-column set the thread has built.
+Lifetime rule for workspace columns: they live only until the kernel that
+built them returns. No kernel returns them, keeps them, or builds a second
+set while the first is in use, and every returned array is freshly
+allocated, so no output aliases the buffer. The buffer keeps the size of
+the largest column set the thread has built.
+Caller-owned columns: `conv2d(..., cols=buf)` builds the columns in the
+caller's contiguous (N, C_in*K*K, H_out*W_out) array instead, and
+`conv2d_backward(dy, x, w, ..., cols=buf)` then takes them as x's columns
+and builds none. They live as long as the caller keeps them; the caller
+must pass them only with the x that built them, before filling them again.
 """
 from __future__ import annotations
 
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import InvalidArgument
 from ..rng import Rng
@@ -98,15 +125,32 @@ def _in_range(offset: int, stride: int, size: int, n_out: int) -> tuple[int, int
     return lo, max(min(-((offset - size) // stride), n_out), lo)
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int) -> np.ndarray:
-    """Columns (N, C*K*K, H_out*W_out) in the column workspace (see module docstring).
+def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int) -> None:
+    """Reject caller-owned columns that do not fit x's conv."""
+    shape = (x.shape[0], x.shape[1] * k * k, h_out * w_out)
+    if cols.shape != shape or cols.dtype != x.dtype or not cols.flags.c_contiguous:
+        raise InvalidArgument(f"columns must be a contiguous {x.dtype} array of shape {shape}, "
+                              f"got {cols.dtype} {cols.shape}")
 
-    x is the unpadded input. Each tap's out-of-range border strips are
-    zeroed (there are none without padding), then each tap copies its
-    in-range rectangle.
+
+def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Columns (N, C*K*K, H_out*W_out) in `out`, or else in the column workspace (see module docstring).
+
+    x is the unpadded input. Without padding the columns are one copy of a
+    strided view of x. With padding each tap's out-of-range border strips
+    are zeroed, then each tap copies its in-range rectangle.
     """
     n, c, h, w = x.shape
-    cols = _column_buffer((n, c, k, k, h_out, w_out), x.dtype)
+    if out is None:
+        cols = _column_buffer((n, c, k, k, h_out, w_out), x.dtype)
+    else:
+        _check_columns(out, x, k, h_out, w_out)
+        cols = out.reshape(n, c, k, k, h_out, w_out)
+    if not pad:
+        sn, sc, sh, sw = x.strides
+        np.copyto(cols, as_strided(x, cols.shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False))
+        return cols.reshape(n, c * k * k, h_out * w_out)
     rows = [_in_range(ki - pad, stride, h, h_out) for ki in range(k)]
     spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
     # zeroed on every call (the workspace still holds an earlier call's columns),
@@ -132,10 +176,28 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int,
             pad: int) -> np.ndarray:
-    """Input gradient of `_im2col`: each tap's in-range rectangle added into a zeroed dx."""
+    """Input gradient of `_im2col`: each element's tap terms summed in row-major tap order from +0.0.
+
+    Valid stride 1: one reduction over a strided view of the zero-padded
+    columns. Otherwise each tap's in-range rectangle is added into a zeroed dx.
+    """
     n, c, h, w = x_shape
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
     dcols = dcols.reshape(n, c, k, k, h_out, w_out)
+    if not pad and stride == 1:
+        if k == 1:  # one term per element, added to +0.0
+            return dcols.reshape(x_shape) + dcols.dtype.type(0.0)
+        # each tap's columns in a zeroed frame of rows W = W_out + K - 1 wide, with K zero
+        # rows above and K - 1 below: position (r, s) sits at flat offset (r + K) * W + s,
+        # and every out-of-range position with -K < s < W lands on a zero
+        rows = h_out + 2 * k - 1
+        frame = np.zeros((n, c, k, k, rows, w), dcols.dtype)
+        frame[..., k : k + h_out, :w_out] = dcols
+        taps = frame.reshape(n, c, k, k, rows * w)[..., k * w :]
+        # dx element m = i * W + j reads tap (ki, kj) at position (i - ki, j - kj): flat m - ki * W - kj
+        sn, sc, ski, skj, sm = taps.strides
+        taps = as_strided(taps, (n, c, k, k, h * w), (sn, sc, ski - w * sm, skj - sm, sm), writeable=False)
+        return np.add.reduce(taps, axis=(2, 3), initial=+0.0).reshape(x_shape)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
     spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
     for ki in range(k):
         i0, i1 = _in_range(ki - pad, stride, h, h_out)
@@ -174,12 +236,17 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad
     return c_out, c_in, k, h_out, w_out, pad
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding: str = "valid") -> np.ndarray:
-    """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K)."""
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding: str = "valid",
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K).
+
+    With `cols` (N, C_in*K*K, H_out*W_out) the columns are built there, for the
+    caller to pass to `conv2d_backward` (see module docstring).
+    """
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
     c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, b, stride, padding)
-    cols = _im2col(xb, k, stride, h_out, w_out, pad)
+    cols = _im2col(xb, k, stride, h_out, w_out, pad, cols)
     y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
     y = y.astype(np.result_type(y, b), copy=False)
     y += b[:, None, None]  # in place: no second output-sized temporary
@@ -188,16 +255,22 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
 
 def conv2d_backward(
     dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: str = "valid",
-    input_grad: bool = True,
+    input_grad: bool = True, cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of conv2d for upstream dy; dx is None unless input_grad."""
+    """Gradients (dx, dw, db) of conv2d for upstream dy; dx is None unless input_grad.
+
+    `cols` are x's columns as a `conv2d(..., cols=cols)` call built them; given, they are not rebuilt.
+    """
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
     c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, np.zeros(w.shape[0], np.float32), stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
         raise InvalidArgument(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
-    cols = _im2col(xb, k, stride, h_out, w_out, pad)
+    if cols is None:
+        cols = _im2col(xb, k, stride, h_out, w_out, pad)
+    else:
+        _check_columns(cols, xb, k, h_out, w_out)
     dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
 
     db = dy_mat.sum(axis=(0, 2))

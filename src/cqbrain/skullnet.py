@@ -54,6 +54,9 @@ class UNetConfig:
     def __post_init__(self):
         if len(self.widths) < 2:
             raise InvalidArgument("need at least two levels (encoder + bottleneck)")
+        if min(self.in_channels, self.out_channels, *self.widths) < 1:
+            raise InvalidArgument(f"channel counts must be >= 1, got in_channels {self.in_channels}, "
+                                  f"out_channels {self.out_channels}, widths {tuple(self.widths)}")
         down = 2 ** (len(self.widths) - 1)
         if self.input_size % down or self.input_size < down:
             raise InvalidArgument(f"input_size {self.input_size} must be a multiple of {down}")

@@ -162,13 +162,25 @@ def _conv_operands(*arrays: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _padded_columns(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), xp.dtype)
+def im2col_taps(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """Valid-padded columns (N, C*K*K, H_out*W_out), one strided copy per tap."""
+    n, c = x.shape[:2]
+    cols = np.empty((n, c, k, k, h_out, w_out), x.dtype)
     for ki in range(k):
         for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki : ki + h_out, kj : kj + w_out]
+            cols[:, :, ki, kj] = x[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride]
     return cols.reshape(n, c * k * k, h_out * w_out)
+
+
+def col2im_taps(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """Valid-padded col2im: each tap's rectangle added into a zeroed dx, taps in row-major order."""
+    n, c = x_shape[:2]
+    dcols = dcols.reshape(n, c, k, k, h_out, w_out)
+    dx = np.zeros(x_shape, dcols.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            dx[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += dcols[:, :, ki, kj]
+    return dx
 
 
 def conv2d_same_padded(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,7 +192,7 @@ def conv2d_same_padded(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarra
     p = (k - 1) // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     h_out, w_out = xb.shape[2:]
-    cols = _padded_columns(xp, k, h_out, w_out)
+    cols = im2col_taps(xp, k, 1, h_out, w_out)
     y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
     y = y.astype(np.result_type(y, b), copy=False)
     y += b[:, None, None]
@@ -196,7 +208,7 @@ def conv2d_same_padded_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, in
     p = (k - 1) // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     h_out, w_out = xb.shape[2:]
-    cols = _padded_columns(xp, k, h_out, w_out)
+    cols = im2col_taps(xp, k, 1, h_out, w_out)
     dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
     db = dy_mat.sum(axis=(0, 2))
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
@@ -210,12 +222,7 @@ def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:
     """Same-padded col2im: every tap added into a zero-padded buffer, then the interior sliced out."""
     n, c, h, w = x_shape
     p = (k - 1) // 2
-    dcols = dcols.reshape(n, c, k, k, h, w)
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            dxp[:, :, ki : ki + h, kj : kj + w] += dcols[:, :, ki, kj]
-    return dxp[:, :, p : p + h, p : p + w]
+    return col2im_taps(dcols, (n, c, h + 2 * p, w + 2 * p), k, 1, h, w)[:, :, p : p + h, p : p + w]
 
 
 # -- per-tensor Adam (the reference for neuralkernel.optim) ----------------

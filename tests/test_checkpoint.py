@@ -160,12 +160,22 @@ class TestModelPacking:
         ("meta_n_qubits", 2.5, "expected integers"),
         ("meta_dropout", np.inf, "expected finite values"),
         ("meta_image_size", np.array([16.0, 16.0], np.float32), "expected one value"),
+        ("meta_conv1_out", 0.0, "conv1_out must be >= 1"),
+        ("meta_kernel", 0.0, "kernel must be >= 1"),
     ])
     def test_bad_classifier_metadata_is_bad_format(self, meta, value, message):
         tensors = pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16)))
         tensors[meta] = np.asarray(value, np.float32)
         with pytest.raises(BadFormat, match=message):
             unpack_cqcnn(tensors)
+
+    @pytest.mark.parametrize("meta, value", [("meta_in_channels", 0.0), ("meta_out_channels", 0.0),
+                                             ("meta_widths", [0.0, 4.0])])
+    def test_zero_segmenter_channels_are_bad_format(self, meta, value):
+        tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4))))
+        tensors[meta] = np.asarray(value, np.float32)
+        with pytest.raises(BadFormat, match="channel counts must be >= 1"):
+            unpack_unet(tensors)
 
     @pytest.mark.parametrize("unpack", [unpack_cqcnn, unpack_unet, unpack_predictor])
     def test_missing_unknown_or_resized_parameters_are_bad_format(self, unpack):

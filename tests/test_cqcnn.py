@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cqbrain.cqcnn import (
     train_epoch,
 )
 from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
-from cqbrain.neuralkernel import ConfusionCounts, cross_entropy, make_optimizer
+from cqbrain.neuralkernel import ConfusionCounts, cross_entropy, make_optimizer, ops
 from cqbrain.rng import Rng
 
 from oracles import finite_difference_grad, grads_close, reference_step
@@ -90,6 +91,12 @@ class TestShapesAndCounts:
             CqcnnConfig(n_qubits=3, fc_width=2)
         with pytest.raises(InvalidArgument):
             CqcnnConfig(dropout_rate=1.0)
+
+    @pytest.mark.parametrize("key", ["conv1_out", "conv2_out", "kernel"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, key, value):
+        with pytest.raises(InvalidArgument, match=f"{key} must be >= 1"):
+            CqcnnConfig(**{key: value})
 
 
 class TestForward:
@@ -199,6 +206,55 @@ class TestBackward:
         params = model.params()
         assert calls == [(params["conv2_w"].shape, True), (params["conv1_w"].shape, False)]
         assert grads["conv1_w"].shape == params["conv1_w"].shape
+
+
+class TestKeptColumns:
+    """A training step builds each conv's columns once: forward keeps them in the model, backward reuses them."""
+
+    @staticmethod
+    def _step_after_predict(model: CqcnnModel, rng: np.random.Generator):
+        img, others = rng.random((128, 128), np.float32), list(rng.random((3, 128, 128), np.float32))
+        model.forward(img, mode="train", rng=Rng(1))
+        model.predict(others)  # refills the shared column workspace with other images' columns
+        return model.backward(np.array([0.0, 1.0], np.float32))
+
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_gradients_equal_those_from_rebuilt_columns(self, head, monkeypatch):
+        kept = self._step_after_predict(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2))
+        real = cqcnn.conv2d_backward
+
+        def rebuilding(dy, x, w, *args, cols=None, **kwargs):
+            return real(dy, x, w, *args, **kwargs)
+
+        monkeypatch.setattr(cqcnn, "conv2d_backward", rebuilding)
+        rebuilt = self._step_after_predict(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2))
+        for name in kept:
+            assert np.array_equal(kept[name], rebuilt[name]), name
+
+    def test_backward_builds_no_columns(self, monkeypatch):
+        model = CqcnnModel(CqcnnConfig())
+        model.forward(np.random.default_rng(3).random((128, 128), np.float32))
+        calls = []
+        real = ops._im2col
+        monkeypatch.setattr(ops, "_im2col", lambda *args: calls.append(args[1:]) or real(*args))
+        model.backward(np.array([1.0, 0.0], np.float32))
+        assert calls == []
+
+    def test_warm_training_step_allocates_no_conv1_columns(self):
+        # one conv1 channel keeps the rest of the step (conv2's gradient columns
+        # and their zero-padded frame above all) below the size of conv1's columns
+        model = CqcnnModel(CqcnnConfig(conv1_out=1))
+        img = np.random.default_rng(4).random((128, 128), np.float32)
+        y = np.array([0.0, 1.0], np.float32)
+        backward(model, img, y, rng=Rng(0))  # warm-up: allocates the model's column buffers
+        conv1_cols = 25 * 124 * 124 * 4
+        tracemalloc.start()
+        try:
+            backward(model, img, y, rng=Rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < conv1_cols  # so no array that large was allocated
 
 
 class TestTraining:

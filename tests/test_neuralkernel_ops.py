@@ -28,10 +28,12 @@ from cqbrain.rng import Rng
 
 from oracles import (
     col2im_padded,
+    col2im_taps,
     conv2d_same_padded,
     conv2d_same_padded_backward,
     finite_difference_grad,
     grads_close,
+    im2col_taps,
     maxpool2x2_backward_argmax,
     separated_values,
 )
@@ -177,8 +179,8 @@ class TestColumnWorkspace:
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
-    """Equal dtype, shape and bytes (so +0.0 and -0.0 differ, unlike array_equal)."""
-    return (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    """Equal dtype, shape and bytes (so +0.0 and -0.0 differ and NaN equals itself, unlike array_equal)."""
+    return (got.dtype == want.dtype and got.shape == want.shape
             and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
@@ -272,6 +274,90 @@ class TestSamePaddingWithoutPad:
         with pytest.raises(InvalidArgument, match="odd kernel"):
             conv2d_backward(np.zeros((1, 6, 6), np.float32), x, np.zeros((1, 1, 4, 4), np.float32),
                             padding="same")
+
+
+class TestValidColumns:
+    """Valid-padded columns (one strided copy) and stride-1 col2im (one reduction) equal the per-tap loops.
+
+    Byte equality on random terms pins the order in which numpy's reduction
+    adds each element's tap terms. No case mixes NaN with both infinities:
+    where a NaN meets a NaN of the other sign (inf - inf makes one), which
+    one survives depends on whether numpy's vector loop or its scalar tail
+    adds the pair, in the per-tap loops too.
+    """
+
+    GEOMETRY = [(k, stride, hw) for k in (1, 3, 5) for stride in (1, 2) for hw in ((1, 1), (2, 5), (4, 3))]
+
+    @staticmethod
+    def _terms(rng: np.random.Generator, shape: tuple[int, ...], dtype, specials: tuple[float, ...]) -> np.ndarray:
+        a = _with_signed_zeros(rng, shape, dtype)
+        pick = rng.integers(0, 4 * max(len(specials), 1), shape)
+        for i, value in enumerate(specials):
+            a[pick == i] = value
+        return a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("k, stride, hw", GEOMETRY)
+    def test_im2col_matches_tap_loop(self, k, stride, hw, batch, dtype):
+        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1])
+        x = self._terms(rng, (batch, 3, (hw[0] - 1) * stride + k, (hw[1] - 1) * stride + k), dtype, (np.nan, np.inf))
+        assert _same_bits(ops._im2col(x, k, stride, *hw, 0), im2col_taps(x, k, stride, *hw))
+
+    @pytest.mark.parametrize("specials", [(), (np.nan, np.inf), (np.inf, -np.inf)], ids=["finite", "nan", "infs"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("k, stride, hw", GEOMETRY)
+    def test_col2im_matches_tap_loop(self, k, stride, hw, batch, dtype, specials):
+        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1] + len(specials))
+        x_shape = (batch, 3, (hw[0] - 1) * stride + k, (hw[1] - 1) * stride + k)
+        dcols = self._terms(rng, (batch, 3 * k * k, hw[0] * hw[1]), dtype, specials)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = ops._col2im(dcols, x_shape, k, stride, *hw, 0), col2im_taps(dcols, x_shape, k, stride, *hw)
+        assert _same_bits(got, want)
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_col2im_of_negative_zeros_is_positive_zero(self, k):
+        # dx[0, 0] has one term, tap (0, 0); the sum must start at +0.0, not at that term
+        dcols = np.full((1, 2 * k * k, 16), -0.0, np.float32)
+        got = ops._col2im(dcols, (1, 2, 3 + k, 3 + k), k, 1, 4, 4, 0)
+        assert not np.signbit(got).any()
+
+    def test_one_tap_col2im_allocates_only_its_output(self):
+        dcols = np.random.default_rng(2).standard_normal((8, 4, 64 * 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dx = ops._col2im(dcols, (8, 4, 64, 64), 1, 1, 64, 64, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dx.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_caller_columns_are_built_and_reused(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 9, 7)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        cols = np.empty((2, 27, 35), dtype)
+        assert _same_bits(conv2d(x, w, b, cols=cols), conv2d(x, w, b))
+        assert _same_bits(cols, im2col_taps(x, 3, 1, 7, 5))
+        dy = rng.standard_normal((2, 4, 7, 5)).astype(dtype)
+        for got, want in zip(conv2d_backward(dy, x, w, cols=cols), conv2d_backward(dy, x, w)):
+            assert _same_bits(got, want)
+        cols[...] = 0.0  # backward reads the columns it is given, not x
+        assert not conv2d_backward(dy, x, w, cols=cols)[1].any()
+
+    @pytest.mark.parametrize("shape, dtype", [((2, 27, 34), np.float32), ((1, 27, 35), np.float32),
+                                              ((2, 27, 35), np.float64)])
+    def test_mismatched_columns_rejected(self, shape, dtype):
+        x = np.zeros((2, 3, 9, 7), np.float32)
+        w, cols = np.zeros((4, 3, 3, 3), np.float32), np.empty(shape, dtype)
+        with pytest.raises(InvalidArgument, match="columns"):
+            conv2d(x, w, np.zeros(4, np.float32), cols=cols)
+        with pytest.raises(InvalidArgument, match="columns"):
+            conv2d_backward(np.zeros((2, 4, 7, 5), np.float32), x, w, cols=cols)
 
 
 class TestConvTranspose:

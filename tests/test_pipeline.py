@@ -802,6 +802,36 @@ class TestMalformedCheckpoints:
         assert err.startswith("error: checkpoint") and message in err
 
 
+    @staticmethod
+    def _zero_channels(kind):
+        """Metadata for zero channels, with the emptied parameters such a model would hold."""
+        def damage(tensors):
+            if kind == "classifier":
+                tensors["meta_conv1_out"] = np.float32(0)
+                empty = ("param_conv1_w", "param_conv1_b", "param_conv2_w")
+            else:
+                tensors["meta_in_channels"] = np.float32(0)
+                empty = ("param_enc0_c1_w",)
+            tensors.update({key: np.zeros(0, np.float32) for key in empty})
+        return damage
+
+    @pytest.mark.parametrize("kind, message", [("classifier", "conv1_out must be >= 1"),
+                                               ("segmenter", "channel counts must be >= 1")])
+    def test_zero_channel_metadata_exits_2(self, tmp_path, capsys, kind, message):
+        ckpt = self._checkpoint(tmp_path, kind, self._zero_channels(kind))
+        if kind == "classifier":
+            command, settings = "evaluate", {"dataset": TestRobustTraining._dataset(tmp_path, 16),
+                                             "output": tmp_path / "out.csv"}
+        else:
+            _write_pgms(tmp_path / "imgs", 1)
+            command, settings = "segment-apply", {"input_dir": tmp_path / "imgs", "output_dir": tmp_path / "o"}
+        cfg = _write_cfg(tmp_path / "c.cfg", checkpoint=ckpt, **settings)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and message in err
+
+
 class TestUnetCommandGuards:
     """segment-train, diffuse-train and diffuse-sample: bad keys exit 1, NaN training exits 2."""
 
