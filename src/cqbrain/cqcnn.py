@@ -1,12 +1,14 @@
 """Hybrid conv-net + quantum-head binary classifier.
 
-Trunk: conv(5x5, valid) -> relu -> 2x2 maxpool -> conv -> relu -> maxpool
--> dropout -> flatten -> dense down to a small feature vector. The quantum
-head feeds the first n_qubits features into the simulated circuit, squashes
-the resulting probability through a scalar affine + sigmoid stage o1, and
-emits the class distribution (o1, 1 - o1). The classical baseline keeps the
-identical trunk and replaces the head with dense(fc_width -> 2) + softmax,
-which keeps the trainable parameter counts within 1% of each other.
+Trunk: conv(5x5, valid, 2 channels) -> relu -> 2x2 maxpool -> conv(5x5,
+valid, 4 channels) -> relu -> maxpool -> dropout -> flatten -> dense down to
+a small feature vector. The convs are the paper's and no config sets them.
+The quantum head feeds the first n_qubits features into the simulated
+circuit, squashes the resulting probability through a scalar affine +
+sigmoid stage o1, and emits the class distribution (o1, 1 - o1). The
+classical baseline keeps the identical trunk and replaces the head with
+dense(fc_width -> 2) + softmax, which keeps the trainable parameter counts
+within 1% of each other.
 
 Index convention: output[c] is the probability of class c; class 1 is the
 positive class for confusion counts.
@@ -23,10 +25,10 @@ one), and the circuit evaluator forms each row's phase product in a fixed
 order.
 
 Training keeps its conv columns: `forward` builds each conv's im2col
-columns (25 x 15376 and 50 x 3364 values at 128 px) in two buffers the
-model owns, allocated on first use per dtype, and `backward` hands the same
-arrays to `conv2d_backward`, so a training step builds each set of columns
-once. `predict` builds its columns in the shared workspace of
+columns (25 x 15376 and 50 x 3364 values at 128 px) in two float32
+buffers the model owns, allocated on first use, and `backward` hands the
+same arrays to `conv2d_backward`, so a training step builds each set of
+columns once. `predict` builds its columns in the shared workspace of
 `neuralkernel.ops` and leaves the model's buffers alone, so a `predict`
 between `forward` and `backward` changes no gradient.
 """
@@ -58,6 +60,7 @@ from .neuralkernel import (
     relu,
     relu_backward,
     sigmoid,
+    sigmoid_backward,
 )
 from .qsim import pqc_backward, pqc_forward
 from .rng import Rng
@@ -73,35 +76,34 @@ Dataset = list[tuple[np.ndarray, int]]  # (image (H, W) in [0,1], label in {0,1}
 # in a standalone 108-image evaluate, chunks 4 and 8 cost +6 and +14 MB.
 EVAL_CHUNK = 2
 
+# The trunk's two valid convs: kernel side and output channels.
+KERNEL = 5
+CONV1_OUT = 2
+CONV2_OUT = 4
+
 
 @dataclass
 class CqcnnConfig:
     image_size: int = 128
-    conv1_out: int = 2
-    conv2_out: int = 4
-    kernel: int = 5
     dropout_rate: float = 0.5
     n_qubits: int = 2
-    fc_width: int | None = None  # None: matches n_qubits
+    fc_width: int = 0  # 0: matches n_qubits
     head: str = HEAD_QUANTUM
     seed: int = 0
 
     def __post_init__(self):
         if self.head not in (HEAD_QUANTUM, HEAD_CLASSICAL):
             raise InvalidArgument(f"head must be {HEAD_QUANTUM!r} or {HEAD_CLASSICAL!r}")
-        for name in ("conv1_out", "conv2_out", "kernel"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_qubits not in (2, 3):
             raise InvalidArgument(f"n_qubits must be 2 or 3, got {self.n_qubits}")
-        if self.fc_width is not None and self.fc_width < self.n_qubits:
-            raise InvalidArgument(f"fc_width must be >= n_qubits = {self.n_qubits}, got {self.fc_width}")
+        if self.fc_width and self.fc_width < self.n_qubits:
+            raise InvalidArgument(f"fc_width must be 0 or >= n_qubits = {self.n_qubits}, got {self.fc_width}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidArgument(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def fc_out(self) -> int:
-        return self.n_qubits if self.fc_width is None else self.fc_width
+        return self.fc_width or self.n_qubits
 
     @classmethod
     def matched_size(cls, n_qubits: int, **overrides) -> "CqcnnConfig":
@@ -110,23 +112,23 @@ class CqcnnConfig:
 
     def shape_trace(self) -> dict[str, tuple[int, ...]]:
         """Spatial sizes through the trunk; raises if the geometry collapses."""
-        s1 = self.image_size - self.kernel + 1
+        s1 = self.image_size - KERNEL + 1
         p1 = s1 // 2
-        s2 = p1 - self.kernel + 1
+        s2 = p1 - KERNEL + 1
         p2 = s2 // 2
         if min(s1, p1, s2, p2) < 1:
-            raise InvalidArgument(f"image_size {self.image_size} too small for two {self.kernel}x{self.kernel} conv+pool stages")
+            raise InvalidArgument(f"image_size {self.image_size} too small for two {KERNEL}x{KERNEL} conv+pool stages")
         return {
-            "conv1": (self.conv1_out, s1, s1),
-            "pool1": (self.conv1_out, p1, p1),
-            "conv2": (self.conv2_out, s2, s2),
-            "pool2": (self.conv2_out, p2, p2),
-            "flat": (self.conv2_out * p2 * p2,),
+            "conv1": (CONV1_OUT, s1, s1),
+            "pool1": (CONV1_OUT, p1, p1),
+            "conv2": (CONV2_OUT, s2, s2),
+            "pool2": (CONV2_OUT, p2, p2),
+            "flat": (CONV2_OUT * p2 * p2,),
         }
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every trainable tensor of the configured head, in vector order."""
-        k, c1, c2, fc = self.kernel, self.conv1_out, self.conv2_out, self.fc_out
+        k, c1, c2, fc = KERNEL, CONV1_OUT, CONV2_OUT, self.fc_out
         shapes = {"conv1_w": (c1, 1, k, k), "conv1_b": (c1,), "conv2_w": (c2, c1, k, k), "conv2_b": (c2,),
                   "fc_w": (fc, self.shape_trace()["flat"][0]), "fc_b": (fc,)}
         if self.head == HEAD_QUANTUM:
@@ -157,7 +159,7 @@ class CqcnnModel:
             p["w_out"].fill(1.0)
             p["theta"] = rng.derive("init:theta").uniform(config.n_qubits) * np.pi
         self._cache: dict | None = None
-        self._cols: dict[tuple[str, np.dtype], np.ndarray] = {}  # see `_columns`
+        self._cols: dict[str, np.ndarray] = {}  # see `_columns`
 
     def params(self) -> Params:
         """Trainable tensors of the active head, as views into one flat vector."""
@@ -171,11 +173,11 @@ class CqcnnModel:
         return img
 
     def _columns(self, layer: str, x: np.ndarray) -> np.ndarray:
-        """This model's own column buffer of conv `layer` for one image x, one per layer and dtype."""
-        cols = self._cols.get((layer, x.dtype))
+        """This model's own column buffer of conv `layer` for one (C, H, W) float32 image x."""
+        cols = self._cols.get(layer)
         if cols is None:
-            side, k = self.config.shape_trace()[layer][1], self.config.kernel
-            cols = self._cols[layer, x.dtype] = np.empty((1, x.shape[0] * k * k, side * side), x.dtype)
+            side = self.config.shape_trace()[layer][1]
+            cols = self._cols[layer] = np.empty((1, x.shape[0] * KERNEL * KERNEL, side * side), np.float32)
         return cols
 
     def _trunk(self, x0: np.ndarray, keep: bool = False) -> dict[str, np.ndarray]:
@@ -252,8 +254,7 @@ class CqcnnModel:
         if cfg.head == HEAD_QUANTUM:
             dgamma = cross_entropy_grad(c["gamma"], y)
             do1 = float(dgamma[0]) - float(dgamma[1])
-            o1 = c["o1"]
-            dz_out = do1 * o1 * (1.0 - o1)
+            dz_out = sigmoid_backward(do1, c["o1"])
             grads["w_out"] = np.float32(dz_out * c["p_q"])
             grads["b_out"] = np.float32(dz_out)
             dp_q = dz_out * float(p["w_out"])

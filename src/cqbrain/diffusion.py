@@ -123,8 +123,7 @@ class NoisePredictorConfig:
         self.unet_config()  # checks size against widths
 
     def unet_config(self) -> UNetConfig:
-        return UNetConfig(input_size=self.image_size, widths=self.widths,
-                          in_channels=1, out_channels=1)
+        return UNetConfig(input_size=self.image_size, widths=self.widths)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """The U-Net's tensors, then the embedding projection `temb_w`/`temb_b`."""

@@ -1,4 +1,4 @@
-"""Cross-entropy for class-probability outputs."""
+"""Cross-entropy for one sample's class-probability row."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,21 +11,18 @@ CE_EPS = 1e-7  # lower clamp: keeps log finite when a probability hits exact 0
 def _check(gamma: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gamma = np.asarray(gamma, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
-    if gamma.shape != y.shape or gamma.ndim not in (1, 2):
-        raise InvalidArgument(f"probabilities {gamma.shape} vs labels {y.shape}")
+    if gamma.shape != y.shape or gamma.ndim != 1:
+        raise InvalidArgument(f"probabilities {gamma.shape} vs labels {y.shape}: expected one row each")
     return gamma, y
 
 
-def cross_entropy(gamma: np.ndarray, y: np.ndarray, eps: float = CE_EPS) -> float:
-    """-sum(y log gamma) per sample, averaged over a leading batch axis."""
+def cross_entropy(gamma: np.ndarray, y: np.ndarray) -> float:
+    """-sum(y log gamma) of one sample."""
     gamma, y = _check(gamma, y)
-    g = np.clip(gamma, eps, 1.0)
-    per_sample = -(y * np.log(g)).sum(axis=-1)
-    return float(per_sample.mean())
+    return float(-(y * np.log(np.clip(gamma, CE_EPS, 1.0))).sum())
 
 
-def cross_entropy_grad(gamma: np.ndarray, y: np.ndarray, eps: float = CE_EPS) -> np.ndarray:
-    """d loss / d gamma, one sample as a batch of one; the clamp acts as identity for gradient flow."""
+def cross_entropy_grad(gamma: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d loss / d gamma of one sample; the clamp acts as identity for gradient flow."""
     gamma, y = _check(gamma, y)
-    g = np.clip(gamma, eps, 1.0)
-    return (-y / g / np.float32(len(np.atleast_2d(gamma)))).astype(np.float32)
+    return (-y / np.clip(gamma, CE_EPS, 1.0)).astype(np.float32)

@@ -409,12 +409,10 @@ def dropout_backward(dy: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarra
     return dy * np.asarray(mask, dy.dtype) / (1.0 - rate)
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     x_in = np.asarray(x)
     x_arr = x_in.astype(np.float64)
     out = np.where(x_arr >= 0, 1.0 / (1.0 + np.exp(-np.abs(x_arr))), np.exp(-np.abs(x_arr)) / (1.0 + np.exp(-np.abs(x_arr))))
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
     return out.astype(np.float64 if x_in.dtype == np.float64 else np.float32)
 
 

@@ -323,7 +323,7 @@ def _metric_row(result, split: str, extra: dict) -> dict:
 def _check_head(cfg: dict) -> None:
     """Reject head settings CqcnnConfig cannot build, naming the config key."""
     _checked("qubits", CqcnnConfig, n_qubits=cfg["qubits"])
-    _checked("fc_width", CqcnnConfig, n_qubits=cfg["qubits"], fc_width=cfg["fc_width"] or None)
+    _checked("fc_width", CqcnnConfig, n_qubits=cfg["qubits"], fc_width=cfg["fc_width"])
     _checked("dropout", CqcnnConfig, dropout_rate=cfg["dropout"])
 
 
@@ -342,7 +342,7 @@ def cmd_train(cfg: dict) -> dict:
         image_size=manifest.image_size,
         dropout_rate=cfg["dropout"],
         n_qubits=cfg["qubits"],
-        fc_width=cfg["fc_width"] or None,
+        fc_width=cfg["fc_width"],
         head=head,
         seed=cfg["seed"],
     )

@@ -52,6 +52,8 @@ class DatasetManifest:
         return {c: {s: len(v[s]) for s in ("train", "test")} for c, v in self.classes.items()}
 
     def validate(self) -> None:
+        if len(self.classes) != 2:
+            raise BadFormat(f"manifest needs exactly two classes, found {self.class_names()}")
         for name, splits in self.classes.items():
             train_paths = {e.path for e in splits["train"]}
             test_paths = {e.path for e in splits["test"]}

@@ -3,7 +3,10 @@
 Parameters are stored as "param_<name>" tensors, and architecture
 hyperparameters ride along as reserved "meta_*" tensors so a checkpoint is
 self-describing; small integers and floats survive the f32 wire format
-exactly enough to rebuild the same model. Any other checkpoint is `BadFormat`.
+exactly enough to rebuild the same model. The values no model varies (the
+classifier's convs, the U-Net's single input and output channel) are still
+written, so every checkpoint keeps its bytes, and a load checks them against
+the constants. Any other checkpoint is `BadFormat`.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..cqcnn import CqcnnConfig, CqcnnModel, HEAD_CLASSICAL, HEAD_QUANTUM
+from ..cqcnn import CONV1_OUT, CONV2_OUT, KERNEL, CqcnnConfig, CqcnnModel, HEAD_CLASSICAL, HEAD_QUANTUM
 from ..diffusion import NoisePredictor, NoisePredictorConfig
 from ..errors import BadFormat, InvalidArgument
 from ..rng import Rng
@@ -19,11 +22,15 @@ from ..skullnet import UNet, UNetConfig
 
 _HEAD_CODES = {HEAD_QUANTUM: 0, HEAD_CLASSICAL: 1}
 _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
+# kind -> the fixed architecture values its checkpoints carry as metadata
+_FIXED = {0: {"conv1_out": CONV1_OUT, "conv2_out": CONV2_OUT, "kernel": KERNEL},
+          1: {"in_channels": 1, "out_channels": 1}}
 
 
 def _pack(model, kind: int, **meta) -> dict[str, np.ndarray]:
     out = {f"param_{k}": v for k, v in model.params().items()}
-    out.update({f"meta_{k}": np.asarray(v, dtype=np.float32) for k, v in {"kind": kind, **meta}.items()})
+    meta = {"kind": kind, **meta, **_FIXED.get(kind, {})}
+    out.update({f"meta_{k}": np.asarray(v, dtype=np.float32) for k, v in meta.items()})
     return out
 
 
@@ -48,6 +55,10 @@ def _load(tensors: dict, kind: int, what: str, make_config, model_cls):
     """
     if _meta(tensors, "meta_kind") != kind:
         raise BadFormat(f"checkpoint does not hold a {what}")
+    for key, value in _FIXED.get(kind, {}).items():
+        stored = _meta(tensors, f"meta_{key}")
+        if stored != value:
+            raise BadFormat(f"checkpoint 'meta_{key}' is {stored}, every {what} has {value}")
     try:
         config = make_config()
         shapes = config.param_shapes()
@@ -72,16 +83,12 @@ def _load(tensors: dict, kind: int, what: str, make_config, model_cls):
 def pack_cqcnn(model: CqcnnModel) -> dict[str, np.ndarray]:
     cfg = model.config
     return _pack(model, 0, image_size=cfg.image_size, n_qubits=cfg.n_qubits, fc_width=cfg.fc_out,
-                 head=_HEAD_CODES[cfg.head], dropout=cfg.dropout_rate, conv1_out=cfg.conv1_out,
-                 conv2_out=cfg.conv2_out, kernel=cfg.kernel)
+                 head=_HEAD_CODES[cfg.head], dropout=cfg.dropout_rate)
 
 
 def unpack_cqcnn(tensors: dict[str, np.ndarray]) -> CqcnnModel:
     return _load(tensors, 0, "classifier", lambda: CqcnnConfig(
         image_size=_meta(tensors, "meta_image_size"),
-        conv1_out=_meta(tensors, "meta_conv1_out"),
-        conv2_out=_meta(tensors, "meta_conv2_out"),
-        kernel=_meta(tensors, "meta_kernel"),
         dropout_rate=_meta(tensors, "meta_dropout", integral=False),
         n_qubits=_meta(tensors, "meta_n_qubits"),
         fc_width=_meta(tensors, "meta_fc_width"),
@@ -93,16 +100,13 @@ def unpack_cqcnn(tensors: dict[str, np.ndarray]) -> CqcnnModel:
 
 def pack_unet(model: UNet) -> dict[str, np.ndarray]:
     cfg = model.config
-    return _pack(model, 1, input_size=cfg.input_size, widths=cfg.scaled_widths,
-                 in_channels=cfg.in_channels, out_channels=cfg.out_channels)
+    return _pack(model, 1, input_size=cfg.input_size, widths=cfg.scaled_widths)
 
 
 def unpack_unet(tensors: dict[str, np.ndarray]) -> UNet:
     return _load(tensors, 1, "segmenter", lambda: UNetConfig(
         input_size=_meta(tensors, "meta_input_size"),
         widths=_meta(tensors, "meta_widths", scalar=False),
-        in_channels=_meta(tensors, "meta_in_channels"),
-        out_channels=_meta(tensors, "meta_out_channels"),
     ), UNet)
 
 

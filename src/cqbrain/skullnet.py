@@ -4,9 +4,10 @@ The UNet class is the shared encoder/bottleneck/decoder/skip machinery:
 each level applies two 3x3 same-padded conv+ReLU stages, 2x2 max-pooling
 between encoder levels, 2x2 stride-2 transposed-conv upsampling in the
 decoder, and channel concatenation with the mirrored encoder feature map.
-A 1x1 conv produces the output logits. An optional per-channel vector can
-be broadcast-added at the bottleneck (the denoiser injects its timestep
-embedding there).
+It maps one grayscale slice to one map of logits, which a 1x1 conv makes:
+SkullNet and the denoiser both use it so. An optional per-channel vector
+can be broadcast-added at the bottleneck (the denoiser injects its
+timestep embedding there).
 
 Training for brain masks minimizes binary cross-entropy plus (1 - soft
 Dice); predictions are binarized at 0.5 before scoring or mask application.
@@ -42,21 +43,21 @@ FULL_WIDTHS = (32, 64, 128, 256, 512)
 # Images per U-Net call in `segment_many`; training already runs batches of 8.
 APPLY_CHUNK = 8
 
+# Added to the soft Dice's numerator and denominator: an empty mask predicted empty scores 1.
+DICE_SMOOTH = 1.0
+
 
 @dataclass
 class UNetConfig:
     input_size: int = 128
     widths: tuple[int, ...] = FULL_WIDTHS
     width_scale: float = 1.0
-    in_channels: int = 1
-    out_channels: int = 1
 
     def __post_init__(self):
         if len(self.widths) < 2:
             raise InvalidArgument("need at least two levels (encoder + bottleneck)")
-        if min(self.in_channels, self.out_channels, *self.widths) < 1:
-            raise InvalidArgument(f"channel counts must be >= 1, got in_channels {self.in_channels}, "
-                                  f"out_channels {self.out_channels}, widths {tuple(self.widths)}")
+        if min(self.widths) < 1:
+            raise InvalidArgument(f"channel counts must be >= 1, got widths {tuple(self.widths)}")
         down = 2 ** (len(self.widths) - 1)
         if self.input_size % down or self.input_size < down:
             raise InvalidArgument(f"input_size {self.input_size} must be a multiple of {down}")
@@ -81,14 +82,14 @@ class UNetConfig:
         def conv(name: str, c_out: int, c_in: int, k: int) -> None:
             shapes[f"{name}_w"], shapes[f"{name}_b"] = (c_out, c_in, k, k), (c_out,)
 
-        for lvl, (c_in, width) in enumerate(zip((self.in_channels, *w), w)):
+        for lvl, (c_in, width) in enumerate(zip((1, *w), w)):
             conv(f"enc{lvl}_c1", width, c_in, 3)
             conv(f"enc{lvl}_c2", width, width, 3)
         for lvl in range(self.depth - 2, -1, -1):
             shapes[f"up{lvl}_w"], shapes[f"up{lvl}_b"] = (w[lvl + 1], w[lvl], 2, 2), (w[lvl],)
             conv(f"dec{lvl}_c1", w[lvl], 2 * w[lvl], 3)
             conv(f"dec{lvl}_c2", w[lvl], w[lvl], 3)
-        conv("head", self.out_channels, w[0], 1)
+        conv("head", 1, w[0], 1)
         return shapes
 
 
@@ -133,17 +134,15 @@ class UNet:
         return dy
 
     def forward(self, x: np.ndarray, bottleneck_add: np.ndarray | None = None) -> np.ndarray:
-        """Logits with the input's spatial shape; x is (N, C, H, W)."""
+        """Logits (N, 1, H, W) for x (N, 1, H, W)."""
         cfg = self.config
-        if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != (cfg.input_size, cfg.input_size):
-            raise InvalidArgument(f"expected (N, {cfg.in_channels}, {cfg.input_size}, {cfg.input_size}), got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != (1, cfg.input_size, cfg.input_size):
+            raise InvalidArgument(f"expected (N, 1, {cfg.input_size}, {cfg.input_size}), got {x.shape}")
         cache: dict = {}
-        skips: list[np.ndarray] = []
         for lvl in range(cfg.depth):
             x = self._conv_block(f"enc{lvl}", x, cache)
             if lvl < cfg.depth - 1:
-                skips.append(x)
-                cache[f"pool{lvl}_in"] = x
+                cache[f"pool{lvl}_in"] = x  # also the decoder's skip input at this level
                 x = maxpool2x2(x)
 
         if bottleneck_add is not None:
@@ -156,13 +155,8 @@ class UNet:
 
         for lvl in range(cfg.depth - 2, -1, -1):
             up = conv_transpose2x2(x, self._params[f"up{lvl}_w"], self._params[f"up{lvl}_b"])
-            skip = skips[lvl]
-            if up.shape[2:] != skip.shape[2:]:
-                raise InvalidArgument(f"decoder level {lvl}: upsampled {up.shape} vs skip {skip.shape}")
             cache[f"up{lvl}_in"] = x
-            joined = np.concatenate([up, skip], axis=1)
-            cache[f"dec{lvl}_join"] = joined.shape[1] // 2
-            x = self._conv_block(f"dec{lvl}", joined, cache)
+            x = self._conv_block(f"dec{lvl}", np.concatenate([up, cache[f"pool{lvl}_in"]], axis=1), cache)
 
         logits = conv2d(x, self._params["head_w"], self._params["head_b"])
         cache["head_in"] = x
@@ -185,21 +179,20 @@ class UNet:
         dy, grads["head_w"], grads["head_b"] = conv2d_backward(
             dlogits, cache["head_in"], self._params["head_w"])
 
+        skip_grads = []  # level lvl's decoder-input gradient past its upsampled channels
         for lvl in range(cfg.depth - 1):
             dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads, input_grad=True)
-            half = cache[f"dec{lvl}_join"]
-            dup, dskip = dy[:, :half], dy[:, half:]
-            dx_level, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
-                dup, cache[f"up{lvl}_in"], self._params[f"up{lvl}_w"])
-            cache[f"skip{lvl}_grad"] = dskip
-            dy = dx_level
+            up_channels = cfg.scaled_widths[lvl]
+            skip_grads.append(dy[:, up_channels:])
+            dy, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
+                dy[:, :up_channels], cache[f"up{lvl}_in"], self._params[f"up{lvl}_w"])
 
         d_bottleneck = dy.sum(axis=(2, 3)) if cache["used_bottleneck_add"] else None
 
         for lvl in range(cfg.depth - 1, -1, -1):
             if lvl < cfg.depth - 1:
                 dy = maxpool2x2_backward(dy, cache[f"pool{lvl}_in"])
-                dy = dy + cache[f"skip{lvl}_grad"]
+                dy = dy + skip_grads[lvl]
             dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads, input_grad=lvl > 0)
         return grads, d_bottleneck
 
@@ -218,8 +211,7 @@ class MaskPair:
             raise InvalidArgument(f"image {self.image.shape} vs mask {self.mask.shape}")
 
 
-def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
-                      smooth: float = 1.0) -> tuple[float, np.ndarray]:
+def segmentation_loss(logits: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Per-batch BCE + (1 - soft Dice) over (N, ...) logits; returns (loss, dloss/dlogits).
 
     Dice is computed per item and averaged, matching the per-image
@@ -238,8 +230,8 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray,
     dz_bce = (p - m) / (npix * n)
 
     items = (n,) + (1,) * (z.ndim - 1)  # a per-item value against (N, ...) arrays
-    a = 2.0 * (p * m).reshape(n, -1).sum(axis=1) + smooth
-    b = p.reshape(n, -1).sum(axis=1) + m.reshape(n, -1).sum(axis=1) + smooth
+    a = 2.0 * (p * m).reshape(n, -1).sum(axis=1) + DICE_SMOOTH
+    b = p.reshape(n, -1).sum(axis=1) + m.reshape(n, -1).sum(axis=1) + DICE_SMOOTH
     loss_dice = sum(1.0 - a / b) / n  # Python's sum adds in item order; np.sum pairs terms from 8 items up
     dp_dice = -(2.0 * m * b.reshape(items) - a.reshape(items)) / (b * b).reshape(items)
     dz_dice = dp_dice / n * p * (1.0 - p)

@@ -160,8 +160,9 @@ class TestModelPacking:
         ("meta_n_qubits", 2.5, "expected integers"),
         ("meta_dropout", np.inf, "expected finite values"),
         ("meta_image_size", np.array([16.0, 16.0], np.float32), "expected one value"),
-        ("meta_conv1_out", 0.0, "conv1_out must be >= 1"),
-        ("meta_kernel", 0.0, "kernel must be >= 1"),
+        ("meta_conv1_out", 0.0, "'meta_conv1_out' is 0, every classifier has 2"),
+        ("meta_conv2_out", 8.0, "'meta_conv2_out' is 8, every classifier has 4"),
+        ("meta_kernel", 3.0, "'meta_kernel' is 3, every classifier has 5"),
     ])
     def test_bad_classifier_metadata_is_bad_format(self, meta, value, message):
         tensors = pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16)))
@@ -169,12 +170,15 @@ class TestModelPacking:
         with pytest.raises(BadFormat, match=message):
             unpack_cqcnn(tensors)
 
-    @pytest.mark.parametrize("meta, value", [("meta_in_channels", 0.0), ("meta_out_channels", 0.0),
-                                             ("meta_widths", [0.0, 4.0])])
-    def test_zero_segmenter_channels_are_bad_format(self, meta, value):
+    @pytest.mark.parametrize("meta, value, message", [
+        ("meta_in_channels", 0.0, "'meta_in_channels' is 0, every segmenter has 1"),
+        ("meta_out_channels", 0.0, "'meta_out_channels' is 0, every segmenter has 1"),
+        ("meta_widths", [0.0, 4.0], "channel counts must be >= 1"),
+    ])
+    def test_zero_segmenter_channels_are_bad_format(self, meta, value, message):
         tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4))))
         tensors[meta] = np.asarray(value, np.float32)
-        with pytest.raises(BadFormat, match="channel counts must be >= 1"):
+        with pytest.raises(BadFormat, match=message):
             unpack_unet(tensors)
 
     @pytest.mark.parametrize("unpack", [unpack_cqcnn, unpack_unet, unpack_predictor])

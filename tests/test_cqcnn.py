@@ -53,21 +53,11 @@ class TestShapesAndCounts:
 
     def test_count_matches_direct_summation(self):
         # independent decomposition: conv1 + conv2 + fc + affine + angles
-        for n_q, fc_w in ((2, 4), (3, 4), (3, 3), (2, None)):
+        for n_q, fc_w in ((2, 4), (3, 4), (3, 3), (2, 0)):
             cfg = CqcnnConfig(n_qubits=n_q, fc_width=fc_w)
             fc = cfg.fc_out
             expected = (2 * 25 + 2) + (4 * 2 * 25 + 4) + (fc * 3364 + fc) + 2 + n_q
             assert param_count(cfg) == expected
-
-    def test_doubling_conv1_out_doubles_its_contribution(self):
-        def conv1_part(c):
-            return c.conv1_out * c.kernel**2 + c.conv1_out
-
-        base = CqcnnConfig(conv1_out=2)
-        doubled = CqcnnConfig(conv1_out=4)
-        assert conv1_part(doubled) == 2 * conv1_part(base)
-        conv2_delta = (4 * 4 * 25 + 4) - (4 * 2 * 25 + 4)
-        assert param_count(doubled) - param_count(base) == conv1_part(base) + conv2_delta
 
     def test_model_count_matches_config_count(self):
         for head in ("quantum", "classical_softmax"):
@@ -92,11 +82,10 @@ class TestShapesAndCounts:
         with pytest.raises(InvalidArgument):
             CqcnnConfig(dropout_rate=1.0)
 
-    @pytest.mark.parametrize("key", ["conv1_out", "conv2_out", "kernel"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_sizes_below_one_rejected(self, key, value):
-        with pytest.raises(InvalidArgument, match=f"{key} must be >= 1"):
-            CqcnnConfig(**{key: value})
+    def test_fc_width_0_matches_the_qubit_count(self):
+        assert [CqcnnConfig(n_qubits=n).fc_out for n in (2, 3)] == [2, 3]
+        with pytest.raises(InvalidArgument, match="fc_width must be 0 or >= n_qubits"):
+            CqcnnConfig(fc_width=-1)
 
 
 class TestForward:
@@ -240,10 +229,12 @@ class TestKeptColumns:
         model.backward(np.array([1.0, 0.0], np.float32))
         assert calls == []
 
-    def test_warm_training_step_allocates_no_conv1_columns(self):
+    def test_warm_training_step_allocates_no_conv1_columns(self, monkeypatch):
         # one conv1 channel keeps the rest of the step (conv2's gradient columns
         # and their zero-padded frame above all) below the size of conv1's columns
-        model = CqcnnModel(CqcnnConfig(conv1_out=1))
+        monkeypatch.setattr(cqcnn, "CONV1_OUT", 1)
+        model = CqcnnModel(CqcnnConfig())
+        assert model.params()["conv1_w"].shape == (1, 1, 5, 5)
         img = np.random.default_rng(4).random((128, 128), np.float32)
         y = np.array([0.0, 1.0], np.float32)
         backward(model, img, y, rng=Rng(0))  # warm-up: allocates the model's column buffers

@@ -15,6 +15,11 @@ functions and methods named as strings.
 Every class in errors.py must be raised somewhere in src/ or be the base
 of one that is, and every `raise` of a class in src/ must name an
 errors.py class, so the error taxonomy cannot grow dead or stray types.
+
+Every defaulted parameter of a function or method in src/ must be passed,
+by position or keyword, by some call in src/, the acceptance gate or
+perfbench/ (an `__init__` is called through its class name), so a setting
+that every caller leaves at one value becomes a constant instead.
 """
 import ast
 from pathlib import Path
@@ -27,6 +32,8 @@ MODULES = sorted(SRC.rglob("*.py"))
 READERS = MODULES + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 # gate-level references the unit tests check the circuit evaluator against, kept on purpose
 TEST_REFERENCES = {"encode_zz", "apply_ansatz", "expectation_parity"}
+# defaulted parameters no caller passes, kept on purpose: NIfTI's detached `ni1` branch (an external format)
+UNPASSED_DEFAULTS = {"parse_nifti(detached_data)"}
 ERRORS = SRC / "cqbrain" / "errors.py"
 # (module, function, class) of a raise outside errors.py: `_convert` turns its own ValueError into a ConfigError
 FOREIGN_RAISES = {("pipeline/config.py", "_convert", "ValueError")}
@@ -206,3 +213,79 @@ def test_every_raised_class_is_an_error_class():
     root = SRC / "cqbrain"
     sources = {str(path.relative_to(root)): path.read_text(encoding="utf-8") for path in MODULES}
     assert foreign_raises(ERRORS.read_text(encoding="utf-8"), sources, FOREIGN_RAISES) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, caller-side position or None if keyword-only) of each defaulted parameter.
+
+    The callee is the function's or method's name, or its class's name for an `__init__`;
+    a method's position leaves out `self` or `cls`, a staticmethod's does not.
+    """
+    tree = ast.parse(source)
+    owner = {id(m): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if id(node) in owner and not static else 0
+        callee = owner[id(node)] if node.name == "__init__" and id(node) in owner else node.name
+        first_default = len(positional) - len(args.defaults)
+        found += [(callee, a.arg, i - skip) for i, a in enumerate(positional) if i >= first_default]
+        found += [(callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def passed_arguments(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (most positional arguments any call passes, keywords any call passes).
+
+    A call spreading `*args` counts as passing every position, one spreading `**kwargs` every keyword ("*").
+    """
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = passed.get(name, (0, set()))
+            spread = any(isinstance(a, ast.Starred) for a in node.args)
+            most = max(most, float("inf") if spread else len(node.args))
+            keywords |= {kw.arg or "*" for kw in node.keywords}
+            passed[name] = (most, keywords)
+    return passed
+
+
+def unpassed_defaults(sources: list[str], readers: list[str]) -> list[str]:
+    """`callee(parameter)` for each defaulted parameter in sources that no call in readers passes."""
+    passed = passed_arguments(readers)
+    unpassed = []
+    for source in sources:
+        for callee, param, position in defaulted_parameters(source):
+            most, keywords = passed.get(callee, (0, set()))
+            if not (param in keywords or "*" in keywords or (position is not None and position < most)):
+                unpassed.append(f"{callee}({param})")
+    return sorted(unpassed)
+
+
+def test_the_check_finds_unpassed_defaults():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "class K:\n    def __init__(self, x=0, y=0): pass\n    def m(self, p=1, q=2): pass\n"
+              "    @staticmethod\n    def s(r=1): pass\n"
+              "def g(h=1): pass\n"
+              "f(0, 5, e=6)\nK(1)\nk.m(*args)\nk.s(2)\ng(**opts)\n")
+    assert defaulted_parameters(source) == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("f", "e", None), ("g", "h", 0),
+        ("K", "x", 0), ("K", "y", 1), ("m", "p", 0), ("m", "q", 1), ("s", "r", 0)]
+    assert unpassed_defaults([source], [source]) == ["K(y)", "f(c)", "f(d)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    unpassed = unpassed_defaults([path.read_text(encoding="utf-8") for path in MODULES], readers)
+    # exactly the kept reference: a new unpassed default fails, and so does a stale allowlist entry
+    assert unpassed == sorted(UNPASSED_DEFAULTS)

@@ -702,8 +702,10 @@ class TestMalformedManifests:
     """train and evaluate on a file that is not a dataset manifest exit 2 with `error: <path>: ...`."""
 
     _ENTRY = {"path": "x.pgm", "provenance": "real"}
-    _VALID = {"classes": {"a": {"train": [_ENTRY], "test": []}}, "plane": "axial",
-              "image_size": 16, "seed": 0}
+    _CLASS = {"train": [_ENTRY], "test": []}
+    _VALID = {"classes": {"a": _CLASS, "b": _CLASS}, "plane": "axial", "image_size": 16, "seed": 0}
+    ONE_CLASS = json.dumps({**_VALID, "classes": {"a": _CLASS}}).encode()
+    THREE_CLASSES = json.dumps({**_VALID, "classes": {"a": _CLASS, "b": _CLASS, "c": _CLASS}}).encode()
     CASES = [
         (b"\xff\xfe{}", "not UTF-8"),
         (b"junk", "not JSON"),
@@ -722,6 +724,8 @@ class TestMalformedManifests:
         (json.dumps({**_VALID, "seed": True}).encode(), "seed is not an integer"),
         (json.dumps({**_VALID, "plane": None}).encode(), "plane is not a string"),
         (json.dumps({**_VALID, "extra": [1]}).encode(), "extra is not an object"),
+        (ONE_CLASS, "needs exactly two classes, found ['a']"),
+        (THREE_CLASSES, "needs exactly two classes, found ['a', 'b', 'c']"),
     ]
 
     @pytest.mark.parametrize("content, message", CASES, ids=[message for _, message in CASES])
@@ -735,11 +739,12 @@ class TestMalformedManifests:
     def test_valid_manifest_loads(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(self._VALID))
-        assert DatasetManifest.load(path).counts() == {"a": {"train": 1, "test": 0}}
+        assert DatasetManifest.load(path).counts() == {c: {"train": 1, "test": 0} for c in "ab"}
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
-    @pytest.mark.parametrize("content", [b"\xff", b"junk", b"{}", CASES[8][0]],
-                             ids=["not UTF-8", "not JSON", "no keys", "unknown entry field"])
+    @pytest.mark.parametrize("content", [b"\xff", b"junk", b"{}", CASES[8][0], ONE_CLASS, THREE_CLASSES],
+                             ids=["not UTF-8", "not JSON", "no keys", "unknown entry field", "one class",
+                                  "three classes"])
     def test_commands_exit_2(self, tmp_path, capsys, command, content):
         path = tmp_path / "manifest.json"
         path.write_bytes(content)
@@ -815,8 +820,8 @@ class TestMalformedCheckpoints:
             tensors.update({key: np.zeros(0, np.float32) for key in empty})
         return damage
 
-    @pytest.mark.parametrize("kind, message", [("classifier", "conv1_out must be >= 1"),
-                                               ("segmenter", "channel counts must be >= 1")])
+    @pytest.mark.parametrize("kind, message", [("classifier", "'meta_conv1_out' is 0, every classifier has 2"),
+                                               ("segmenter", "'meta_in_channels' is 0, every segmenter has 1")])
     def test_zero_channel_metadata_exits_2(self, tmp_path, capsys, kind, message):
         ckpt = self._checkpoint(tmp_path, kind, self._zero_channels(kind))
         if kind == "classifier":
