@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument
+from .errors import Diverged, EmptyInput, InvalidArgument
 from .neuralkernel import Optimizer, Params, glorot
 from .rng import Rng
 from .skullnet import UNet, UNetConfig
@@ -135,9 +135,8 @@ class NoisePredictorConfig:
 class NoisePredictor:
     """Small U-Net denoiser with the timestep embedding (`temb_w`/`temb_b`) added at the bottleneck."""
 
-    def __init__(self, config: NoisePredictorConfig, rng: Rng | None = None):
+    def __init__(self, config: NoisePredictorConfig, rng: Rng):
         self.config = config
-        rng = rng if rng is not None else Rng(0)
         self.unet = UNet(config.unet_config(), rng.derive("unet"), config.param_shapes())
         glorot(rng.derive("init:temb"), self.unet.params()["temb_w"])
         self._emb: np.ndarray | None = None
@@ -171,10 +170,9 @@ def train_step(predictor, x0_batch: np.ndarray, schedule: NoiseSchedule,
     pixel count).
     """
     x0 = np.asarray(x0_batch, dtype=np.float32)
-    if x0.ndim == 3:
-        x0 = x0[:, None]
-    if x0.ndim != 4 or x0.shape[0] == 0:
-        raise EmptyInput(f"need a nonempty (N, H, W) or (N, 1, H, W) batch, got {x0_batch.shape}")
+    if x0.ndim != 3 or x0.shape[0] == 0:
+        raise EmptyInput(f"need a nonempty (N, H, W) batch, got {x0.shape}")
+    x0 = x0[:, None]
     n = x0.shape[0]
     ts = rng.derive("timesteps").integers(1, schedule.T + 1, n)
     x_t, eps = forward_jump(x0, ts, schedule, rng.derive("noise"))
@@ -188,7 +186,10 @@ def train_step(predictor, x0_batch: np.ndarray, schedule: NoiseSchedule,
 
 def sample(predictor, schedule: NoiseSchedule, shape: tuple[int, int], rng: Rng,
            count: int = 1) -> np.ndarray:
-    """Ancestral sampling from pure noise; returns (count, H, W) in [0, 1]."""
+    """Ancestral sampling from pure noise; returns (count, H, W) in [0, 1].
+
+    A step whose output is not finite raises Diverged naming its timestep.
+    """
     h, w = shape
     x = rng.derive("x_T").normal((count, 1, h, w)).astype(np.float32)
     z_rng = rng.derive("z")
@@ -199,4 +200,6 @@ def sample(predictor, schedule: NoiseSchedule, shape: tuple[int, int], rng: Rng,
         if t > 1:
             mean = mean + np.float32(math.sqrt(beta)) * z_rng.normal(x.shape).astype(np.float32)
         x = mean
+        if not np.isfinite(x).all():
+            raise Diverged(f"sampling diverged at timestep {t} of {schedule.T}: the images are not finite")
     return (np.clip(x[:, 0], -1.0, 1.0) + 1.0) / 2.0

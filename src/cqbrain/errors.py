@@ -9,7 +9,7 @@ The CLI prints an error's message and exits with the code given here:
 - Truncated (2): a BadFormat whose payload ends early.
 - InvalidArgument (2): an argument or hyperparameter outside what a function accepts.
 - EmptyInput (2): nothing to work on: no input files, an empty dataset or batch, no runs.
-- Diverged (2): a training step produced a non-finite head input or loss.
+- Diverged (2): training, sampling or segmentation produced non-finite values.
 """
 
 
@@ -42,4 +42,4 @@ class EmptyInput(CqbrainError):
 
 
 class Diverged(CqbrainError):
-    """A training step produced a non-finite head input or loss."""
+    """A training step, a sampling step or the segmenter produced non-finite values."""

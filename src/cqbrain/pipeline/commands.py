@@ -333,9 +333,9 @@ def cmd_train(cfg: dict) -> dict:
     manifest = DatasetManifest.load(cfg["dataset"])
     train_set = load_split(manifest, "train")
     test_set = load_split(manifest, "test")
-    if cfg["skull_strip"]:
-        train_set = _strip_dataset(train_set, cfg["skullnet_ckpt"])
-        test_set = _strip_dataset(test_set, cfg["skullnet_ckpt"])
+    if cfg["skull_strip"]:  # both splits through one loaded U-Net
+        stripped = _strip_dataset(train_set + test_set, cfg["skullnet_ckpt"])
+        train_set, test_set = stripped[: len(train_set)], stripped[len(train_set) :]
 
     head = HEAD_QUANTUM if cfg["head"] == "quantum" else HEAD_CLASSICAL
     model_cfg = CqcnnConfig(

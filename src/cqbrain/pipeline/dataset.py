@@ -169,12 +169,10 @@ def sample_pgms(ckpt: Path, count: int, rng: Rng, out_dir: Path, prefix: str,
 
 
 def build_dataset(input_dir: str | Path, output_dir: str | Path, plane: str, seed: int,
-                  balance: bool = True, diffusion_ckpts: dict[str, Path] | None = None,
-                  image_size: int = 128) -> DatasetManifest:
+                  balance: bool, diffusion_ckpts: dict[str, Path], image_size: int) -> DatasetManifest:
     """Assemble the split manifest; see module docstring for the layout."""
     root = Path(input_dir)
     out_root = Path(output_dir)
-    diffusion_ckpts = diffusion_ckpts or {}
     class_names = sorted(d.name for d in root.iterdir() if d.is_dir())
     if len(class_names) != 2:
         raise EmptyInput(f"need exactly two class directories under {root}, found {class_names}")

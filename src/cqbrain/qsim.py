@@ -186,31 +186,6 @@ def _parity_expectations(n: int, rows: np.ndarray) -> np.ndarray:
     return (signs * np.abs(amps.reshape(len(rows), -1)) ** 2).sum(axis=1)
 
 
-def encode_zz(x) -> StateVector:
-    """Encode features as |0..0> -> H layer -> per-qubit phases -> pairwise phases.
-
-    Single repetition, full pairwise topology in lexicographic (i < j) order.
-    The encoding is diagonal after the Hadamard layer, so every output
-    amplitude has magnitude 2^{-n/2}.
-    """
-    x = _validated(x)
-    table = _bit_table(x.size)[0]
-    return StateVector(x.size, np.exp(1j * (table @ _encoding_angles(x))) * 2.0 ** (-x.size / 2.0))
-
-
-def apply_ansatz(s: StateVector, theta) -> StateVector:
-    """Trainable Ry(theta_q) on each qubit, in qubit-index order."""
-    theta = _validated(theta, s.n_qubits)
-    for q in range(s.n_qubits):
-        s = apply_ry(s, q, theta[q])
-    return s
-
-
-def expectation_parity(s: StateVector) -> float:
-    """<Z x ... x Z>: sum of (+-1 by bit parity) times basis probabilities."""
-    return float(np.sum(_bit_table(s.n_qubits)[1] * np.abs(s.amps) ** 2))
-
-
 def pqc_forward(x, theta) -> float | np.ndarray:
     """Probability output (parity expectation + 1) / 2, in [0, 1], under ansatz angles theta.
 

@@ -56,32 +56,25 @@ class Rng:
         self._counter += n
         return _finalize(self._key + idx * np.uint64(_GOLDEN))
 
-    def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
+    def uniform(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Uniform float64 in [0, 1)."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        vals = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-        return vals.reshape(shape) if shape else float(vals[0])
+        n = int(np.prod(shape, dtype=np.int64))
+        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53).reshape(shape)
 
-    def normal(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
+    def normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Standard normal float64 via Box-Muller."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        pairs = (n + 1) // 2
-        u = self.uniform((2, pairs))
+        n = int(np.prod(shape, dtype=np.int64))
+        u = self.uniform((2, (n + 1) // 2))
         r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u0 in (0,1] keeps log finite
         ang = 2.0 * math.pi * u[1]
-        vals = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
-        return vals.reshape(shape) if shape else float(vals[0])
+        return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n].reshape(shape)
 
-    def integers(self, low: int, high: int, shape: int | tuple[int, ...] = ()) -> np.ndarray | int:
+    def integers(self, low: int, high: int, shape: int | tuple[int, ...]) -> np.ndarray:
         """Uniform integers in [low, high). Modulo bias is negligible for spans << 2^64."""
         if high <= low:
             raise InvalidArgument(f"empty range [{low}, {high})")
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        vals = low + (self._raw(n) % np.uint64(high - low)).astype(np.int64)
-        return vals.reshape(shape) if shape else int(vals[0])
+        n = int(np.prod(shape, dtype=np.int64))
+        return (low + (self._raw(n) % np.uint64(high - low)).astype(np.int64)).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic random permutation of range(n)."""

@@ -99,9 +99,8 @@ class UNet:
     A `layout` adds an owner's tensors (the denoiser's) to `config.param_shapes()` in one vector.
     """
 
-    def __init__(self, config: UNetConfig, rng: Rng | None = None, layout: dict | None = None):
+    def __init__(self, config: UNetConfig, rng: Rng, layout: dict | None = None):
         self.config = config
-        rng = rng if rng is not None else Rng(0)
         self._params = Params(layout or config.param_shapes())
         for name in config.param_shapes():
             if name.endswith("_w"):
@@ -293,11 +292,16 @@ def segment_many(model: UNet, images: Sequence[np.ndarray]) -> Iterator[tuple[np
     """(binary mask, masked image) for each (H, W) image in order, APPLY_CHUNK images per U-Net call.
 
     The conv kernels compute each batch item on its own, so every mask and
-    masked image equals its one-image result bit for bit.
+    masked image equals its one-image result bit for bit. An image whose
+    logits are not finite raises Diverged naming its index.
     """
     for start in range(0, len(images), APPLY_CHUNK):
         chunk = np.stack([np.asarray(img, dtype=np.float32) for img in images[start : start + APPLY_CHUNK]])
         logits = model.forward(chunk[:, None])
+        finite = np.isfinite(logits).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise Diverged(f"segmentation diverged at image {start + int(finite.argmin())}: "
+                           f"its logits are not finite")
         for img, z in zip(chunk, logits[:, 0]):
             mask = (z >= 0.0).astype(np.float32)
             yield mask, img * mask

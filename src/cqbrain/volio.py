@@ -3,7 +3,8 @@
 Parses single-file NIfTI-1 volumes (float32 and int16 voxels, optional
 intensity scaling), plans evenly spaced slice schedules per anatomical
 plane, extracts min-max normalized 2D slices, resizes them bilinearly,
-and reads/writes binary 8-bit PGM images.
+and reads/writes binary 8-bit PGM images. The two-file "ni1" form is not
+read, and an image with a non-finite pixel is not written.
 
 A parsed volume keeps its voxels as stored: a zero-copy view into the
 payload bytes, which the volume therefore keeps alive. Conversion to
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import BadFormat, BadMagic, InvalidArgument, Truncated
 
 MAGIC_SINGLE = b"n+1\x00"  # header and voxels in one file
-MAGIC_DETACHED = b"ni1\x00"  # voxels supplied as a separate byte string
 
 DT_INT16 = 4
 DT_FLOAT32 = 16
@@ -122,24 +122,23 @@ class Image2D:
         self.pixels = np.asarray(self.pixels, dtype=np.float32).reshape(self.height, self.width)
 
 
-def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiHeader, Volume3D]:
-    """Decode a NIfTI-1 byte payload into its header and voxel volume.
+def parse_nifti(data: bytes) -> tuple[NiftiHeader, Volume3D]:
+    """Decode a single-file NIfTI-1 payload into its header and voxel volume.
 
-    `detached_data` carries the voxel raster for "ni1" headers; single-file
-    "n+1" payloads hold their voxels at vox_offset (at least 352) inside
-    `data`. The volume's `raw` voxels are a view into the raster bytes.
+    The voxels sit at vox_offset (at least 352) inside `data`, and the
+    volume's `raw` voxels are a view into those bytes.
 
-    Raises BadMagic (no NIfTI-1 magic or header size), Truncated (a short
-    header or raster, a negative vox_offset, "ni1" without detached
-    bytes), or BadFormat (rank other than 3, a non-positive extent, an
-    unsupported datatype or bitpix, a non-finite or non-integral
-    vox_offset, a single-file vox_offset inside the header, a non-finite
-    scl_slope or scl_inter).
+    Raises BadMagic (a magic other than "n+1", including the two-file
+    "ni1", or no NIfTI-1 header size), Truncated (a short header or
+    raster, a negative vox_offset), or BadFormat (rank other than 3, a
+    non-positive extent, an unsupported datatype or bitpix, a non-finite
+    or non-integral vox_offset, a vox_offset inside the header, a
+    non-finite scl_slope or scl_inter).
     """
     if len(data) < 348:
         raise Truncated(f"header needs 348 bytes, got {len(data)}")
     magic = data[344:348]
-    if magic not in (MAGIC_SINGLE, MAGIC_DETACHED):
+    if magic != MAGIC_SINGLE:
         raise BadMagic(f"unrecognized magic {magic!r}")
     if struct.unpack_from("<i", data, 0)[0] == 348:
         e = "<"
@@ -171,20 +170,14 @@ def parse_nifti(data: bytes, detached_data: bytes | None = None) -> tuple[NiftiH
 
     header = NiftiHeader(348, dim, datatype, bitpix, vox_offset, scl_slope, scl_inter, magic)
 
-    if magic == MAGIC_SINGLE:
-        if offset < 352:
-            raise BadFormat(f"vox_offset {offset} lies inside the 352-byte single-file header")
-        raster = data
-    else:
-        if detached_data is None:
-            raise Truncated("magic 'ni1' needs the detached voxel bytes")
-        raster = detached_data
+    if offset < 352:
+        raise BadFormat(f"vox_offset {offset} lies inside the 352-byte single-file header")
     count = nx * ny * nz
     need = offset + count * bitpix // 8
-    if len(raster) < need:
-        raise Truncated(f"voxel raster needs {need} bytes, got {len(raster)}")
+    if len(data) < need:
+        raise Truncated(f"voxel raster needs {need} bytes, got {len(data)}")
 
-    raw = np.frombuffer(raster, dtype=e + _NP_DTYPE[datatype], count=count, offset=offset)
+    raw = np.frombuffer(data, dtype=e + _NP_DTYPE[datatype], count=count, offset=offset)
     return header, Volume3D(nx, ny, nz, raw, scl_slope, scl_inter)
 
 
@@ -266,7 +259,12 @@ def fit(img: Image2D, w: int, h: int) -> Image2D:
 
 
 def write_pgm(img: Image2D) -> bytes:
-    """Binary PGM (P5, maxval 255); pixel byte = round(p * 255)."""
+    """Binary PGM (P5, maxval 255); pixel byte = round(p * 255), clipped to [0, 255].
+
+    A non-finite pixel raises InvalidArgument: no byte stands for it.
+    """
+    if not np.isfinite(img.pixels).all():
+        raise InvalidArgument(f"{img.width}x{img.height} image has non-finite pixels")
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     quantized = np.floor(img.pixels * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
     return header + quantized.tobytes()

@@ -39,8 +39,6 @@ def nifti_bytes(
 
     np_dtype = {4: e + "i2", 16: e + "f4"}.get(datatype, e + "f4")
     raster = np.asarray(voxels).astype(np_dtype).tobytes()
-    if magic == b"ni1\x00":
-        return bytes(hdr), raster  # caller passes raster separately
     pad = b"\x00" * (int(vox_offset) - 348)
     return bytes(hdr) + pad + raster
 

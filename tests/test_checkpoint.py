@@ -176,7 +176,7 @@ class TestModelPacking:
         ("meta_widths", [0.0, 4.0], "channel counts must be >= 1"),
     ])
     def test_zero_segmenter_channels_are_bad_format(self, meta, value, message):
-        tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4))))
+        tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0)))
         tensors[meta] = np.asarray(value, np.float32)
         with pytest.raises(BadFormat, match=message):
             unpack_unet(tensors)
@@ -184,9 +184,9 @@ class TestModelPacking:
     @pytest.mark.parametrize("unpack", [unpack_cqcnn, unpack_unet, unpack_predictor])
     def test_missing_unknown_or_resized_parameters_are_bad_format(self, unpack):
         packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
-                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)))),
+                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))),
                    unpack_predictor: lambda: pack_predictor(
-                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))}
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))}
         first = sorted(k for k in packers[unpack]() if k.startswith("param_"))[0]
         for damage in (lambda t: t.pop(first), lambda t: t.update(param_zz=np.ones(1, np.float32)),
                        lambda t: t.update({first: np.ones(t[first].size + 1, np.float32)})):
@@ -203,9 +203,9 @@ class TestModelPacking:
     ])
     def test_oversized_metadata_is_bad_format_before_allocating(self, unpack, meta, value):
         packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
-                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)))),
+                   unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))),
                    unpack_predictor: lambda: pack_predictor(
-                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))}
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))}
         tensors = packers[unpack]()
         tensors[meta] = np.asarray(value, np.float32)
         tracemalloc.start()
@@ -218,7 +218,7 @@ class TestModelPacking:
         assert peak < 1 << 20  # the model these sizes describe would take tens of MB
 
     def test_odd_embedding_dim_is_bad_format(self):
-        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8)), (5, 0.05, 0.3))
+        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))
         tensors["meta_emb_dim"] = np.float32(7)
         with pytest.raises(BadFormat, match="embedding dim"):
             unpack_predictor(tensors)

@@ -16,7 +16,7 @@ from cqbrain.diffusion import (
     sinusoidal_embedding,
     train_step,
 )
-from cqbrain.errors import EmptyInput, InvalidArgument
+from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
 from cqbrain.neuralkernel import Params, make_optimizer
 from cqbrain.rng import Rng
 
@@ -297,6 +297,20 @@ class TestSampling:
         sched = build_schedule(T=5)
         out = sample(_ZeroPredictor(), sched, (4, 4), Rng(8), count=4)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_non_finite_step_raises_diverged_naming_the_first_such_timestep(self):
+        class NanFromStep4(_ZeroPredictor):
+            def forward(self, x_t, t):
+                return np.full_like(x_t, np.nan if t <= 4 else 0.0)
+
+        with pytest.raises(Diverged, match="sampling diverged at timestep 4 of 10: the images are not finite"):
+            sample(NanFromStep4(), build_schedule(T=10), (4, 4), Rng(8), count=2)
+
+    def test_overflowing_denoiser_raises_diverged(self):
+        pred = NoisePredictor(NoisePredictorConfig(8, (4, 8), 8), Rng(6))
+        pred.params().flat[...] *= np.float32(1e15)
+        with np.errstate(all="ignore"), pytest.raises(Diverged, match="at timestep 10 of 10"):
+            sample(pred, build_schedule(T=10), (8, 8), Rng(7), count=3)
 
 
 class TestTerminalMoments:

@@ -30,10 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 READERS = MODULES + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-# gate-level references the unit tests check the circuit evaluator against, kept on purpose
-TEST_REFERENCES = {"encode_zz", "apply_ansatz", "expectation_parity"}
-# defaulted parameters no caller passes, kept on purpose: NIfTI's detached `ni1` branch (an external format)
-UNPASSED_DEFAULTS = {"parse_nifti(detached_data)"}
 ERRORS = SRC / "cqbrain" / "errors.py"
 # (module, function, class) of a raise outside errors.py: `_convert` turns its own ValueError into a ConfigError
 FOREIGN_RAISES = {("pipeline/config.py", "_convert", "ValueError")}
@@ -146,8 +142,7 @@ def test_no_unread_public_names():
     unread = {name: f"{path.relative_to(SRC)}:{line}" for path in MODULES
               for name, line in public_definitions(path.read_text(encoding="utf-8")).items()
               if name not in read}
-    # exactly the kept references: a new unread name fails, and so does a stale allowlist entry
-    assert unread.keys() == TEST_REFERENCES, unread
+    assert unread == {}
 
 
 def raised_classes(source: str) -> list[tuple[str, str, int]]:
@@ -286,6 +281,4 @@ def test_the_check_finds_unpassed_defaults():
 
 def test_every_defaulted_parameter_is_passed():
     readers = [path.read_text(encoding="utf-8") for path in READERS]
-    unpassed = unpassed_defaults([path.read_text(encoding="utf-8") for path in MODULES], readers)
-    # exactly the kept reference: a new unpassed default fails, and so does a stale allowlist entry
-    assert unpassed == sorted(UNPASSED_DEFAULTS)
+    assert unpassed_defaults([path.read_text(encoding="utf-8") for path in MODULES], readers) == []

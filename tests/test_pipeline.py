@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cqbrain import skullnet
+from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
 from cqbrain.errors import BadFormat, EmptyInput, InvalidArgument
 from cqbrain.pipeline import commands
@@ -17,7 +18,7 @@ from cqbrain.pipeline.atomic import write_atomic
 from cqbrain.pipeline.checkpoint import save_checkpoint
 from cqbrain.pipeline.cli import main
 from cqbrain.pipeline.dataset import DatasetManifest, build_dataset, load_split, split_90_10
-from cqbrain.pipeline.modelio import pack_predictor, pack_unet
+from cqbrain.pipeline.modelio import pack_cqcnn, pack_predictor, pack_unet
 from cqbrain.pipeline.report import write_csv
 from cqbrain.rng import Rng
 from cqbrain.skullnet import UNet, UNetConfig
@@ -110,7 +111,7 @@ class TestBuildDataset:
         _write_pgms(root / "a" / "coronal", 20, seed=3)
         _write_pgms(root / "b" / "coronal", 20, seed=4)
         manifest = build_dataset(root, tmp_path / "out", "coronal", seed=0,
-                                 balance=True, image_size=16)
+                                 balance=True, diffusion_ckpts={}, image_size=16)
         entries = [e for c in manifest.classes.values() for e in c["train"]]
         assert all(e.provenance == "real" for e in entries)
 
@@ -119,7 +120,8 @@ class TestBuildDataset:
         _write_pgms(root / "a" / "axial", 30, seed=5)
         _write_pgms(root / "b" / "axial", 10, seed=6)
         with pytest.raises(InvalidArgument, match="needs a diffusion checkpoint"):
-            build_dataset(root, tmp_path / "out", "axial", seed=0, balance=True, image_size=16)
+            build_dataset(root, tmp_path / "out", "axial", seed=0, balance=True, diffusion_ckpts={},
+                          image_size=16)
 
     def test_three_plane_pooling(self, tmp_path):
         root = tmp_path / "data"
@@ -127,7 +129,7 @@ class TestBuildDataset:
             _write_pgms(root / "a" / plane, 10, seed=7)
             _write_pgms(root / "b" / plane, 10, seed=8)
         manifest = build_dataset(root, tmp_path / "out", "3plane", seed=0,
-                                 balance=False, image_size=16)
+                                 balance=False, diffusion_ckpts={}, image_size=16)
         assert manifest.counts()["a"] == {"train": 27, "test": 3}
 
     def test_manifest_roundtrip_and_validation(self, tmp_path):
@@ -135,7 +137,7 @@ class TestBuildDataset:
         _write_pgms(root / "a" / "axial", 10, seed=9)
         _write_pgms(root / "b" / "axial", 10, seed=10)
         manifest = build_dataset(root, tmp_path / "out", "axial", seed=0,
-                                 balance=False, image_size=16)
+                                 balance=False, diffusion_ckpts={}, image_size=16)
         loaded = DatasetManifest.load(tmp_path / "out" / "manifest.json")
         assert loaded.counts() == manifest.counts()
         loaded.classes["a"]["test"][0].provenance = "synthetic"
@@ -147,7 +149,7 @@ class TestBuildDataset:
         _write_pgms(root / "zzz" / "axial", 5, seed=11, label=1)
         _write_pgms(root / "aaa" / "axial", 5, seed=12, label=0)
         manifest = build_dataset(root, tmp_path / "out", "axial", seed=0,
-                                 balance=False, image_size=16)
+                                 balance=False, diffusion_ckpts={}, image_size=16)
         data = load_split(manifest, "train")
         assert {label for _, label in data} == {0, 1}
         assert data[0][0].shape == (16, 16)
@@ -156,7 +158,8 @@ class TestBuildDataset:
         root = tmp_path / "data"
         root.mkdir()
         with pytest.raises(EmptyInput):
-            build_dataset(root, tmp_path / "out", "axial", seed=0, image_size=16)
+            build_dataset(root, tmp_path / "out", "axial", seed=0, balance=True, diffusion_ckpts={},
+                          image_size=16)
 
 
 def _write_cfg(path, **kv):
@@ -218,6 +221,16 @@ class TestCli:
         capsys.readouterr()
         assert main(["slice", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: bad.nii: ")
+
+    def test_slice_two_file_nifti_exits_2(self, tmp_path, capsys):
+        vol_dir = tmp_path / "vols"
+        vol_dir.mkdir()
+        (vol_dir / "pair.nii").write_bytes(nifti_bytes((8, 8, 8), np.arange(512), magic=b"ni1\x00"))
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=2, size=8)
+        capsys.readouterr()
+        assert main(["slice", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: pair.nii: unrecognized magic b'ni1\\x00'")
+        assert not (tmp_path / "o").exists()
 
     def test_slice_holds_one_payload_at_a_time(self, tmp_path):
         vol_dir = tmp_path / "vols"
@@ -502,7 +515,8 @@ class TestAtomicWrites:
         root = tmp_path / "data"
         _write_pgms(root / "a" / "axial", 4, seed=1)
         _write_pgms(root / "b" / "axial", 4, seed=2)
-        manifest = build_dataset(root, tmp_path / "ds", "axial", seed=0, balance=False, image_size=16)
+        manifest = build_dataset(root, tmp_path / "ds", "axial", seed=0, balance=False, diffusion_ckpts={},
+                                 image_size=16)
         writes = {
             "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(3, v, np.float32)}),
             "csv": lambda path, v: write_csv(path, ["a", "b"], [{"a": v, "b": v}] * 50),
@@ -924,3 +938,96 @@ class TestUnetCommandGuards:
         assert main(["diffuse-train", "-c", str(cfg)]) == 2
         assert "diverged at epoch 0, batch starting at shuffled position 0: loss is nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteInference:
+    """A denoiser or segmenter that blows up stops its command with Diverged (exit 2), and no PGM is written."""
+
+    @staticmethod
+    def _scaled_denoiser(tmp_path):
+        pred = NoisePredictor(NoisePredictorConfig(16, (2, 4), 8), Rng(0))
+        pred.params().flat[...] *= np.float32(1e15)
+        path = tmp_path / "diff.cqck"
+        save_checkpoint(path, pack_predictor(pred, (5, 0.05, 0.3)))
+        return path
+
+    @staticmethod
+    def _nan_segmenter(tmp_path):
+        model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(2))
+        model.params().flat[...] = np.nan
+        path = tmp_path / "seg.cqck"
+        save_checkpoint(path, pack_unet(model))
+        return path
+
+    def test_diffuse_sample_exits_2_naming_the_timestep(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "s.cfg", checkpoint=self._scaled_denoiser(tmp_path),
+                         output_dir=tmp_path / "out", count=2)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["diffuse-sample", "-c", str(cfg)]) == 2
+        assert "sampling diverged at timestep 5 of 5" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.pgm"))
+
+    def test_build_dataset_balancing_exits_2_without_synthetic_files(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        _write_pgms(root / "healthy" / "axial", 12, seed=1, label=0)
+        _write_pgms(root / "disease" / "axial", 4, seed=2, label=1)
+        cfg = _write_cfg(tmp_path / "b.cfg", input_dir=root, output_dir=tmp_path / "out", plane="axial",
+                         size=16, diffusion_ckpt_axial=self._scaled_denoiser(tmp_path))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["build-dataset", "-c", str(cfg)]) == 2
+        assert "sampling diverged at timestep 5 of 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_segment_apply_exits_2_naming_the_image(self, tmp_path, capsys):
+        _write_pgms(tmp_path / "imgs", 3, size=16, seed=4)
+        cfg = _write_cfg(tmp_path / "a.cfg", checkpoint=self._nan_segmenter(tmp_path),
+                         input_dir=tmp_path / "imgs", output_dir=tmp_path / "out")
+        capsys.readouterr()
+        assert main(["segment-apply", "-c", str(cfg)]) == 2
+        assert "segmentation diverged at image 0: its logits are not finite" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("*.pgm"))
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_stripping_exits_2_naming_the_image(self, tmp_path, capsys, command):
+        manifest = TestRobustTraining._dataset(tmp_path, 16)
+        if command == "train":
+            settings = {"output_dir": tmp_path / "run", "epochs": 1}
+        else:
+            classifier = tmp_path / "cls.cqck"
+            save_checkpoint(classifier, pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16), Rng(0))))
+            settings = {"checkpoint": classifier, "output": tmp_path / "eval.csv"}
+        cfg = _write_cfg(tmp_path / "c.cfg", dataset=manifest, skull_strip="true",
+                         skullnet_ckpt=self._nan_segmenter(tmp_path), **settings)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 2
+        assert "segmentation diverged at image 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "eval.csv").exists()
+
+
+def test_stripped_train_loads_the_segmenter_once(tmp_path, monkeypatch):
+    manifest = TestRobustTraining._dataset(tmp_path, 16)
+    ckpt = tmp_path / "seg.cqck"
+    save_checkpoint(ckpt, pack_unet(UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(2))))
+    loads = []
+    real_load = commands.load_checkpoint
+
+    def counting_load(path):
+        loads.append(Path(path))
+        return real_load(path)
+
+    monkeypatch.setattr(commands, "load_checkpoint", counting_load)
+    cfg = _write_cfg(tmp_path / "tr.cfg", dataset=manifest, output_dir=tmp_path / "run", epochs=1,
+                     timing="zero", skull_strip="true", skullnet_ckpt=ckpt)
+    assert main(["train", "-c", str(cfg)]) == 0
+    assert loads == [ckpt]
+
+    # stripping both splits in one pass gives each image the bytes it gets from its own split's pass
+    loaded = DatasetManifest.load(manifest)
+    train, test = load_split(loaded, "train"), load_split(loaded, "test")
+    assert len(train) + len(test) > skullnet.APPLY_CHUNK  # the chunk boundaries move
+    split_by_split = commands._strip_dataset(train, ckpt) + commands._strip_dataset(test, ckpt)
+    in_one_pass = commands._strip_dataset(train + test, ckpt)
+    assert [(img.tobytes(), label) for img, label in in_one_pass] == \
+        [(img.tobytes(), label) for img, label in split_by_split]

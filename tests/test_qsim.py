@@ -151,98 +151,6 @@ class TestNormAndInverses:
                 assert np.abs(out.amps - s.amps).max() < 1e-12
 
 
-class TestEncoding:
-    def test_single_qubit_case(self):
-        s = qsim.encode_zz([math.pi / 2])
-        # H then P(pi): (|0> - |1>)/sqrt(2)
-        assert np.allclose(s.amps, [SQ2, -SQ2], atol=1e-12)
-
-    def test_two_qubit_against_dense_oracle(self):
-        x = [0.0, 0.0]
-        ops = [
-            ("h", (0,), None),
-            ("h", (1,), None),
-            ("p", (0,), 0.0),
-            ("p", (1,), 0.0),
-            ("zz", (0, 1), 2.0 * math.pi**2),
-        ]
-        expected = dense_circuit_state(2, ops)
-        got = qsim.encode_zz(x)
-        assert np.abs(got.amps - expected).max() < 1e-12
-        phase = np.exp(2j * math.pi**2)
-        assert np.allclose(got.amps, 0.5 * np.array([1.0, phase, phase, 1.0]), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_amplitude_magnitudes_uniform(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(10):
-            s = qsim.encode_zz(rng.uniform(-3, 3, n))
-            assert np.allclose(np.abs(s.amps), 2.0 ** (-n / 2.0), atol=1e-12)
-            assert abs(s.norm() - 1.0) < 1e-12
-
-    def test_random_encodings_match_dense_oracle(self):
-        rng = np.random.default_rng(10)
-        for n in (2, 3):
-            for _ in range(5):
-                x = rng.uniform(-2, 2, n)
-                ops = [("h", (q,), None) for q in range(n)]
-                ops += [("p", (q,), 2.0 * x[q]) for q in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        ops.append(("zz", (i, j), 2.0 * (math.pi - x[i]) * (math.pi - x[j])))
-                expected = dense_circuit_state(n, ops)
-                assert np.abs(qsim.encode_zz(x).amps - expected).max() < 1e-12
-
-    def test_bad_length(self):
-        with pytest.raises(InvalidArgument):
-            qsim.encode_zz([])
-        with pytest.raises(InvalidArgument):
-            qsim.encode_zz(np.zeros(13))
-        with pytest.raises(InvalidArgument):
-            qsim.encode_zz([np.nan])
-
-
-class TestAnsatzAndMeasurement:
-    def test_zero_angles_identity(self):
-        s = _random_state(3, np.random.default_rng(11))
-        out = qsim.apply_ansatz(s, np.zeros(3))
-        assert np.allclose(out.amps, s.amps)
-
-    def test_single_qubit_quarter_turn(self):
-        out = qsim.apply_ansatz(StateVector.zero(1), [math.pi / 2])
-        assert np.allclose(out.amps, [SQ2, SQ2], atol=1e-12)
-
-    def test_order_independence_across_qubits(self):
-        rng = np.random.default_rng(12)
-        s = _random_state(3, rng)
-        theta = rng.uniform(-2, 2, 3)
-        a = qsim.apply_ansatz(s, theta)
-        b = qsim.apply_ry(qsim.apply_ry(qsim.apply_ry(s, 2, theta[2]), 0, theta[0]), 1, theta[1])
-        assert np.abs(a.amps - b.amps).max() < 1e-12
-
-    def test_ansatz_length_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            qsim.apply_ansatz(StateVector.zero(2), [0.1])
-
-    def test_parity_basis_states(self):
-        assert qsim.expectation_parity(_state(2, [1, 0, 0, 0])) == pytest.approx(1.0)
-        assert qsim.expectation_parity(_state(2, [0, 1, 0, 0])) == pytest.approx(-1.0)
-
-    def test_parity_bell_state(self):
-        bell = _state(2, [SQ2, 0, 0, SQ2])
-        assert qsim.expectation_parity(bell) == pytest.approx(1.0)
-
-    def test_parity_in_range_and_consistent(self):
-        rng = np.random.default_rng(13)
-        for n in (1, 2, 3, 4):
-            s = _random_state(n, rng)
-            val = qsim.expectation_parity(s)
-            assert -1.0 <= val <= 1.0
-            probs = np.abs(s.amps) ** 2
-            signs = [(-1) ** bin(b).count("1") for b in range(2**n)]
-            assert val == pytest.approx(float(np.dot(signs, probs)))
-
-
 class TestPqc:
     def test_forward_balanced_point(self):
         assert qsim.pqc_forward([0.0], [0.0]) == pytest.approx(0.5)
@@ -372,6 +280,7 @@ class TestStackedForward:
         (np.zeros((2, 3, 2)), [0.1, 0.2]),  # 3-D input
         (np.zeros((3, 2)), [0.1]),  # theta length differs from the rows'
         ([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2]),  # a NaN row
+        (np.zeros(13), np.zeros(13)),  # more features than MAX_QUBITS
     ])
     def test_rejects_bad_stacks(self, x, theta):
         with pytest.raises(InvalidArgument):

@@ -54,7 +54,8 @@ def test_normal_moments():
 def test_normal_odd_length_and_scalar():
     z = Rng(5).normal(7)
     assert z.shape == (7,)
-    assert isinstance(Rng(5).normal(), float)
+    scalar = Rng(5).normal(())
+    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
 
 
 def test_integers_range():
@@ -63,7 +64,7 @@ def test_integers_range():
     assert len(np.unique(v)) == 14
     for high in (3, 2):
         with pytest.raises(InvalidArgument, match="empty range"):
-            Rng(9).integers(3, high)
+            Rng(9).integers(3, high, 1)
 
 
 def test_permutation_is_a_permutation():

@@ -332,6 +332,18 @@ class TestApply:
             assert np.array_equal(mask, want)
             assert np.array_equal(stripped, img * want)
 
+    def test_non_finite_logits_raise_diverged_naming_the_image(self):
+        model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(4))
+        rng = np.random.default_rng(11)
+        images = [rng.random((16, 16)).astype(np.float32) for _ in range(skullnet.APPLY_CHUNK + 3)]
+        bad = skullnet.APPLY_CHUNK + 1  # in the second chunk
+        images[bad][5, 5] = np.inf
+        results = segment_many(model, images)
+        for _ in range(skullnet.APPLY_CHUNK):  # the first chunk is finite
+            next(results)
+        with np.errstate(invalid="ignore"), pytest.raises(Diverged, match=f"at image {bad}: its logits are not finite"):
+            next(results)
+
     @pytest.mark.parametrize("count", [1, 9, 17])
     def test_scores_are_the_mean_of_one_image_scores(self, count):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(8))

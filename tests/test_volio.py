@@ -79,12 +79,9 @@ class TestParseNifti:
         be = volio.parse_nifti(nifti_bytes((3, 2, 2), np.arange(12) * 1.5, big_endian=True))[1]
         assert np.array_equal(le.voxels, be.voxels)
 
-    def test_detached_raster(self):
-        hdr, raster = nifti_bytes((2, 2, 2), np.arange(8), magic=b"ni1\x00", vox_offset=0.0)
-        _, vol = volio.parse_nifti(hdr, detached_data=raster)
-        assert np.array_equal(vol.voxels, np.arange(8, dtype=np.float32))
-        with pytest.raises(Truncated):
-            volio.parse_nifti(hdr)
+    def test_two_file_magic_is_bad_magic(self):
+        with pytest.raises(BadMagic, match="ni1"):
+            volio.parse_nifti(nifti_bytes((2, 2, 2), np.arange(8), magic=b"ni1\x00"))
 
     @pytest.mark.parametrize("vox_offset", [math.nan, math.inf, -math.inf, 3.5, 352.5])
     def test_non_integral_vox_offset_is_bad_format(self, vox_offset):
@@ -302,7 +299,7 @@ _HEADER_FIELD_BYTES = [*range(0, 4), *range(40, 48), *range(70, 74), *range(108,
 
 @st.composite
 def _volumes(draw):
-    """(dims, stored values, datatype, big_endian, slope, inter, detached)."""
+    """(dims, stored values, datatype, big_endian, slope, inter)."""
     dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
     count = dims[0] * dims[1] * dims[2]
     datatype = draw(st.sampled_from([4, 16]))
@@ -315,41 +312,36 @@ def _volumes(draw):
     scaled = draw(st.booleans())
     slope = draw(st.floats(-100, 100, width=32).filter(bool)) if scaled else 0.0
     inter = draw(st.floats(-100, 100, width=32)) if scaled else 0.0
-    return dims, values, datatype, draw(st.booleans()), slope, inter, draw(st.booleans())
+    return dims, values, datatype, draw(st.booleans()), slope, inter
 
 
-def _encode(dims, values, datatype, big_endian, slope, inter, detached):
-    """(header-or-payload bytes, detached raster or None)."""
-    if detached:
-        return nifti_bytes(dims, values, datatype=datatype, scl_slope=slope, scl_inter=inter,
-                           magic=b"ni1\x00", vox_offset=0.0, big_endian=big_endian)
+def _encode(dims, values, datatype, big_endian, slope, inter):
     return nifti_bytes(dims, values, datatype=datatype, scl_slope=slope, scl_inter=inter,
-                       big_endian=big_endian), None
+                       big_endian=big_endian)
 
 
 class TestNiftiProperties:
     """Any byte string parses or raises a CqbrainError; write-then-read is the identity."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=500), st.one_of(st.none(), st.binary(max_size=64)))
-    def test_arbitrary_bytes_parse_or_raise_a_package_error(self, data, detached):
+    @given(st.binary(max_size=500))
+    def test_arbitrary_bytes_parse_or_raise_a_package_error(self, data):
         try:
-            volio.parse_nifti(data, detached)
+            volio.parse_nifti(data)
         except CqbrainError:
             pass
 
     @settings(max_examples=300, deadline=None)
     @given(_volumes(), st.data())
     def test_damaged_payloads_parse_or_raise_a_package_error(self, volume, draw):
-        data, raster = _encode(*volume)
-        data = bytearray(data)
+        data = bytearray(_encode(*volume))
         for _ in range(draw.draw(st.integers(1, 4))):
             pos = draw.draw(st.one_of(st.sampled_from(_HEADER_FIELD_BYTES),
                                       st.integers(0, len(data) - 1)))
             data[pos] = draw.draw(st.integers(0, 255))
         cut = draw.draw(st.integers(0, len(data)))
         try:
-            _, vol = volio.parse_nifti(bytes(data[:cut] if draw.draw(st.booleans()) else data), raster)
+            _, vol = volio.parse_nifti(bytes(data[:cut] if draw.draw(st.booleans()) else data))
         except CqbrainError:
             return
         assert vol.raw.size == vol.nx * vol.ny * vol.nz
@@ -357,13 +349,13 @@ class TestNiftiProperties:
     @settings(max_examples=200, deadline=None)
     @given(_volumes())
     def test_write_then_read_is_the_identity(self, volume):
-        dims, values, datatype, big_endian, slope, inter, detached = volume
-        header, vol = volio.parse_nifti(*_encode(*volume))
+        dims, values, datatype, big_endian, slope, inter = volume
+        header, vol = volio.parse_nifti(_encode(*volume))
         assert (vol.nx, vol.ny, vol.nz) == dims
         assert header.dim[:4] == (3, *dims)
         assert header.datatype == datatype
-        assert header.magic == (b"ni1\x00" if detached else b"n+1\x00")
-        assert header.vox_offset == (0.0 if detached else 352.0)
+        assert header.magic == b"n+1\x00"
+        assert header.vox_offset == 352.0
         assert (vol.scl_slope, vol.scl_inter) == (header.scl_slope, header.scl_inter) == (slope, inter)
         assert vol.raw.dtype == np.dtype((">" if big_endian else "<") + ("i2" if datatype == 4 else "f4"))
         assert vol.raw.astype(values.dtype).tobytes() == values.tobytes()
@@ -425,6 +417,11 @@ class TestPgm:
         back = volio.read_pgm(volio.write_pgm(img))
         assert back.width == 7 and back.height == 5
         assert np.allclose(back.pixels, img.pixels, atol=1e-7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixel_is_invalid_argument(self, bad):
+        with pytest.raises(InvalidArgument, match="3x2 image has non-finite pixels"):
+            volio.write_pgm(Image2D(3, 2, np.array([[0.0, 0.5, 1.0], [0.2, bad, 0.4]])))
 
     def test_bad_magic(self):
         with pytest.raises(BadFormat):
