@@ -192,6 +192,27 @@ class TestPqc:
         with pytest.raises(InvalidArgument):
             qsim.pqc_backward([0.1, 0.2], [0.1])
 
+    @pytest.mark.parametrize("x", [[], np.zeros(13), [np.nan]])
+    def test_backward_rejects_bad_vectors(self, x):
+        with pytest.raises(InvalidArgument):
+            qsim.pqc_backward(x, np.zeros(len(x)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_ansatz_reads_the_uniform_encoding(self, n):
+        # every encoding gate after the Hadamards is diagonal, so all 2^n
+        # amplitudes keep magnitude 2^{-n/2}; with no Ry turn the parity is 0
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            assert qsim.pqc_forward(rng.uniform(-3, 3, n), np.zeros(n)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_forward_invariant_under_qubit_relabelling(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 4):
+            x = rng.uniform(-3, 3, n)
+            theta = rng.uniform(-3, 3, n)
+            perm = rng.permutation(n)
+            assert qsim.pqc_forward(x[perm], theta[perm]) == pytest.approx(qsim.pqc_forward(x, theta), abs=1e-12)
+
     def test_shift_rule_matches_finite_differences(self):
         rng = np.random.default_rng(16)
         h = 1e-5
@@ -281,6 +302,8 @@ class TestStackedForward:
         (np.zeros((3, 2)), [0.1]),  # theta length differs from the rows'
         ([[0.1, 0.2], [np.nan, 0.0]], [0.1, 0.2]),  # a NaN row
         (np.zeros(13), np.zeros(13)),  # more features than MAX_QUBITS
+        ([], []),  # empty feature vector
+        ([np.nan], [0.1]),  # a NaN feature vector
     ])
     def test_rejects_bad_stacks(self, x, theta):
         with pytest.raises(InvalidArgument):
