@@ -87,7 +87,7 @@ class CqcnnConfig:
     image_size: int = 128
     dropout_rate: float = 0.5
     n_qubits: int = 2
-    fc_width: int = 0  # 0: matches n_qubits
+    fc_width: int = 0  # 0 asks for n_qubits; the config stores the resolved width
     head: str = HEAD_QUANTUM
     seed: int = 0
 
@@ -98,12 +98,9 @@ class CqcnnConfig:
             raise InvalidArgument(f"n_qubits must be 2 or 3, got {self.n_qubits}")
         if self.fc_width and self.fc_width < self.n_qubits:
             raise InvalidArgument(f"fc_width must be 0 or >= n_qubits = {self.n_qubits}, got {self.fc_width}")
+        self.fc_width = self.fc_width or self.n_qubits
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidArgument(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-
-    @property
-    def fc_out(self) -> int:
-        return self.fc_width or self.n_qubits
 
     @classmethod
     def matched_size(cls, n_qubits: int, **overrides) -> "CqcnnConfig":
@@ -128,7 +125,7 @@ class CqcnnConfig:
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every trainable tensor of the configured head, in vector order."""
-        k, c1, c2, fc = KERNEL, CONV1_OUT, CONV2_OUT, self.fc_out
+        k, c1, c2, fc = KERNEL, CONV1_OUT, CONV2_OUT, self.fc_width
         shapes = {"conv1_w": (c1, 1, k, k), "conv1_b": (c1,), "conv2_w": (c2, c1, k, k), "conv2_b": (c2,),
                   "fc_w": (fc, self.shape_trace()["flat"][0]), "fc_b": (fc,)}
         if self.head == HEAD_QUANTUM:
@@ -140,6 +137,14 @@ class CqcnnConfig:
 def param_count(config: CqcnnConfig) -> int:
     """Exact trainable scalar count for the configured head: the size of a model's vector."""
     return sum(math.prod(shape) for shape in config.param_shapes().values())
+
+
+def _finite_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """rows (one per image), or Diverged naming the first image whose row is not finite."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise Diverged(f"classification diverged at image {int(finite.argmin())}: its {what} is not finite")
+    return rows
 
 
 class CqcnnModel:
@@ -197,14 +202,8 @@ class CqcnnModel:
         return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2),
                 "cols1": cols1, "cols2": cols2}
 
-    def _fc(self, flat: np.ndarray) -> np.ndarray:
-        fc_out = dense(flat, self._params["fc_w"], self._params["fc_b"])
-        if not np.isfinite(fc_out).all():
-            raise Diverged("head input is not finite")
-        return fc_out
-
     def _head(self, fc_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """(class distributions (R, 2), p_q, o1) for head inputs (R, fc_out).
+        """(class distributions (R, 2), p_q, o1) for head inputs (R, fc_width).
 
         p_q and o1 (R,) are the quantum head's circuit probabilities and sigmoid
         outputs, which backward reads; the classical head returns None for both.
@@ -224,7 +223,9 @@ class CqcnnModel:
         cache = self._trunk(self._image(img)[None], keep=True)
         d, cache["mask"] = dropout(cache["p2"], self.config.dropout_rate, mode, rng)
         cache["flat"] = d.reshape(-1)
-        fc_out = cache["fc_out"] = self._fc(cache["flat"])
+        fc_out = cache["fc_out"] = dense(cache["flat"], self._params["fc_w"], self._params["fc_b"])
+        if not np.isfinite(fc_out).all():
+            raise Diverged("head input is not finite")
         gamma, p_q, o1 = self._head(fc_out[None])
         if p_q is not None:
             cache.update({"p_q": float(p_q[0]), "o1": float(o1[0])})
@@ -238,8 +239,9 @@ class CqcnnModel:
         for start in range(0, len(images), EVAL_CHUNK):
             chunk = np.stack([self._image(img) for img in images[start : start + EVAL_CHUNK]])
             pooled = self._trunk(chunk[:, None])["p2"]
-            fc_rows.extend(self._fc(p.reshape(-1)) for p in pooled)
-        return self._head(np.stack(fc_rows))[0]
+            fc_rows.extend(dense(p.reshape(-1), self._params["fc_w"], self._params["fc_b"]) for p in pooled)
+        fc_rows = _finite_rows(np.stack(fc_rows), "head input")
+        return _finite_rows(self._head(fc_rows)[0], "class distribution")
 
     def backward(self, y: np.ndarray) -> Params:
         """Loss gradients of every parameter, in the layout of `params()`; needs a cached forward."""
@@ -261,7 +263,7 @@ class CqcnnModel:
             x_sub = c["fc_out"][: cfg.n_qubits].astype(np.float64)
             grad_x_sub, grad_theta = pqc_backward(x_sub, p["theta"].astype(np.float64), upstream=dp_q)
             grads["theta"] = grad_theta.astype(np.float32)
-            dfc = np.zeros(cfg.fc_out, np.float32)
+            dfc = np.zeros(cfg.fc_width, np.float32)
             dfc[: cfg.n_qubits] = grad_x_sub.astype(np.float32)
         else:
             # softmax + cross-entropy collapse to (probabilities - labels)

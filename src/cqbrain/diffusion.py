@@ -4,7 +4,8 @@ Forward process: x_t = sqrt(alpha_t) x_{t-1} + sqrt(1 - alpha_t) eps with a
 linear beta schedule; the closed-form jump x_t = sqrt(abar_t) x_0 +
 sqrt(1 - abar_t) eps trains a small U-Net to predict eps from (x_t, t).
 Reverse sampling uses the predicted-noise mean with fixed variance
-sigma_t^2 = beta_t (zero at the final step).
+sigma_t^2 = beta_t (zero at the final step). A `NoiseSchedule` is the
+triple (T, beta_start, beta_end) that checkpoints store.
 
 Images live in [-1, 1] inside the diffusion math; `sample` returns [0, 1]
 rasters ready for PGM export. All randomness comes from the caller's
@@ -13,7 +14,7 @@ stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,23 +31,19 @@ DEFAULT_BETA_END = 0.02
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestep noise levels; index t in [1, T] reads arrays[t-1]."""
+    """Linear betas from beta_start to beta_end over T steps; index t in [1, T] reads arrays[t-1]."""
 
     T: int
-    betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+    beta_start: float
+    beta_end: float
+    betas: np.ndarray = field(init=False, repr=False, compare=False)
+    alphas: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_betas(cls, betas: np.ndarray) -> "NoiseSchedule":
-        """Degenerate endpoints (beta of 0 or 1) are allowed here for identities."""
-        betas = np.asarray(betas, dtype=np.float64)
-        if betas.ndim != 1 or betas.size < 1:
-            raise InvalidArgument("need at least one beta")
-        if (betas < 0.0).any() or (betas > 1.0).any():
-            raise InvalidArgument("betas must lie in [0, 1]")
-        alphas = 1.0 - betas
-        return cls(betas.size, betas, alphas, np.cumprod(alphas))
+    def __post_init__(self):
+        object.__setattr__(self, "betas", np.linspace(self.beta_start, self.beta_end, self.T))
+        object.__setattr__(self, "alphas", 1.0 - self.betas)
+        object.__setattr__(self, "alpha_bars", np.cumprod(self.alphas))
 
     def at(self, t: int) -> tuple[float, float, float]:
         """(beta_t, alpha_t, abar_t); validates 1 <= t <= T."""
@@ -57,13 +54,12 @@ class NoiseSchedule:
 
 def build_schedule(T: int, beta_start: float = DEFAULT_BETA_START,
                    beta_end: float = DEFAULT_BETA_END) -> NoiseSchedule:
-    """Linear beta interpolation from beta_start to beta_end over T steps."""
+    """The schedule, if 0 < beta_start <= beta_end < 1 and T >= 1 (the constructor checks nothing)."""
     if T < 1:
         raise InvalidArgument(f"T must be >= 1, got {T}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise InvalidArgument(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
-    betas = np.linspace(beta_start, beta_end, T) if T > 1 else np.array([beta_start])
-    return NoiseSchedule.from_betas(betas)
+    return NoiseSchedule(T, beta_start, beta_end)
 
 
 def _timestep_index(t, n: int, T: int) -> np.ndarray:
@@ -117,19 +113,17 @@ class NoisePredictorConfig:
     image_size: int = 8
     widths: tuple[int, ...] = (8, 16)
     emb_dim: int = 16
+    unet: UNetConfig = field(init=False, repr=False, compare=False)  # follows from the three above
 
     def __post_init__(self):
         _check_emb_dim(self.emb_dim)
-        self.unet_config()  # checks size against widths
-
-    def unet_config(self) -> UNetConfig:
-        return UNetConfig(input_size=self.image_size, widths=self.widths)
+        self.unet = UNetConfig(input_size=self.image_size, widths=self.widths)  # checks size against widths
+        self.widths = self.unet.widths
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """The U-Net's tensors, then the embedding projection `temb_w`/`temb_b`."""
-        unet = self.unet_config()
-        c_b = unet.bottleneck_channels
-        return {**unet.param_shapes(), "temb_w": (c_b, self.emb_dim), "temb_b": (c_b,)}
+        c_b = self.unet.widths[-1]
+        return {**self.unet.param_shapes(), "temb_w": (c_b, self.emb_dim), "temb_b": (c_b,)}
 
 
 class NoisePredictor:
@@ -137,7 +131,7 @@ class NoisePredictor:
 
     def __init__(self, config: NoisePredictorConfig, rng: Rng):
         self.config = config
-        self.unet = UNet(config.unet_config(), rng.derive("unet"), config.param_shapes())
+        self.unet = UNet(config.unet, rng.derive("unet"), config.param_shapes())
         glorot(rng.derive("init:temb"), self.unet.params()["temb_w"])
         self._emb: np.ndarray | None = None
 

@@ -412,7 +412,8 @@ def dropout_backward(dy: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarra
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x_in = np.asarray(x)
     x_arr = x_in.astype(np.float64)
-    out = np.where(x_arr >= 0, 1.0 / (1.0 + np.exp(-np.abs(x_arr))), np.exp(-np.abs(x_arr)) / (1.0 + np.exp(-np.abs(x_arr))))
+    e = np.exp(-np.abs(x_arr))
+    out = np.where(x_arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out.astype(np.float64 if x_in.dtype == np.float64 else np.float32)
 
 

@@ -242,12 +242,12 @@ def cmd_segment_apply(cfg: dict) -> int:
     model = unpack_unet(load_checkpoint(cfg["checkpoint"]))
     size = model.config.input_size
     images = _load_pgm_dir(cfg["input_dir"], size)
-    out_dir: Path = cfg["output_dir"]
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
-    (out_dir / "stripped").mkdir(parents=True, exist_ok=True)
-    for (name, _), (mask, stripped) in zip(images, segment_many(model, [img for _, img in images])):
-        (out_dir / "masks" / name).write_bytes(write_pgm(Image2D(size, size, mask)))
-        (out_dir / "stripped" / name).write_bytes(write_pgm(Image2D(size, size, stripped)))
+    dirs = (cfg["output_dir"] / "masks", cfg["output_dir"] / "stripped")
+    for n, ((name, _), outputs) in enumerate(zip(images, segment_many(model, [img for _, img in images]))):
+        for out_dir, pixels in zip(dirs, outputs):  # the mask, then the stripped image
+            if n == 0:  # a run that diverges in its first chunk leaves no directory
+                out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_bytes(write_pgm(Image2D(size, size, pixels)))
     return len(images)
 
 
@@ -277,8 +277,7 @@ def cmd_diffuse_train(cfg: dict) -> list:
             "loss": f"{float(np.mean(losses)):.6f}",
             "epoch_time_s": _epoch_time(cfg, time.perf_counter() - start),
         })
-    _save_run(cfg["output_dir"], pack_predictor(predictor, (cfg["T"], cfg["beta_start"], cfg["beta_end"])),
-              DIFF_CURVE_COLUMNS, rows)
+    _save_run(cfg["output_dir"], pack_predictor(predictor, schedule), DIFF_CURVE_COLUMNS, rows)
     return rows
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diffusion import build_schedule, sample
+from ..diffusion import sample
 from ..errors import BadFormat, EmptyInput, InvalidArgument
 from ..rng import Rng
 from ..volio import Image2D, fit, read_pgm, write_pgm
@@ -154,8 +154,7 @@ def sample_pgms(ckpt: Path, count: int, rng: Rng, out_dir: Path, prefix: str,
 
     Each image is fitted to size x size (by default the denoiser's own size).
     """
-    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
-    schedule = build_schedule(t_steps, beta_start, beta_end)
+    predictor, schedule = unpack_predictor(load_checkpoint(ckpt))
     native = predictor.config.image_size
     size = native if size is None else size
     images = sample(predictor, schedule, (native, native), rng, count=count)

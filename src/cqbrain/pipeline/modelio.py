@@ -2,11 +2,11 @@
 
 Parameters are stored as "param_<name>" tensors, and architecture
 hyperparameters ride along as reserved "meta_*" tensors so a checkpoint is
-self-describing; small integers and floats survive the f32 wire format
-exactly enough to rebuild the same model. The values no model varies (the
-classifier's convs, the U-Net's single input and output channel) are still
-written, so every checkpoint keeps its bytes, and a load checks them against
-the constants. Any other checkpoint is `BadFormat`.
+self-describing. They are the config's own resolved fields, so a load builds
+a config equal to the packed one, floats to f32 precision. The values no
+model varies (the classifier's convs, the U-Net's single input and output
+channel) are still written, so every checkpoint keeps its bytes, and a load
+checks them against the constants. Any other checkpoint is `BadFormat`.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..cqcnn import CONV1_OUT, CONV2_OUT, KERNEL, CqcnnConfig, CqcnnModel, HEAD_CLASSICAL, HEAD_QUANTUM
-from ..diffusion import NoisePredictor, NoisePredictorConfig
+from ..diffusion import NoisePredictor, NoisePredictorConfig, NoiseSchedule, build_schedule
 from ..errors import BadFormat, InvalidArgument
 from ..rng import Rng
 from ..skullnet import UNet, UNetConfig
@@ -82,7 +82,7 @@ def _load(tensors: dict, kind: int, what: str, make_config, model_cls):
 
 def pack_cqcnn(model: CqcnnModel) -> dict[str, np.ndarray]:
     cfg = model.config
-    return _pack(model, 0, image_size=cfg.image_size, n_qubits=cfg.n_qubits, fc_width=cfg.fc_out,
+    return _pack(model, 0, image_size=cfg.image_size, n_qubits=cfg.n_qubits, fc_width=cfg.fc_width,
                  head=_HEAD_CODES[cfg.head], dropout=cfg.dropout_rate)
 
 
@@ -100,7 +100,7 @@ def unpack_cqcnn(tensors: dict[str, np.ndarray]) -> CqcnnModel:
 
 def pack_unet(model: UNet) -> dict[str, np.ndarray]:
     cfg = model.config
-    return _pack(model, 1, input_size=cfg.input_size, widths=cfg.scaled_widths)
+    return _pack(model, 1, input_size=cfg.input_size, widths=cfg.widths)
 
 
 def unpack_unet(tensors: dict[str, np.ndarray]) -> UNet:
@@ -112,20 +112,21 @@ def unpack_unet(tensors: dict[str, np.ndarray]) -> UNet:
 
 # -- denoiser ------------------------------------------------------------
 
-def pack_predictor(model: NoisePredictor, schedule_params: tuple[int, float, float]) -> dict[str, np.ndarray]:
+def pack_predictor(model: NoisePredictor, schedule: NoiseSchedule) -> dict[str, np.ndarray]:
     cfg = model.config
-    t_steps, beta_start, beta_end = schedule_params
     return _pack(model, 2, image_size=cfg.image_size, widths=cfg.widths, emb_dim=cfg.emb_dim,
-                 T=t_steps, beta_start=beta_start, beta_end=beta_end)
+                 T=schedule.T, beta_start=schedule.beta_start, beta_end=schedule.beta_end)
 
 
-def unpack_predictor(tensors: dict[str, np.ndarray]) -> tuple[NoisePredictor, tuple[int, float, float]]:
+def unpack_predictor(tensors: dict[str, np.ndarray]) -> tuple[NoisePredictor, NoiseSchedule]:
     model = _load(tensors, 2, "denoiser", lambda: NoisePredictorConfig(
         image_size=_meta(tensors, "meta_image_size"),
         widths=_meta(tensors, "meta_widths", scalar=False),
         emb_dim=_meta(tensors, "meta_emb_dim"),
     ), NoisePredictor)
-    schedule_params = (_meta(tensors, "meta_T"),
-                       _meta(tensors, "meta_beta_start", integral=False),
-                       _meta(tensors, "meta_beta_end", integral=False))
-    return model, schedule_params
+    try:
+        schedule = build_schedule(_meta(tensors, "meta_T"), _meta(tensors, "meta_beta_start", integral=False),
+                                  _meta(tensors, "meta_beta_end", integral=False))
+    except InvalidArgument as exc:
+        raise BadFormat(f"checkpoint metadata describes no noise schedule: {exc}") from exc
+    return model, schedule

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -49,15 +49,18 @@ DICE_SMOOTH = 1.0
 
 @dataclass
 class UNetConfig:
+    """`widths` as built: a constructor `width_scale` scales them once (rounding up, at least 1)."""
+
     input_size: int = 128
     widths: tuple[int, ...] = FULL_WIDTHS
-    width_scale: float = 1.0
+    width_scale: InitVar[float] = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self, width_scale: float):
         if len(self.widths) < 2:
             raise InvalidArgument("need at least two levels (encoder + bottleneck)")
         if min(self.widths) < 1:
             raise InvalidArgument(f"channel counts must be >= 1, got widths {tuple(self.widths)}")
+        self.widths = tuple(max(1, math.ceil(w * width_scale)) for w in self.widths)
         down = 2 ** (len(self.widths) - 1)
         if self.input_size % down or self.input_size < down:
             raise InvalidArgument(f"input_size {self.input_size} must be a multiple of {down}")
@@ -66,17 +69,9 @@ class UNetConfig:
     def depth(self) -> int:
         return len(self.widths)
 
-    @property
-    def scaled_widths(self) -> tuple[int, ...]:
-        return tuple(max(1, math.ceil(w * self.width_scale)) for w in self.widths)
-
-    @property
-    def bottleneck_channels(self) -> int:
-        return self.scaled_widths[-1]
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every trainable tensor, in vector order."""
-        w = self.scaled_widths
+        w = self.widths
         shapes: dict[str, tuple[int, ...]] = {}
 
         def conv(name: str, c_out: int, c_in: int, k: int) -> None:
@@ -147,8 +142,8 @@ class UNet:
         if bottleneck_add is not None:
             add = np.asarray(bottleneck_add)
             add = add.astype(np.float64 if add.dtype == np.float64 else np.float32)
-            if add.shape != (x.shape[0], cfg.bottleneck_channels):
-                raise InvalidArgument(f"bottleneck vector must be (N, {cfg.bottleneck_channels}), got {add.shape}")
+            if add.shape != (x.shape[0], cfg.widths[-1]):
+                raise InvalidArgument(f"bottleneck vector must be (N, {cfg.widths[-1]}), got {add.shape}")
             x = x + add[:, :, None, None]
         cache["used_bottleneck_add"] = bottleneck_add is not None
 
@@ -181,7 +176,7 @@ class UNet:
         skip_grads = []  # level lvl's decoder-input gradient past its upsampled channels
         for lvl in range(cfg.depth - 1):
             dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads, input_grad=True)
-            up_channels = cfg.scaled_widths[lvl]
+            up_channels = cfg.widths[lvl]
             skip_grads.append(dy[:, up_channels:])
             dy, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
                 dy[:, :up_channels], cache[f"up{lvl}_in"], self._params[f"up{lvl}_w"])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cqbrain.diffusion import build_schedule, sample
+from cqbrain.diffusion import sample
 from cqbrain.neuralkernel import Params
 from cqbrain.pipeline.checkpoint import load_checkpoint
 from cqbrain.pipeline.modelio import unpack_predictor
@@ -286,8 +286,7 @@ def diffuse_sample_pgms(ckpt, count: int, seed: int) -> dict[str, bytes]:
 
     Images stay at the denoiser's size; the RNG is `Rng(seed).derive("sample")`.
     """
-    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
-    schedule = build_schedule(t_steps, beta_start, beta_end)
+    predictor, schedule = unpack_predictor(load_checkpoint(ckpt))
     size = predictor.config.image_size
     images = sample(predictor, schedule, (size, size), Rng(seed).derive("sample"), count=count)
     return {f"sample_{i:04d}.pgm": write_pgm(Image2D(size, size, img)) for i, img in enumerate(images)}
@@ -299,8 +298,7 @@ def synthesized_pgms(ckpt, count: int, image_size: int, seed: int, tag: str) -> 
     The RNG is `Rng(seed).derive(f"synth:{tag}")`; each image is resized to
     image_size unless the denoiser already samples at that size.
     """
-    predictor, (t_steps, beta_start, beta_end) = unpack_predictor(load_checkpoint(ckpt))
-    schedule = build_schedule(t_steps, beta_start, beta_end)
+    predictor, schedule = unpack_predictor(load_checkpoint(ckpt))
     size = predictor.config.image_size
     images = sample(predictor, schedule, (size, size), Rng(seed).derive(f"synth:{tag}"), count=count)
     out = {}

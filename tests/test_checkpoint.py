@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
-from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
+from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig, build_schedule
 from cqbrain.errors import BadFormat, BadMagic, CqbrainError, InvalidArgument, Truncated
 from cqbrain.pipeline.checkpoint import (
     deserialize_tensors,
@@ -125,7 +125,7 @@ class TestModelPacking:
                                        dropout_rate=0.25, seed=3))
         back = unpack_cqcnn(deserialize_tensors(serialize_tensors(pack_cqcnn(model))))
         assert back.config.n_qubits == 3
-        assert back.config.fc_out == 4
+        assert back.config.fc_width == 4
         assert back.config.dropout_rate == pytest.approx(0.25)
         for key, val in model.params().items():
             assert np.array_equal(back.params()[key], val), key
@@ -133,18 +133,50 @@ class TestModelPacking:
     def test_unet_roundtrip(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(5))
         back = unpack_unet(deserialize_tensors(serialize_tensors(pack_unet(model))))
-        assert back.config.scaled_widths == model.config.scaled_widths
+        assert back.config.widths == model.config.widths == (8, 16, 32, 64, 128)
         for key, val in model.params().items():
             assert np.array_equal(back.params()[key], val), key
 
     def test_predictor_roundtrip(self):
         pred = NoisePredictor(NoisePredictorConfig(8, (4, 8), 8), Rng(6))
-        packed = pack_predictor(pred, (200, 1e-4, 0.02))
+        packed = pack_predictor(pred, build_schedule(200, 1e-4, 0.02))
         back, sched = unpack_predictor(deserialize_tensors(serialize_tensors(packed)))
-        assert sched[0] == 200
-        assert sched[1] == pytest.approx(1e-4, rel=1e-5)
+        assert sched.T == 200
+        assert sched.beta_start == pytest.approx(1e-4, rel=1e-5)
         for key, val in pred.params().items():
             assert np.array_equal(back.params()[key], val), key
+
+    # Each kind loads back into a config equal to the packed one, resolved values included. The floats
+    # are f32-exact; the classifier's seed only picks a fresh model's weights and is not stored.
+    def test_classifier_config_round_trips(self):
+        model = CqcnnModel(CqcnnConfig(image_size=16, n_qubits=3, dropout_rate=0.25))
+        back = unpack_cqcnn(deserialize_tensors(serialize_tensors(pack_cqcnn(model))))
+        assert back.config == model.config == CqcnnConfig(image_size=16, n_qubits=3, fc_width=3, dropout_rate=0.25)
+
+    def test_segmenter_config_round_trips(self):
+        model = UNet(UNetConfig(input_size=16, width_scale=0.125), Rng(0))
+        back = unpack_unet(deserialize_tensors(serialize_tensors(pack_unet(model))))
+        assert back.config == model.config == UNetConfig(input_size=16, widths=(4, 8, 16, 32, 64))
+
+    def test_denoiser_config_and_schedule_round_trip(self):
+        model = NoisePredictor(NoisePredictorConfig(8, [2, 4], 8), Rng(0))
+        schedule = build_schedule(7, 0.0078125, 0.25)
+        back, back_schedule = unpack_predictor(deserialize_tensors(serialize_tensors(pack_predictor(model, schedule))))
+        assert back.config == model.config == NoisePredictorConfig(8, (2, 4), 8)
+        assert back_schedule == schedule
+        assert np.array_equal(back_schedule.alpha_bars, schedule.alpha_bars)
+
+    @pytest.mark.parametrize("meta, value, message", [
+        ("meta_beta_end", 1.5, r"need 0 < beta_start <= beta_end < 1"),
+        ("meta_beta_start", 0.0, r"need 0 < beta_start <= beta_end < 1"),
+        ("meta_T", 0.0, "T must be >= 1"),
+    ])
+    def test_out_of_range_schedule_is_bad_format(self, meta, value, message):
+        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)),
+                                 build_schedule(5, 0.05, 0.3))
+        tensors[meta] = np.float32(value)
+        with pytest.raises(BadFormat, match=f"describes no noise schedule: {message}"):
+            unpack_predictor(tensors)
 
     def test_kind_mismatch_rejected(self):
         model = UNet(UNetConfig(input_size=16, width_scale=0.25), Rng(7))
@@ -186,7 +218,7 @@ class TestModelPacking:
         packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
                    unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))),
                    unpack_predictor: lambda: pack_predictor(
-                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))}
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), build_schedule(5, 0.05, 0.3))}
         first = sorted(k for k in packers[unpack]() if k.startswith("param_"))[0]
         for damage in (lambda t: t.pop(first), lambda t: t.update(param_zz=np.ones(1, np.float32)),
                        lambda t: t.update({first: np.ones(t[first].size + 1, np.float32)})):
@@ -205,7 +237,7 @@ class TestModelPacking:
         packers = {unpack_cqcnn: lambda: pack_cqcnn(CqcnnModel(CqcnnConfig(image_size=16))),
                    unpack_unet: lambda: pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))),
                    unpack_predictor: lambda: pack_predictor(
-                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))}
+                       NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), build_schedule(5, 0.05, 0.3))}
         tensors = packers[unpack]()
         tensors[meta] = np.asarray(value, np.float32)
         tracemalloc.start()
@@ -218,7 +250,8 @@ class TestModelPacking:
         assert peak < 1 << 20  # the model these sizes describe would take tens of MB
 
     def test_odd_embedding_dim_is_bad_format(self):
-        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)), (5, 0.05, 0.3))
+        tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)),
+                                 build_schedule(5, 0.05, 0.3))
         tensors["meta_emb_dim"] = np.float32(7)
         with pytest.raises(BadFormat, match="embedding dim"):
             unpack_predictor(tensors)

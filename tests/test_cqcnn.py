@@ -55,7 +55,7 @@ class TestShapesAndCounts:
         # independent decomposition: conv1 + conv2 + fc + affine + angles
         for n_q, fc_w in ((2, 4), (3, 4), (3, 3), (2, 0)):
             cfg = CqcnnConfig(n_qubits=n_q, fc_width=fc_w)
-            fc = cfg.fc_out
+            fc = fc_w or n_q
             expected = (2 * 25 + 2) + (4 * 2 * 25 + 4) + (fc * 3364 + fc) + 2 + n_q
             assert param_count(cfg) == expected
 
@@ -83,7 +83,7 @@ class TestShapesAndCounts:
             CqcnnConfig(dropout_rate=1.0)
 
     def test_fc_width_0_matches_the_qubit_count(self):
-        assert [CqcnnConfig(n_qubits=n).fc_out for n in (2, 3)] == [2, 3]
+        assert [CqcnnConfig(n_qubits=n).fc_width for n in (2, 3)] == [2, 3]
         with pytest.raises(InvalidArgument, match="fc_width must be 0 or >= n_qubits"):
             CqcnnConfig(fc_width=-1)
 
@@ -427,6 +427,19 @@ class TestBatchedInference:
         model = CqcnnModel(_small_config(head=head))
         model.params()["conv1_w"][0, 0, 0, 0] = np.nan
         with pytest.raises(Diverged, match="head input is not finite"):
+            evaluate(model, _toy_dataset(3))
+
+    def test_predict_names_the_first_image_whose_head_input_is_not_finite(self):
+        images = [np.full((16, 16), 0.5, np.float32) for _ in range(5)]
+        images[3][4, 4] = images[4][0, 0] = np.nan
+        with pytest.raises(Diverged, match="classification diverged at image 3: its head input is not finite"):
+            CqcnnModel(_small_config()).predict(images)
+
+    @pytest.mark.parametrize("head, tensor", [(HEAD_QUANTUM, "w_out"), (HEAD_CLASSICAL, "head_w")])
+    def test_non_finite_class_distribution_raises_diverged(self, head, tensor):
+        model = CqcnnModel(_small_config(head=head))
+        model.params()[tensor][...] = np.nan  # the trunk and the head input stay finite
+        with pytest.raises(Diverged, match="image 0: its class distribution is not finite"):
             evaluate(model, _toy_dataset(3))
 
     def test_wrong_image_size_rejected(self):

@@ -11,7 +11,7 @@ import pytest
 
 from cqbrain import skullnet
 from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
-from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig
+from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig, build_schedule
 from cqbrain.errors import BadFormat, EmptyInput, InvalidArgument
 from cqbrain.pipeline import commands
 from cqbrain.pipeline.atomic import write_atomic
@@ -44,7 +44,7 @@ def _write_pgms(directory, count, size=16, seed=0, label=0):
 def _tiny_diffusion_ckpt(tmp_path, size=16):
     pred = NoisePredictor(NoisePredictorConfig(size, (2, 4), 8), Rng(0))
     path = tmp_path / "diff.cqck"
-    save_checkpoint(path, pack_predictor(pred, (5, 0.05, 0.3)))
+    save_checkpoint(path, pack_predictor(pred, build_schedule(5, 0.05, 0.3)))
     return path
 
 
@@ -785,7 +785,7 @@ class TestMalformedCheckpoints:
             tensors = pack_unet(UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0)))
         else:
             tensors = pack_predictor(NoisePredictor(NoisePredictorConfig(8, (2, 4), 8), Rng(0)),
-                                     (5, 0.05, 0.3))
+                                     build_schedule(5, 0.05, 0.3))
         damage(tensors)
         path = tmp_path / "bad.cqck"
         save_checkpoint(path, tensors)
@@ -820,6 +820,14 @@ class TestMalformedCheckpoints:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and message in err
 
+
+    def test_out_of_range_schedule_exits_2(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path, "denoiser", lambda t: t.update(meta_beta_end=np.float32(1.5)))
+        cfg = _write_cfg(tmp_path / "c.cfg", checkpoint=ckpt, output_dir=tmp_path / "o", count=1)
+        capsys.readouterr()
+        assert main(["diffuse-sample", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint metadata describes no noise schedule: need ")
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _zero_channels(kind):
@@ -948,7 +956,7 @@ class TestNonFiniteInference:
         pred = NoisePredictor(NoisePredictorConfig(16, (2, 4), 8), Rng(0))
         pred.params().flat[...] *= np.float32(1e15)
         path = tmp_path / "diff.cqck"
-        save_checkpoint(path, pack_predictor(pred, (5, 0.05, 0.3)))
+        save_checkpoint(path, pack_predictor(pred, build_schedule(5, 0.05, 0.3)))
         return path
 
     @staticmethod
@@ -987,7 +995,22 @@ class TestNonFiniteInference:
         capsys.readouterr()
         assert main(["segment-apply", "-c", str(cfg)]) == 2
         assert "segmentation diverged at image 0: its logits are not finite" in capsys.readouterr().err
-        assert not list((tmp_path / "out").rglob("*.pgm"))
+        assert not (tmp_path / "out").exists()  # not even empty masks/ and stripped/ directories
+
+    @pytest.mark.parametrize("head, tensor, what", [("quantum", "fc_b", "head input"),
+                                                    ("quantum", "w_out", "class distribution"),
+                                                    ("classical_softmax", "head_w", "class distribution")])
+    def test_evaluate_exits_2_naming_the_image(self, tmp_path, capsys, head, tensor, what):
+        model = CqcnnModel(CqcnnConfig(image_size=16, head=head), Rng(0))
+        model.params()[tensor][...] = np.nan
+        classifier = tmp_path / "cls.cqck"
+        save_checkpoint(classifier, pack_cqcnn(model))
+        cfg = _write_cfg(tmp_path / "e.cfg", checkpoint=classifier, output=tmp_path / "eval.csv",
+                         dataset=TestRobustTraining._dataset(tmp_path, 16))
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(cfg)]) == 2
+        assert f"classification diverged at image 0: its {what} is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_stripping_exits_2_naming_the_image(self, tmp_path, capsys, command):

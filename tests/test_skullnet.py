@@ -36,15 +36,15 @@ class TestConfig:
         cfg = UNetConfig()
         assert cfg.widths == FULL_WIDTHS == (32, 64, 128, 256, 512)
         assert cfg.depth == 5
-        assert cfg.bottleneck_channels == 512
+        assert cfg.widths[-1] == 512
 
     def test_width_scale_eighth(self):
         cfg = UNetConfig(input_size=64, width_scale=1 / 8)
-        assert cfg.scaled_widths == (4, 8, 16, 32, 64)
+        assert cfg.widths == (4, 8, 16, 32, 64)
 
     def test_width_scale_floor_at_one(self):
         cfg = UNetConfig(input_size=32, widths=(4, 8), width_scale=1 / 16)
-        assert cfg.scaled_widths == (1, 1)
+        assert cfg.widths == (1, 1)
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -136,7 +136,7 @@ class TestGradients:
         rng = np.random.default_rng(7)
         x = rng.random((2, 1, 16, 16))
         up = rng.standard_normal((2, 1, 16, 16))
-        badd = rng.standard_normal((2, cfg.bottleneck_channels))
+        badd = rng.standard_normal((2, cfg.widths[-1]))
         model.forward(x, bottleneck_add=badd)
         _, dba = model.backward(up)
 
@@ -155,7 +155,7 @@ class TestSkippedInputGradient:
         rng = np.random.default_rng(4)
         x = rng.random((3, 1, 16, 16)).astype(np.float32)
         up = rng.standard_normal((3, 1, 16, 16)).astype(np.float32)
-        badd = rng.standard_normal((3, cfg.bottleneck_channels)).astype(np.float32) if use_add else None
+        badd = rng.standard_normal((3, cfg.widths[-1])).astype(np.float32) if use_add else None
         model.forward(x, bottleneck_add=badd)
         skipped, dba = model.backward(up)
         real = skullnet.conv2d_backward
