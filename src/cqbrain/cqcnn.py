@@ -54,6 +54,7 @@ from .neuralkernel import (
     dense_backward,
     dropout,
     dropout_backward,
+    epoch_loss,
     glorot,
     maxpool2x2,
     maxpool2x2_backward,
@@ -329,18 +330,9 @@ def evaluate(model: CqcnnModel, dataset: Dataset) -> EvalResult:
     return EvalResult(counts, classify_metrics(counts), total_loss / len(dataset))
 
 
-def _diverged(epoch: int, pos: int, idx: int, why: str) -> Diverged:
-    return Diverged(f"training diverged at epoch {epoch}, shuffled position {pos} "
-                    f"(dataset index {int(idx)}): {why}")
-
-
 def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
-                seed: int, epoch: int = 0, batch_size: int = 1) -> EpochReport:
-    """One seeded-shuffled pass with per-batch updates; mutates the model.
-
-    batch_size 1 reproduces plain per-sample updates; larger sizes average
-    gradients across the batch before stepping.
-    """
+                seed: int, epoch: int = 0) -> EpochReport:
+    """One seeded-shuffled pass with an update after every sample; mutates the model."""
     if not dataset:
         raise EmptyInput("training set is empty")
     start = time.perf_counter()
@@ -348,25 +340,12 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
     order = rng.derive("shuffle").permutation(len(dataset))
     drop_rng = rng.derive("dropout")
 
-    batch = model.params().zeros_like()  # gradient sum of the current batch
-    total_loss = 0.0
-    in_batch = 0
-    for pos, idx in enumerate(order):
-        img, label = dataset[int(idx)]
-        try:
-            loss, grads = backward(model, img, _one_hot(label), mode="train", rng=drop_rng)
-        except Diverged as exc:
-            raise _diverged(epoch, pos, idx, str(exc)) from exc
-        if not math.isfinite(loss):
-            raise _diverged(epoch, pos, idx, f"loss is {loss}")
-        total_loss += loss
-        batch.flat += grads.flat
-        in_batch += 1
-        if in_batch == batch_size or pos == len(order) - 1:
-            batch.flat /= np.float32(in_batch)
-            optimizer.step(model.params(), batch)
-            batch.flat[...] = 0.0
-            in_batch = 0
+    def step(indices: np.ndarray, _b0: int) -> float:
+        img, label = dataset[int(indices[0])]
+        loss, grads = backward(model, img, _one_hot(label), mode="train", rng=drop_rng)
+        if math.isfinite(loss):
+            optimizer.step(model.params(), grads)
+        return loss
 
-    train_eval = evaluate(model, dataset)
-    return EpochReport(epoch, total_loss / len(dataset), train_eval, time.perf_counter() - start)
+    loss = epoch_loss(order, 1, epoch, step)
+    return EpochReport(epoch, loss, evaluate(model, dataset), time.perf_counter() - start)

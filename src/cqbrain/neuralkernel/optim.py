@@ -1,16 +1,17 @@
-"""One flat parameter vector per model, and Adam over it.
+"""One flat parameter vector per model, Adam over it, and one epoch pass.
 
 A step updates the whole vector with one state vector per moment and one
 counter `t` (every backward fills every gradient, so one counter is exact).
+`epoch_loss` is the one pass the three trainers run an epoch through.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 
 import numpy as np
 
-from ..errors import InvalidArgument
+from ..errors import Diverged, InvalidArgument
 
 
 class Params(Mapping):
@@ -92,3 +93,27 @@ def make_optimizer(name: str, lr: float = 1e-3) -> Optimizer:
     if name != "adam":
         raise InvalidArgument(f"unknown optimizer {name!r}, only 'adam' is available")
     return Optimizer(lr)
+
+
+def epoch_loss(order: np.ndarray, batch_size: int, epoch: int,
+               step: Callable[[np.ndarray, int], float]) -> float:
+    """Mean batch loss of one pass over a nonempty shuffled `order` of dataset indices.
+
+    `step(indices, b0)` trains on the next `batch_size` indices (the last batch
+    may be shorter), whose first shuffled position is b0, and returns its loss.
+    A Diverged from the step, or a loss that is not finite, becomes one Diverged
+    naming the epoch, b0 and the batch's first dataset index.
+    """
+    total, batches = 0.0, 0
+    for b0 in range(0, len(order), batch_size):
+        indices = order[b0 : b0 + batch_size]
+        try:
+            loss = step(indices, b0)
+            if not math.isfinite(loss):
+                raise Diverged(f"loss is {loss}")
+        except Diverged as exc:
+            raise Diverged(f"training diverged at epoch {epoch}, shuffled position {b0} "
+                           f"(dataset index {int(indices[0])}): {exc}") from exc
+        total += loss
+        batches += 1
+    return total / batches

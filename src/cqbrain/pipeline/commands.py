@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import glob
 import json
-import math
 import time
 from pathlib import Path
 
@@ -32,8 +31,8 @@ from ..diffusion import (
     build_schedule,
     train_step,
 )
-from ..errors import ConfigError, CqbrainError, Diverged, EmptyInput, InvalidArgument
-from ..neuralkernel import make_optimizer
+from ..errors import ConfigError, CqbrainError, EmptyInput, InvalidArgument
+from ..neuralkernel import epoch_loss, make_optimizer
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
 from ..volio import Image2D, Plane, fit, read_pgm, resize_bilinear, write_pgm
@@ -132,7 +131,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "dropout": Field("float", 0.5),
         "lr": Field("float", 1e-3, low=0),
         "epochs": Field("int", 10, low=0),
-        "batch_size": Field("int", 1, low=0),
         "seed": Field("int", 0),
         "skull_strip": Field("bool", False),
         "skullnet_ckpt": Field("in_file", None),
@@ -160,7 +158,7 @@ def _load_pgm_dir(path: Path, size: int) -> list[tuple[str, np.ndarray]]:
     return [(f.name, fit(read_pgm(f.read_bytes()), size, size).pixels) for f in files]
 
 
-def cmd_slice(cfg: dict) -> dict:
+def cmd_slice(cfg: dict) -> None:
     """NIfTI volumes -> per-plane resized PGM slices plus a manifest, one volume in memory at a time."""
     in_dir: Path = cfg["input_dir"]
     out_dir: Path = cfg["output_dir"]
@@ -197,7 +195,6 @@ def cmd_slice(cfg: dict) -> dict:
         del vol  # its raw voxels keep the payload alive; free it before the next file is read
     write_atomic(out_dir / "manifest.json",
                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
-    return manifest
 
 
 def _checked(keys: str, build, *args, **kwargs):
@@ -219,7 +216,7 @@ def _save_run(out_dir: Path, tensors: dict, columns: list[str], rows: list[dict]
     write_csv(out_dir / "curves.csv", columns, rows)
 
 
-def cmd_segment_train(cfg: dict) -> list:
+def cmd_segment_train(cfg: dict) -> None:
     unet_cfg = _checked("size", UNetConfig, input_size=cfg["size"], width_scale=cfg["width_scale"])
     images = _load_pgm_dir(cfg["images_dir"], cfg["size"])
     masks = dict(_load_pgm_dir(cfg["masks_dir"], cfg["size"]))
@@ -235,10 +232,9 @@ def cmd_segment_train(cfg: dict) -> list:
         "epoch_time_s": _epoch_time(cfg, r.wall_time_s),
     } for r in reports]
     _save_run(cfg["output_dir"], pack_unet(model), SEG_CURVE_COLUMNS, rows)
-    return reports
 
 
-def cmd_segment_apply(cfg: dict) -> int:
+def cmd_segment_apply(cfg: dict) -> None:
     model = unpack_unet(load_checkpoint(cfg["checkpoint"]))
     size = model.config.input_size
     images = _load_pgm_dir(cfg["input_dir"], size)
@@ -248,10 +244,9 @@ def cmd_segment_apply(cfg: dict) -> int:
             if n == 0:  # a run that diverges in its first chunk leaves no directory
                 out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / name).write_bytes(write_pgm(Image2D(size, size, pixels)))
-    return len(images)
 
 
-def cmd_diffuse_train(cfg: dict) -> list:
+def cmd_diffuse_train(cfg: dict) -> None:
     predictor_cfg = _checked("size, widths, emb_dim", NoisePredictorConfig,
                              cfg["size"], cfg["widths"], cfg["emb_dim"])
     schedule = _checked("beta_start, beta_end", build_schedule, cfg["T"], cfg["beta_start"], cfg["beta_end"])
@@ -264,32 +259,24 @@ def cmd_diffuse_train(cfg: dict) -> list:
     for epoch in range(cfg["epochs"]):
         start = time.perf_counter()
         order = rng.derive(f"shuffle:{epoch}").permutation(len(data))
-        losses = []
-        for b0 in range(0, len(order), cfg["batch_size"]):
-            batch = data[order[b0 : b0 + cfg["batch_size"]]].astype(np.float32)
-            loss = train_step(predictor, batch, schedule, optimizer, rng.derive(f"step:{epoch}:{b0}"))
-            if not math.isfinite(loss):
-                raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
-                               f"position {b0}: loss is {loss}")
-            losses.append(loss)
+        loss = epoch_loss(order, cfg["batch_size"], epoch, lambda indices, b0: train_step(
+            predictor, data[indices], schedule, optimizer, rng.derive(f"step:{epoch}:{b0}")))
         rows.append({
-            "run": cfg["run"], "seed": cfg["seed"], "epoch": epoch,
-            "loss": f"{float(np.mean(losses)):.6f}",
+            "run": cfg["run"], "seed": cfg["seed"], "epoch": epoch, "loss": f"{loss:.6f}",
             "epoch_time_s": _epoch_time(cfg, time.perf_counter() - start),
         })
     _save_run(cfg["output_dir"], pack_predictor(predictor, schedule), DIFF_CURVE_COLUMNS, rows)
-    return rows
 
 
-def cmd_diffuse_sample(cfg: dict) -> list[Path]:
-    return sample_pgms(cfg["checkpoint"], cfg["count"], Rng(cfg["seed"]).derive("sample"),
-                       cfg["output_dir"], "sample")
+def cmd_diffuse_sample(cfg: dict) -> None:
+    sample_pgms(cfg["checkpoint"], cfg["count"], Rng(cfg["seed"]).derive("sample"),
+                cfg["output_dir"], "sample")
 
 
-def cmd_build_dataset(cfg: dict) -> DatasetManifest:
+def cmd_build_dataset(cfg: dict) -> None:
     ckpts = {p: cfg[f"diffusion_ckpt_{p}"] for p in PLANES if cfg[f"diffusion_ckpt_{p}"] is not None}
-    return build_dataset(cfg["input_dir"], cfg["output_dir"], cfg["plane"], cfg["seed"],
-                         balance=cfg["balance"], diffusion_ckpts=ckpts, image_size=cfg["size"])
+    build_dataset(cfg["input_dir"], cfg["output_dir"], cfg["plane"], cfg["seed"],
+                  balance=cfg["balance"], diffusion_ckpts=ckpts, image_size=cfg["size"])
 
 
 def _check_strip(cfg: dict) -> None:
@@ -326,7 +313,7 @@ def _check_head(cfg: dict) -> None:
     _checked("dropout", CqcnnConfig, dropout_rate=cfg["dropout"])
 
 
-def cmd_train(cfg: dict) -> dict:
+def cmd_train(cfg: dict) -> None:
     _check_head(cfg)
     _check_strip(cfg)
     manifest = DatasetManifest.load(cfg["dataset"])
@@ -354,7 +341,7 @@ def cmd_train(cfg: dict) -> dict:
             "seed": cfg["seed"]}
     rows = []
     for epoch in range(cfg["epochs"]):
-        report = train_epoch(model, train_set, optimizer, cfg["seed"], epoch, cfg["batch_size"])
+        report = train_epoch(model, train_set, optimizer, cfg["seed"], epoch)
         test_eval = evaluate(model, test_set) if test_set else None
         rows.append(_metric_row(report.train_eval, "train",
                                 {**base, "epoch": epoch, "epoch_time_s": _epoch_time(cfg, report.wall_time_s),
@@ -369,10 +356,9 @@ def cmd_train(cfg: dict) -> dict:
         {"run": cfg["run"], "plane": manifest.plane, "qubits": qubits_label,
          "head": cfg["head"], "seed": cfg["seed"], "skull_strip": bool(cfg["skull_strip"]),
          "epochs": cfg["epochs"]}, indent=2, sort_keys=True).encode("utf-8"))
-    return {"rows": rows, "model": model}
 
 
-def cmd_evaluate(cfg: dict) -> dict:
+def cmd_evaluate(cfg: dict) -> None:
     _check_strip(cfg)
     model = unpack_cqcnn(load_checkpoint(cfg["checkpoint"]))
     manifest = DatasetManifest.load(cfg["dataset"])
@@ -382,16 +368,14 @@ def cmd_evaluate(cfg: dict) -> dict:
     result = evaluate(model, data)
     row = _metric_row(result, cfg["split"], {"n": len(data)})
     write_csv(cfg["output"], EVAL_COLUMNS, [row])
-    return row
 
 
-def cmd_report(cfg: dict) -> list[dict]:
+def cmd_report(cfg: dict) -> None:
     # each comma-separated token is a directory or a glob, relative or absolute
     run_dirs = [path for token in str(cfg["runs"]).split(",")
                 for path in sorted(map(Path, glob.glob(token.strip())))]
     rows = summarize_runs(run_dirs, cfg["threshold"])
     write_csv(cfg["output"], SUMMARY_COLUMNS, rows)
-    return rows
 
 
 COMMANDS = {

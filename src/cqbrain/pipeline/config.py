@@ -79,10 +79,10 @@ def _convert(key: str, value: str, field: Field):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
-            raise ValueError(value)
+            raise ConfigError(f"{key}: cannot parse {value!r} as bool ({value})")
         if field.kind == "choice":
             if value not in field.choices:
-                raise ValueError(f"must be one of {field.choices}")
+                raise ConfigError(f"{key}: cannot parse {value!r} as choice (must be one of {field.choices})")
             return value
         if field.kind in _INPUT_KINDS:
             path = Path(value)

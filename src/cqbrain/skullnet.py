@@ -30,6 +30,7 @@ from .neuralkernel import (
     conv_transpose2x2,
     conv_transpose2x2_backward,
     dice_iou,
+    epoch_loss,
     glorot,
     maxpool2x2,
     maxpool2x2_backward,
@@ -218,9 +219,10 @@ def segmentation_loss(logits: np.ndarray, mask: np.ndarray) -> tuple[float, np.n
     n = z.shape[0]
     npix = z[0].size
 
-    p = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    p = 1.0 / (1.0 + e)
     p = np.where(z >= 0, p, 1.0 - p)
-    bce = float(np.mean(np.maximum(z, 0.0) - z * m + np.log1p(np.exp(-np.abs(z)))))
+    bce = float(np.mean(np.maximum(z, 0.0) - z * m + np.log1p(e)))
     dz_bce = (p - m) / (npix * n)
 
     items = (n,) + (1,) * (z.ndim - 1)  # a per-item value against (N, ...) arrays
@@ -242,12 +244,6 @@ class SegEpochReport:
     wall_time_s: float
 
 
-def _stack_pairs(pairs: list[MaskPair], idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    imgs = np.stack([pairs[int(i)].image for i in idx])[:, None]
-    masks = np.stack([pairs[int(i)].mask for i in idx])[:, None]
-    return imgs, masks
-
-
 def seg_scores(model: UNet, pairs: list[MaskPair]) -> tuple[float, float]:
     """Mean per-image Dice and IoU of the masks `segment_many` predicts."""
     masks = segment_many(model, [pair.image for pair in pairs])
@@ -260,26 +256,23 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
     """Seeded mini-batch training; logs per-epoch loss and train Dice/IoU."""
     if not pairs:
         raise EmptyInput("no training pairs")
+
+    def step(indices: np.ndarray, _b0: int) -> float:
+        imgs = np.stack([pairs[int(i)].image for i in indices])[:, None]
+        masks = np.stack([pairs[int(i)].mask for i in indices])[:, None]
+        loss, dz = segmentation_loss(model.forward(imgs), masks)
+        if math.isfinite(loss):  # a diverged batch leaves the parameters as they were
+            grads, _ = model.backward(dz)
+            optimizer.step(model.params(), grads)
+        return loss
+
     reports = []
     for epoch in range(epochs):
         start = time.perf_counter()
         order = Rng(seed).derive(f"seg-epoch:{epoch}").permutation(len(pairs))
-        total_loss = 0.0
-        batches = 0
-        for b0 in range(0, len(order), batch_size):
-            idx = order[b0 : b0 + batch_size]
-            imgs, masks = _stack_pairs(pairs, idx)
-            logits = model.forward(imgs)
-            loss, dz = segmentation_loss(logits, masks)
-            if not math.isfinite(loss):
-                raise Diverged(f"training diverged at epoch {epoch}, batch starting at shuffled "
-                               f"position {b0}: loss is {loss}")
-            grads, _ = model.backward(dz)
-            optimizer.step(model.params(), grads)
-            total_loss += loss
-            batches += 1
+        loss = epoch_loss(order, batch_size, epoch, step)
         dice, iou = seg_scores(model, pairs)
-        reports.append(SegEpochReport(epoch, total_loss / batches, dice, iou, time.perf_counter() - start))
+        reports.append(SegEpochReport(epoch, loss, dice, iou, time.perf_counter() - start))
     return reports
 
 

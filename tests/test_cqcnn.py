@@ -288,31 +288,22 @@ class TestTraining:
         assert float(np.linalg.norm(model.params()["theta"] - theta_before)) > 0.0
 
     @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
-    def test_batch_accumulation_equals_the_per_dict_sum(self, head):
-        """batch_size 4 over 11 samples: the flat sum matches per-tensor dict sums and Adam steps."""
+    def test_per_sample_updates_equal_the_per_dict_reference(self, head):
+        """11 samples, one Adam step each: the flat update matches per-tensor dict steps."""
         gen = np.random.default_rng(8)
         ds = [(gen.random((16, 16)).astype(np.float32), i % 2) for i in range(11)]
         flat_model = CqcnnModel(_small_config(seed=7, dropout_rate=0.5, head=head))
         ref_model = CqcnnModel(_small_config(seed=7, dropout_rate=0.5, head=head))
-        train_epoch(flat_model, ds, make_optimizer("adam", lr=1e-2), seed=7, epoch=1, batch_size=4)
+        train_epoch(flat_model, ds, make_optimizer("adam", lr=1e-2), seed=7, epoch=1)
 
         rng = Rng(7).derive("epoch:1")
         order = rng.derive("shuffle").permutation(len(ds))
         drop_rng = rng.derive("dropout")
         ref_params, states = dict(ref_model.params()), {}
-        for start in range(0, len(order), 4):
-            batch = None
-            for idx in order[start : start + 4]:
-                img, label = ds[int(idx)]
-                _, grads = backward(ref_model, img, np.eye(2, dtype=np.float32)[label], rng=drop_rng)
-                if batch is None:
-                    batch = {k: v.copy() for k, v in grads.items()}
-                else:
-                    for k, v in grads.items():
-                        batch[k] += v
-            for k in batch:
-                batch[k] /= np.float32(len(order[start : start + 4]))
-            reference_step(ref_params, batch, states, lr=1e-2)
+        for idx in order:
+            img, label = ds[int(idx)]
+            _, grads = backward(ref_model, img, np.eye(2, dtype=np.float32)[label], rng=drop_rng)
+            reference_step(ref_params, dict(grads), states, lr=1e-2)
         for key, value in ref_model.params().items():
             assert np.array_equal(flat_model.params()[key], value), key
 
@@ -320,11 +311,6 @@ class TestTraining:
         trunk = {"conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b"}
         assert set(CqcnnModel(_small_config()).params()) == trunk | {"w_out", "b_out", "theta"}
         assert set(CqcnnModel(_small_config(head=HEAD_CLASSICAL)).params()) == trunk | {"head_w", "head_b"}
-
-    def test_batched_updates_run(self):
-        model = CqcnnModel(_small_config(seed=7))
-        report = train_epoch(model, _toy_dataset(8), make_optimizer("adam", lr=1e-3), seed=7, batch_size=4)
-        assert np.isfinite(report.loss)
 
     @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
     def test_nan_weight_raises_diverged_naming_epoch_and_sample(self, head):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cqbrain.errors import InvalidArgument
-from cqbrain.neuralkernel import Params, make_optimizer
+from cqbrain.errors import Diverged, InvalidArgument
+from cqbrain.neuralkernel import Params, epoch_loss, make_optimizer
 
 from oracles import params_of, reference_step
 
@@ -141,3 +141,64 @@ def test_flat_rule_matches_the_per_tensor_reference_bit_for_bit():
         reference_step(ref, grads, states, lr=3e-3)
     for key, value in ref.items():
         assert np.array_equal(flat[key].view(np.uint32), value.view(np.uint32)), key
+
+
+class TestEpochLoss:
+    ORDER = np.array([4, 0, 6, 2, 5, 1, 3])  # a shuffled order of 7 dataset indices
+
+    @staticmethod
+    def _recorder(losses):
+        """A step returning `losses` in turn and recording what it was called with."""
+        calls = []
+
+        def step(indices, b0):
+            calls.append((indices.tolist(), b0))
+            return losses[len(calls) - 1]
+
+        return step, calls
+
+    def test_batches_walk_the_order_with_a_partial_last_batch(self):
+        step, calls = self._recorder([1.0, 2.0, 3.0])
+        epoch_loss(self.ORDER, 3, 0, step)
+        assert calls == [([4, 0, 6], 0), ([2, 5, 1], 3), ([3], 6)]
+
+    def test_batch_size_one_passes_each_shuffled_position(self):
+        step, calls = self._recorder([0.5] * 7)
+        epoch_loss(self.ORDER, 1, 0, step)
+        assert calls == [([int(i)], pos) for pos, i in enumerate(self.ORDER)]
+
+    def test_mean_over_batches_in_order(self):
+        losses = [0.1, 0.7, 0.25]  # the partial batch counts as one batch, like the others
+        step, _ = self._recorder(losses)
+        assert epoch_loss(self.ORDER, 3, 0, step) == (0.1 + 0.7 + 0.25) / 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_loss_names_epoch_position_and_index(self, bad):
+        step, calls = self._recorder([1.0, bad, 3.0])
+        with pytest.raises(Diverged) as info:
+            epoch_loss(self.ORDER, 3, 4, step)
+        assert str(info.value) == f"training diverged at epoch 4, shuffled position 3 (dataset index 2): loss is {bad}"
+        assert len(calls) == 2  # no step after the failing batch
+
+    def test_diverged_step_names_epoch_position_and_index(self):
+        calls = []
+
+        def step(indices, b0):
+            calls.append(b0)
+            if b0 == 2:
+                raise Diverged("head input is not finite")
+            return 1.0
+
+        with pytest.raises(Diverged) as info:
+            epoch_loss(self.ORDER, 2, 1, step)
+        assert str(info.value) == ("training diverged at epoch 1, shuffled position 2 (dataset index 6): "
+                                   "head input is not finite")
+        assert isinstance(info.value.__cause__, Diverged)
+        assert calls == [0, 2]
+
+    def test_other_errors_pass_through(self):
+        def step(indices, b0):
+            raise InvalidArgument("bad shape")
+
+        with pytest.raises(InvalidArgument, match="^bad shape$"):
+            epoch_loss(self.ORDER, 2, 0, step)

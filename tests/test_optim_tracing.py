@@ -41,7 +41,7 @@ def test_each_training_loop_reports_its_optimizer_steps(tmp_path):
         "build-dataset": _config(tmp_path / "ds.cfg", input_dir=tmp_path / "data", output_dir=tmp_path / "ds",
                                  plane="axial", balance="false", size=16),
         "train": _config(tmp_path / "tr.cfg", dataset=tmp_path / "ds" / "manifest.json",
-                         output_dir=tmp_path / "run", epochs=2, batch_size=3, timing="zero"),
+                         output_dir=tmp_path / "run", epochs=2, timing="zero"),
         "segment-train": _config(tmp_path / "seg.cfg", images_dir=tmp_path / "imgs", masks_dir=tmp_path / "masks",
                                  output_dir=tmp_path / "seg", size=16, width_scale=0.125, epochs=2,
                                  batch_size=2, timing="zero"),
@@ -58,6 +58,6 @@ def test_each_training_loop_reports_its_optimizer_steps(tmp_path):
 
     n_train = len(load_split(DatasetManifest.load(tmp_path / "ds" / "manifest.json"), "train"))
     assert n_train == 8  # 4 of each class's 5 images
-    assert counts["cqcnn.optim_step.calls"] == 2 * math.ceil(n_train / 3)
+    assert counts["cqcnn.optim_step.calls"] == 2 * n_train  # one step per sample
     assert counts["skullnet.optim_step.calls"] == 2 * math.ceil(5 / 2)
     assert counts["diffusion.optim_step.calls"] == 3 * math.ceil(5 / 4)

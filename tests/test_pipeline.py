@@ -677,8 +677,6 @@ class TestLoadTimeBounds:
         return {"input_dir": empty, "output_dir": out}
 
     @pytest.mark.parametrize("command, settings, key", [
-        ("train", {"batch_size": 0}, "batch_size"),
-        ("train", {"batch_size": -1}, "batch_size"),
         ("train", {"epochs": 0}, "epochs"),
         ("train", {"epochs": -3}, "epochs"),
         ("train", {"lr": -1}, "lr"),
@@ -701,6 +699,14 @@ class TestLoadTimeBounds:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_batch_size_is_an_unknown_train_key(self, tmp_path, capsys):
+        """The classifier updates after every sample, so `train` takes no batch size."""
+        cfg = _write_cfg(tmp_path / "c.cfg", **{**self._base(tmp_path, "train"), "batch_size": 1})
+        capsys.readouterr()
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: unknown keys: batch_size\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, settings", [("slice", {"k1_axial": 0}), ("build-dataset", {})])
     def test_values_in_range_reach_the_input(self, tmp_path, command, settings):
         cfg = _write_cfg(tmp_path / "c.cfg", **{**self._base(tmp_path, command), **settings})
@@ -708,7 +714,7 @@ class TestLoadTimeBounds:
 
     def test_train_values_at_the_bounds_run(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.cfg", dataset=TestRobustTraining._dataset(tmp_path, 16),
-                         output_dir=tmp_path / "out", epochs=1, batch_size=1, dropout=0, fc_width=0)
+                         output_dir=tmp_path / "out", epochs=1, dropout=0, fc_width=0)
         assert main(["train", "-c", str(cfg)]) == 0
 
 
@@ -929,7 +935,7 @@ class TestUnetCommandGuards:
                          output_dir=tmp_path / "out", size=16, width_scale=0.125, epochs=1, batch_size=2)
         capsys.readouterr()
         assert main(["segment-train", "-c", str(cfg)]) == 2
-        assert "diverged at epoch 0, batch starting at shuffled position 0: loss is nan" in capsys.readouterr().err
+        assert "diverged at epoch 0, shuffled position 0 (dataset index 0): loss is nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_diffuse_train_nan_loss_exits_2_without_outputs(self, tmp_path, monkeypatch, capsys):
@@ -944,7 +950,48 @@ class TestUnetCommandGuards:
                          size=16, widths="2,4", emb_dim=8, T=5, epochs=2, batch_size=2)
         capsys.readouterr()
         assert main(["diffuse-train", "-c", str(cfg)]) == 2
-        assert "diverged at epoch 0, batch starting at shuffled position 0: loss is nan" in capsys.readouterr().err
+        assert "diverged at epoch 0, shuffled position 0 (dataset index 0): loss is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOneDivergenceMessage:
+    """The three trainers stop a non-finite loss with one message (exit 2), through one epoch pass."""
+
+    @staticmethod
+    def _poisoned(cls, tensor):
+        class Poisoned(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.params()[tensor][...] = np.nan
+
+        return Poisoned
+
+    @pytest.mark.parametrize("command", ["train", "segment-train", "diffuse-train"])
+    def test_nan_loss_names_epoch_position_and_index(self, tmp_path, monkeypatch, capsys, command):
+        seed = 7  # the first shuffled sample is a different, nonzero dataset index for each trainer
+        if command == "train":
+            monkeypatch.setattr(commands, "CqcnnModel", self._poisoned(commands.CqcnnModel, "w_out"))
+            settings = {"dataset": TestRobustTraining._dataset(tmp_path, 16)}
+            first = Rng(seed).derive("epoch:0").derive("shuffle").permutation(8)[0]
+        elif command == "segment-train":
+            monkeypatch.setattr(commands, "UNet", self._poisoned(commands.UNet, "head_b"))
+            _write_pgms(tmp_path / "imgs", 5, size=16, seed=1)
+            _write_pgms(tmp_path / "masks", 5, size=16, seed=2)
+            settings = {"images_dir": tmp_path / "imgs", "masks_dir": tmp_path / "masks", "size": 16,
+                        "width_scale": 0.125, "batch_size": 2}
+            first = Rng(seed).derive("seg-epoch:0").permutation(5)[0]
+        else:
+            monkeypatch.setattr(commands, "NoisePredictor", self._poisoned(commands.NoisePredictor, "temb_b"))
+            _write_pgms(tmp_path / "imgs", 5, size=16, seed=1)
+            settings = {"input_dir": tmp_path / "imgs", "size": 16, "widths": "2,4", "emb_dim": 8, "T": 5,
+                        "batch_size": 2}
+            first = Rng(seed).derive("shuffle:0").permutation(5)[0]
+        assert first > 0
+        cfg = _write_cfg(tmp_path / "c.cfg", output_dir=tmp_path / "out", epochs=2, seed=seed, **settings)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: training diverged at epoch 0, shuffled position 0 (dataset index {first}): loss is nan\n")
         assert not (tmp_path / "out").exists()
 
 

@@ -284,7 +284,7 @@ class TestTraining:
         model = UNet(UNetConfig(input_size=16, widths=(2, 4)), Rng(0))
         model.params()["head_b"][0] = np.nan
         before = {k: v.copy() for k, v in model.params().items()}
-        with pytest.raises(Diverged, match="epoch 0, batch starting at shuffled position 0: loss is nan"):
+        with pytest.raises(Diverged, match=r"epoch 0, shuffled position 0 \(dataset index 0\): loss is nan"):
             train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=2,
                             optimizer=make_optimizer("adam"), seed=0, batch_size=2)
         assert all(np.array_equal(before[k], v, equal_nan=True) for k, v in model.params().items())
