@@ -35,7 +35,6 @@ between `forward` and `backward` changes no gradient.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,12 @@ from .neuralkernel import (
     dense_backward,
     dropout,
     dropout_backward,
-    epoch_loss,
     glorot,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
     relu_backward,
+    run_epoch,
     sigmoid,
     sigmoid_backward,
 )
@@ -223,6 +222,7 @@ class CqcnnModel:
         """Class distribution (2,) for one image; caches activations for backward."""
         cache = self._trunk(self._image(img)[None], keep=True)
         d, cache["mask"] = dropout(cache["p2"], self.config.dropout_rate, mode, rng)
+        cache["rate"] = self.config.dropout_rate if mode == "train" else 0.0  # eval mode scales nothing
         cache["flat"] = d.reshape(-1)
         fc_out = cache["fc_out"] = dense(cache["flat"], self._params["fc_w"], self._params["fc_b"])
         if not np.isfinite(fc_out).all():
@@ -273,7 +273,7 @@ class CqcnnModel:
 
         dflat, grads["fc_w"], grads["fc_b"] = dense_backward(dfc, c["flat"], p["fc_w"])
         dd = dflat.reshape(c["p2"].shape)
-        dp2 = dropout_backward(dd, c["mask"], cfg.dropout_rate)
+        dp2 = dropout_backward(dd, c["mask"], c["rate"])
         da2 = maxpool2x2_backward(dp2, c["a2"])
         dz2 = relu_backward(da2, c["z2"])
         dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"], cols=c["cols2"])
@@ -304,7 +304,7 @@ class EpochReport:
     epoch: int
     loss: float
     train_eval: EvalResult  # eval-mode pass over the training set after the epoch's last update
-    wall_time_s: float
+    wall_time_s: float  # the training pass alone, without train_eval
 
     @property
     def train_acc(self) -> float:
@@ -333,11 +333,7 @@ def evaluate(model: CqcnnModel, dataset: Dataset) -> EvalResult:
 def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
                 seed: int, epoch: int = 0) -> EpochReport:
     """One seeded-shuffled pass with an update after every sample; mutates the model."""
-    if not dataset:
-        raise EmptyInput("training set is empty")
-    start = time.perf_counter()
     rng = Rng(seed).derive(f"epoch:{epoch}")
-    order = rng.derive("shuffle").permutation(len(dataset))
     drop_rng = rng.derive("dropout")
 
     def step(indices: np.ndarray, _b0: int) -> float:
@@ -347,5 +343,5 @@ def train_epoch(model: CqcnnModel, dataset: Dataset, optimizer: Optimizer,
             optimizer.step(model.params(), grads)
         return loss
 
-    loss = epoch_loss(order, 1, epoch, step)
-    return EpochReport(epoch, loss, evaluate(model, dataset), time.perf_counter() - start)
+    loss, seconds = run_epoch(rng.derive("shuffle"), len(dataset), 1, epoch, step)
+    return EpochReport(epoch, loss, evaluate(model, dataset), seconds)

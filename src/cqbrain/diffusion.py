@@ -173,8 +173,8 @@ def train_step(predictor, x0_batch: np.ndarray, schedule: NoiseSchedule,
     eps_hat = predictor.forward(x_t, ts)
     diff = (eps_hat - eps).astype(np.float32)
     loss = float(np.sum(diff.astype(np.float64) ** 2) / n)
-    grads = predictor.backward(2.0 * diff / np.float32(n))
-    optimizer.step(predictor.params(), grads)
+    if math.isfinite(loss):  # a diverged batch leaves the parameters as they were
+        optimizer.step(predictor.params(), predictor.backward(2.0 * diff / np.float32(n)))
     return loss
 
 

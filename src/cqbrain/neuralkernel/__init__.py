@@ -5,7 +5,7 @@ Tensors are plain float32 numpy arrays. Every forward op has a paired
 central finite differences in the test suite. A model keeps its trainable
 tensors in one `Params`: named views into one flat float32 vector, which
 an `Optimizer` updates with one elementwise rule and one step counter.
-Every trainer runs its epochs through `epoch_loss`.
+Every trainer runs its epochs through `run_epoch`, which shuffles and times them.
 """
 from .ops import (
     conv2d,
@@ -25,7 +25,7 @@ from .ops import (
     sigmoid_backward,
 )
 from .loss import cross_entropy, cross_entropy_grad
-from .optim import Optimizer, Params, epoch_loss, make_optimizer
+from .optim import Optimizer, Params, make_optimizer, run_epoch
 from .metrics import ConfusionCounts, classify_metrics, dice_iou
 
 __all__ = [
@@ -34,6 +34,6 @@ __all__ = [
     "maxpool2x2", "maxpool2x2_backward", "relu", "relu_backward",
     "sigmoid", "sigmoid_backward",
     "cross_entropy", "cross_entropy_grad",
-    "Params", "Optimizer", "make_optimizer", "epoch_loss",
+    "Params", "Optimizer", "make_optimizer", "run_epoch",
     "ConfusionCounts", "classify_metrics", "dice_iou",
 ]

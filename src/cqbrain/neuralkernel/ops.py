@@ -21,8 +21,8 @@ kj, i, j), into the columns. A valid stride-1 `_col2im` is one
 columns zero-padded per tap: the view's last axis runs over the
 flattened dx, and its tap axes shift the read so that dx element (i, j)
 reads tap (ki, kj) at column position (i - ki, j - kj), or at a zero
-where that lies outside the columns. (A 1x1 kernel's dx is its one term
-plus +0.0, with no padded copy.) numpy orders a reduction's loops by the view's strides, and the
+where that lies outside the columns; a 1x1 kernel takes the per-tap loop.
+numpy orders a reduction's loops by the view's strides, and the
 tap axes' strides lie between the channel's and the element's, so the
 inner loop runs along dx, one elementwise add per tap, never along the
 taps (which would form pairwise partial sums), and each dx element gets
@@ -178,14 +178,12 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, 
             pad: int) -> np.ndarray:
     """Input gradient of `_im2col`: each element's tap terms summed in row-major tap order from +0.0.
 
-    Valid stride 1: one reduction over a strided view of the zero-padded
+    Valid stride 1 and K > 1: one reduction over a strided view of the zero-padded
     columns. Otherwise each tap's in-range rectangle is added into a zeroed dx.
     """
     n, c, h, w = x_shape
     dcols = dcols.reshape(n, c, k, k, h_out, w_out)
-    if not pad and stride == 1:
-        if k == 1:  # one term per element, added to +0.0
-            return dcols.reshape(x_shape) + dcols.dtype.type(0.0)
+    if not pad and stride == 1 and k > 1:
         # each tap's columns in a zeroed frame of rows W = W_out + K - 1 wide, with K zero
         # rows above and K - 1 below: position (r, s) sits at flat offset (r + K) * W + s,
         # and every out-of-range position with -K < s < W lands on a zero
@@ -209,15 +207,13 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, 
     return dx
 
 
-def _conv_geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str):
+def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
     """(c_out, c_in, k, h_out, w_out, pad) of a conv, after checking every shape."""
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise InvalidArgument(f"weights must be (C_out, C_in, K, K), got {w.shape}")
     c_out, c_in, k, _ = w.shape
     if x.shape[1] != c_in:
         raise InvalidArgument(f"input has {x.shape[1]} channels, weights expect {c_in}")
-    if b.shape != (c_out,):
-        raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
     if padding == "same":
         if stride != 1:
             raise InvalidArgument("'same' padding only supports stride 1")
@@ -245,7 +241,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
     """
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
-    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, b, stride, padding)
+    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
+    if b.shape != (c_out,):
+        raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
     cols = _im2col(xb, k, stride, h_out, w_out, pad, cols)
     y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
     y = y.astype(np.result_type(y, b), copy=False)
@@ -264,7 +262,7 @@ def conv2d_backward(
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
-    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, np.zeros(w.shape[0], np.float32), stride, padding)
+    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
         raise InvalidArgument(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
     if cols is None:

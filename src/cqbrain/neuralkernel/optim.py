@@ -2,16 +2,19 @@
 
 A step updates the whole vector with one state vector per moment and one
 counter `t` (every backward fills every gradient, so one counter is exact).
-`epoch_loss` is the one pass the three trainers run an epoch through.
+`run_epoch` is the one pass the three trainers run an epoch through: it
+checks for an empty set, shuffles, batches and times the epoch.
 """
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable, Iterator, Mapping
 
 import numpy as np
 
-from ..errors import Diverged, InvalidArgument
+from ..errors import Diverged, EmptyInput, InvalidArgument
+from ..rng import Rng
 
 
 class Params(Mapping):
@@ -95,17 +98,22 @@ def make_optimizer(name: str, lr: float = 1e-3) -> Optimizer:
     return Optimizer(lr)
 
 
-def epoch_loss(order: np.ndarray, batch_size: int, epoch: int,
-               step: Callable[[np.ndarray, int], float]) -> float:
-    """Mean batch loss of one pass over a nonempty shuffled `order` of dataset indices.
+def run_epoch(shuffle: Rng, n: int, batch_size: int, epoch: int,
+              step: Callable[[np.ndarray, int], float]) -> tuple[float, float]:
+    """(mean batch loss, seconds) of one timed pass over `shuffle.permutation(n)`.
 
-    `step(indices, b0)` trains on the next `batch_size` indices (the last batch
-    may be shorter), whose first shuffled position is b0, and returns its loss.
-    A Diverged from the step, or a loss that is not finite, becomes one Diverged
-    naming the epoch, b0 and the batch's first dataset index.
+    `step(indices, b0)` trains on the next `batch_size` shuffled dataset
+    indices (the last batch may be shorter), whose first shuffled position is
+    b0, and returns its loss. A Diverged from the step, or a loss that is not
+    finite, becomes one Diverged naming the epoch, b0 and the batch's first
+    dataset index. An empty set (n < 1) raises EmptyInput before any step.
     """
-    total, batches = 0.0, 0
-    for b0 in range(0, len(order), batch_size):
+    if n < 1:
+        raise EmptyInput("training set is empty")
+    start = time.perf_counter()
+    order = shuffle.permutation(n)
+    total = 0.0
+    for b0 in range(0, n, batch_size):
         indices = order[b0 : b0 + batch_size]
         try:
             loss = step(indices, b0)
@@ -115,5 +123,4 @@ def epoch_loss(order: np.ndarray, batch_size: int, epoch: int,
             raise Diverged(f"training diverged at epoch {epoch}, shuffled position {b0} "
                            f"(dataset index {int(indices[0])}): {exc}") from exc
         total += loss
-        batches += 1
-    return total / batches
+    return total / math.ceil(n / batch_size), time.perf_counter() - start

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import glob
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..diffusion import (
     train_step,
 )
 from ..errors import ConfigError, CqbrainError, EmptyInput, InvalidArgument
-from ..neuralkernel import epoch_loss, make_optimizer
+from ..neuralkernel import make_optimizer, run_epoch
 from ..rng import Rng
 from ..skullnet import MaskPair, UNet, UNetConfig, segment_many, train_segmenter
 from ..volio import Image2D, Plane, fit, read_pgm, resize_bilinear, write_pgm
@@ -257,13 +256,12 @@ def cmd_diffuse_train(cfg: dict) -> None:
     rng = Rng(cfg["seed"])
     rows = []
     for epoch in range(cfg["epochs"]):
-        start = time.perf_counter()
-        order = rng.derive(f"shuffle:{epoch}").permutation(len(data))
-        loss = epoch_loss(order, cfg["batch_size"], epoch, lambda indices, b0: train_step(
-            predictor, data[indices], schedule, optimizer, rng.derive(f"step:{epoch}:{b0}")))
+        loss, seconds = run_epoch(rng.derive(f"shuffle:{epoch}"), len(data), cfg["batch_size"], epoch,
+                                  lambda indices, b0: train_step(predictor, data[indices], schedule, optimizer,
+                                                                 rng.derive(f"step:{epoch}:{b0}")))
         rows.append({
             "run": cfg["run"], "seed": cfg["seed"], "epoch": epoch, "loss": f"{loss:.6f}",
-            "epoch_time_s": _epoch_time(cfg, time.perf_counter() - start),
+            "epoch_time_s": _epoch_time(cfg, seconds),
         })
     _save_run(cfg["output_dir"], pack_predictor(predictor, schedule), DIFF_CURVE_COLUMNS, rows)
 

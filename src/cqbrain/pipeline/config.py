@@ -79,7 +79,7 @@ def _convert(key: str, value: str, field: Field):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
-            raise ConfigError(f"{key}: cannot parse {value!r} as bool ({value})")
+            raise ConfigError(f"{key}: cannot parse {value!r} as bool")
         if field.kind == "choice":
             if value not in field.choices:
                 raise ConfigError(f"{key}: cannot parse {value!r} as choice (must be one of {field.choices})")

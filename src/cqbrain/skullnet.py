@@ -15,13 +15,12 @@ Dice); predictions are binarized at 0.5 before scoring or mask application.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import Diverged, EmptyInput, InvalidArgument
+from .errors import Diverged, InvalidArgument
 from .neuralkernel import (
     Optimizer,
     Params,
@@ -30,12 +29,12 @@ from .neuralkernel import (
     conv_transpose2x2,
     conv_transpose2x2_backward,
     dice_iou,
-    epoch_loss,
     glorot,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
     relu_backward,
+    run_epoch,
 )
 from .rng import Rng
 
@@ -241,7 +240,7 @@ class SegEpochReport:
     loss: float
     dice: float
     iou: float
-    wall_time_s: float
+    wall_time_s: float  # the training pass alone, without the Dice/IoU scoring
 
 
 def seg_scores(model: UNet, pairs: list[MaskPair]) -> tuple[float, float]:
@@ -254,8 +253,6 @@ def seg_scores(model: UNet, pairs: list[MaskPair]) -> tuple[float, float]:
 def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: Optimizer,
                     seed: int, batch_size: int = 8) -> list[SegEpochReport]:
     """Seeded mini-batch training; logs per-epoch loss and train Dice/IoU."""
-    if not pairs:
-        raise EmptyInput("no training pairs")
 
     def step(indices: np.ndarray, _b0: int) -> float:
         imgs = np.stack([pairs[int(i)].image for i in indices])[:, None]
@@ -268,11 +265,8 @@ def train_segmenter(model: UNet, pairs: list[MaskPair], epochs: int, optimizer: 
 
     reports = []
     for epoch in range(epochs):
-        start = time.perf_counter()
-        order = Rng(seed).derive(f"seg-epoch:{epoch}").permutation(len(pairs))
-        loss = epoch_loss(order, batch_size, epoch, step)
-        dice, iou = seg_scores(model, pairs)
-        reports.append(SegEpochReport(epoch, loss, dice, iou, time.perf_counter() - start))
+        loss, seconds = run_epoch(Rng(seed).derive(f"seg-epoch:{epoch}"), len(pairs), batch_size, epoch, step)
+        reports.append(SegEpochReport(epoch, loss, *seg_scores(model, pairs), seconds))
     return reports
 
 

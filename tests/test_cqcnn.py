@@ -130,9 +130,10 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_full_model_finite_difference(self, seed):
-        cfg = _small_config(seed=seed)
+    # eval mode scales nothing, so a dropout rate must not scale the eval-mode gradients
+    @pytest.mark.parametrize("seed, dropout_rate", [(s, 0.0) for s in range(20)] + [(s, 0.5) for s in range(4)])
+    def test_full_model_finite_difference(self, seed, dropout_rate):
+        cfg = _small_config(seed=seed, dropout_rate=dropout_rate)
         model = CqcnnModel(cfg)
         rng = np.random.default_rng(seed)
         img = rng.random((16, 16)).astype(np.float32)
@@ -149,8 +150,9 @@ class TestBackward:
             num = finite_difference_grad(loss_fn, param, h_scale=2e-4)
             assert grads_close(grads[name], num, 1e-2), f"{name} gradient mismatch (seed {seed})"
 
-    def test_classical_head_finite_difference(self):
-        cfg = _small_config(seed=1, head="classical_softmax")
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_classical_head_finite_difference(self, dropout_rate):
+        cfg = _small_config(seed=1, head="classical_softmax", dropout_rate=dropout_rate)
         model = CqcnnModel(cfg)
         rng = np.random.default_rng(1)
         img = rng.random((16, 16)).astype(np.float32)

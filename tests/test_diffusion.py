@@ -261,6 +261,16 @@ class TestTrainStep:
         with pytest.raises(EmptyInput):
             train_step(_ZeroPredictor(), np.zeros((0, 4, 4)), sched, make_optimizer("adam"), Rng(0))
 
+    def test_non_finite_loss_leaves_the_parameters_alone(self):
+        pred = NoisePredictor(NoisePredictorConfig(16, (2, 4), 8), Rng(0))
+        pred.params()["temb_b"][0] = np.nan
+        before = pred.params().flat.copy()
+        opt = make_optimizer("adam")
+        loss = train_step(pred, two_blob_images(2, 16, seed=1), build_schedule(T=5), opt, Rng(0))
+        assert math.isnan(loss)
+        assert np.array_equal(pred.params().flat, before, equal_nan=True)
+        assert opt.t == 0
+
     def test_loss_halves_on_tiny_corpus(self):
         sched = build_schedule(DESK_T)
         train = two_blob_images(32, 8, seed=3)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cqbrain.errors import Diverged, InvalidArgument
-from cqbrain.neuralkernel import Params, epoch_loss, make_optimizer
+from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
+from cqbrain.neuralkernel import Params, make_optimizer, run_epoch
+from cqbrain.rng import Rng
 
 from oracles import params_of, reference_step
 
@@ -143,8 +144,23 @@ def test_flat_rule_matches_the_per_tensor_reference_bit_for_bit():
         assert np.array_equal(flat[key].view(np.uint32), value.view(np.uint32)), key
 
 
-class TestEpochLoss:
-    ORDER = np.array([4, 0, 6, 2, 5, 1, 3])  # a shuffled order of 7 dataset indices
+class _FixedShuffle:
+    """A shuffle stream whose permutation is a given order; records each n it is asked for."""
+
+    def __init__(self, order):
+        self.order, self.asked = np.asarray(order), []
+
+    def permutation(self, n):
+        self.asked.append(n)
+        return self.order
+
+
+class TestRunEpoch:
+    ORDER = [4, 0, 6, 2, 5, 1, 3]  # a shuffled order of 7 dataset indices
+
+    @classmethod
+    def _run(cls, batch_size, epoch, step):
+        return run_epoch(_FixedShuffle(cls.ORDER), len(cls.ORDER), batch_size, epoch, step)
 
     @staticmethod
     def _recorder(losses):
@@ -159,24 +175,24 @@ class TestEpochLoss:
 
     def test_batches_walk_the_order_with_a_partial_last_batch(self):
         step, calls = self._recorder([1.0, 2.0, 3.0])
-        epoch_loss(self.ORDER, 3, 0, step)
+        self._run(3, 0, step)
         assert calls == [([4, 0, 6], 0), ([2, 5, 1], 3), ([3], 6)]
 
     def test_batch_size_one_passes_each_shuffled_position(self):
         step, calls = self._recorder([0.5] * 7)
-        epoch_loss(self.ORDER, 1, 0, step)
-        assert calls == [([int(i)], pos) for pos, i in enumerate(self.ORDER)]
+        self._run(1, 0, step)
+        assert calls == [([i], pos) for pos, i in enumerate(self.ORDER)]
 
     def test_mean_over_batches_in_order(self):
         losses = [0.1, 0.7, 0.25]  # the partial batch counts as one batch, like the others
         step, _ = self._recorder(losses)
-        assert epoch_loss(self.ORDER, 3, 0, step) == (0.1 + 0.7 + 0.25) / 3
+        assert self._run(3, 0, step)[0] == (0.1 + 0.7 + 0.25) / 3
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_loss_names_epoch_position_and_index(self, bad):
         step, calls = self._recorder([1.0, bad, 3.0])
         with pytest.raises(Diverged) as info:
-            epoch_loss(self.ORDER, 3, 4, step)
+            self._run(3, 4, step)
         assert str(info.value) == f"training diverged at epoch 4, shuffled position 3 (dataset index 2): loss is {bad}"
         assert len(calls) == 2  # no step after the failing batch
 
@@ -190,7 +206,7 @@ class TestEpochLoss:
             return 1.0
 
         with pytest.raises(Diverged) as info:
-            epoch_loss(self.ORDER, 2, 1, step)
+            self._run(2, 1, step)
         assert str(info.value) == ("training diverged at epoch 1, shuffled position 2 (dataset index 6): "
                                    "head input is not finite")
         assert isinstance(info.value.__cause__, Diverged)
@@ -201,4 +217,23 @@ class TestEpochLoss:
             raise InvalidArgument("bad shape")
 
         with pytest.raises(InvalidArgument, match="^bad shape$"):
-            epoch_loss(self.ORDER, 2, 0, step)
+            self._run(2, 0, step)
+
+    def test_empty_set_raises_before_any_step_or_draw(self):
+        shuffle, calls = _FixedShuffle([]), []
+        with pytest.raises(EmptyInput, match="^training set is empty$"):
+            run_epoch(shuffle, 0, 2, 0, lambda indices, b0: calls.append(b0) or 1.0)
+        assert calls == [] and shuffle.asked == []
+
+    @pytest.mark.parametrize("n, batch_size", [(1, 1), (7, 3), (9, 16)])
+    def test_visits_the_streams_permutation_once_and_times_the_pass(self, n, batch_size):
+        seen = []
+
+        def step(indices, b0):
+            seen.extend(indices.tolist())
+            return 1.0
+
+        loss, seconds = run_epoch(Rng(11).derive("shuffle"), n, batch_size, 0, step)
+        assert seen == Rng(11).derive("shuffle").permutation(n).tolist()
+        assert loss == 1.0
+        assert seconds >= 0.0

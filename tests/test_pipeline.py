@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqbrain import skullnet
+from cqbrain import cqcnn, skullnet
 from cqbrain.cqcnn import CqcnnConfig, CqcnnModel
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig, build_schedule
 from cqbrain.errors import BadFormat, EmptyInput, InvalidArgument
@@ -993,6 +993,44 @@ class TestOneDivergenceMessage:
         assert capsys.readouterr().err == (
             f"error: training diverged at epoch 0, shuffled position 0 (dataset index {first}): loss is nan\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestShuffleStreams:
+    """Each trainer's epoch pass draws its order from the trainer's own labelled stream."""
+
+    @pytest.mark.parametrize("command", ["train", "segment-train", "diffuse-train"])
+    def test_epoch_one_visits_the_labelled_streams_permutation(self, tmp_path, monkeypatch, command):
+        seed = 7
+        module = {"train": cqcnn, "segment-train": skullnet, "diffuse-train": commands}[command]
+        real, seen = module.run_epoch, {}
+
+        def recording(shuffle, n, batch_size, epoch, step):
+            def spy(indices, b0):
+                seen.setdefault(epoch, (n, []))[1].extend(int(i) for i in indices)
+                return step(indices, b0)
+
+            return real(shuffle, n, batch_size, epoch, spy)
+
+        monkeypatch.setattr(module, "run_epoch", recording)
+        if command == "train":
+            settings = {"dataset": TestRobustTraining._dataset(tmp_path, 16)}
+            stream = Rng(seed).derive("epoch:1").derive("shuffle")
+        elif command == "segment-train":
+            _write_pgms(tmp_path / "imgs", 5, size=16, seed=1)
+            _write_pgms(tmp_path / "masks", 5, size=16, seed=2)
+            settings = {"images_dir": tmp_path / "imgs", "masks_dir": tmp_path / "masks", "size": 16,
+                        "width_scale": 0.125, "batch_size": 2}
+            stream = Rng(seed).derive("seg-epoch:1")
+        else:
+            _write_pgms(tmp_path / "imgs", 5, size=16, seed=1)
+            settings = {"input_dir": tmp_path / "imgs", "size": 16, "widths": "2,4", "emb_dim": 8, "T": 5,
+                        "batch_size": 2}
+            stream = Rng(seed).derive("shuffle:1")
+        cfg = _write_cfg(tmp_path / "c.cfg", output_dir=tmp_path / "out", epochs=2, seed=seed, **settings)
+        assert main([command, "-c", str(cfg)]) == 0
+        n, visited = seen[1]
+        assert n > 1
+        assert visited == stream.permutation(n).tolist()
 
 
 class TestNonFiniteInference:
