@@ -26,7 +26,7 @@ order.
 
 Training keeps its conv columns: `forward` builds each conv's im2col
 columns (25 x 15376 and 50 x 3364 values at 128 px) in two float32
-buffers the model owns, allocated on first use, and `backward` hands the
+buffers the model allocates when it is built, and `backward` hands the
 same arrays to `conv2d_backward`, so a training step builds each set of
 columns once. `predict` builds its columns in the shared workspace of
 `neuralkernel.ops` and leaves the model's buffers alone, so a `predict`
@@ -164,7 +164,10 @@ class CqcnnModel:
             p["w_out"].fill(1.0)
             p["theta"] = rng.derive("init:theta").uniform(config.n_qubits) * np.pi
         self._cache: dict | None = None
-        self._cols: dict[str, np.ndarray] = {}  # see `_columns`
+        trace = config.shape_trace()
+        # each conv's columns for one image, kept from `forward` to `backward` (module docstring)
+        self._cols1 = np.empty((1, KERNEL * KERNEL, trace["conv1"][1] ** 2), np.float32)
+        self._cols2 = np.empty((1, CONV1_OUT * KERNEL * KERNEL, trace["conv2"][1] ** 2), np.float32)
 
     def params(self) -> Params:
         """Trainable tensors of the active head, as views into one flat vector."""
@@ -177,14 +180,6 @@ class CqcnnModel:
             raise InvalidArgument(f"expected {size}x{size} image, got {img.shape}")
         return img
 
-    def _columns(self, layer: str, x: np.ndarray) -> np.ndarray:
-        """This model's own column buffer of conv `layer` for one (C, H, W) float32 image x."""
-        cols = self._cols.get(layer)
-        if cols is None:
-            side = self.config.shape_trace()[layer][1]
-            cols = self._cols[layer] = np.empty((1, x.shape[0] * KERNEL * KERNEL, side * side), np.float32)
-        return cols
-
     def _trunk(self, x0: np.ndarray, keep: bool = False) -> dict[str, np.ndarray]:
         """Conv/ReLU/pool activations for one (1, H, W) image or an (N, 1, H, W) stack.
 
@@ -192,11 +187,11 @@ class CqcnnModel:
         buffers and return them too, for `backward`.
         """
         p = self._params
-        cols1 = self._columns("conv1", x0) if keep else None
+        cols1 = self._cols1 if keep else None
         z1 = conv2d(x0, p["conv1_w"], p["conv1_b"], cols=cols1)
         a1 = relu(z1)
         p1 = maxpool2x2(a1)
-        cols2 = self._columns("conv2", p1) if keep else None
+        cols2 = self._cols2 if keep else None
         z2 = conv2d(p1, p["conv2_w"], p["conv2_b"], cols=cols2)
         a2 = relu(z2)
         return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2),

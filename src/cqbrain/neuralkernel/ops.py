@@ -14,9 +14,13 @@ gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
 
-Valid padding in one pass: a valid-padded `_im2col` (any stride) is one
+Columns in one pass: `_im2col` (any padding, any stride) is one
 `np.copyto` from a read-only strided view of the input, indexed (n, c, ki,
-kj, i, j), into the columns. A valid stride-1 `_col2im` is one
+kj, i, j), into the columns. A same-padded conv (odd K, stride 1, pad
+P = (K-1)/2) first copies its input into the interior of a zeroed padded
+array, which lives only until `_im2col` returns; the view then reads the
+border taps as +0.0, so the columns are those of the zero-padded input
+value for value. A valid stride-1 `_col2im` is one
 `np.add.reduce(view, axis=(2, 3), initial=+0.0)` over a view of the
 columns zero-padded per tap: the view's last axis runs over the
 flattened dx, and its tap axes shift the read so that dx element (i, j)
@@ -33,25 +37,18 @@ so adding +0.0 leaves it as it is. dx is thus bit for bit the per-tap
 result; tests/test_neuralkernel_ops.py checks this against the loops for
 the installed numpy.
 
-Same padding without a padded copy: a same-padded conv (odd K, stride 1,
-pad P = (K-1)/2) never builds a padded input. For each tap, `_im2col`
-copies the rectangle of output positions whose input position lies inside
-the unpadded input and writes +0.0 into the tap's out-of-range border
-strips, so the columns equal those of the zero-padded input value for
-value. `_col2im` adds each tap's in-range rectangle straight into a
-zeroed, unpadded dx, taps in row-major order. Each element of dx thus
-receives the same terms, in the same order, as the matching interior
-element of a zero-padded gradient buffer would; the terms that would land
-on that buffer's border (and be sliced away) are never added. Both sums
-start at +0.0: dx is zeroed, not seeded with a tap's values, because a
-sum that starts at +0.0 never becomes -0.0 under round-to-nearest, while
-a seeded one would keep a -0.0 term's sign. So dx is bit for bit the
-padded-and-sliced result, and it comes back as its own contiguous array,
-not as a strided view into a larger padded buffer. Same padding keeps
-these loops: in a trial, padded copies for the one-pass paths cost the
-U-Net 19% more peak memory and 8-17% of its inference speed. A valid
-stride-2 `_col2im` runs the same loops, each tap's rectangle the whole
-output.
+Same-padded gradients without a padded copy: `_col2im` adds each tap's
+in-range rectangle straight into a zeroed, unpadded dx, taps in
+row-major order. Each element of dx thus receives the same terms, in the
+same order, as the matching interior element of a zero-padded gradient
+buffer would; the terms that would land on that buffer's border (and be
+sliced away) are never added. Both sums start at +0.0: dx is zeroed, not
+seeded with a tap's values, because a sum that starts at +0.0 never
+becomes -0.0 under round-to-nearest, while a seeded one would keep a
+-0.0 term's sign. So dx is bit for bit the padded-and-sliced result, and
+it comes back as its own contiguous array, not as a strided view into a
+larger padded buffer. A valid stride-2 `_col2im` runs the same loops,
+each tap's rectangle the whole output.
 
 Columns: `conv2d` and `conv2d_backward` build their im2col columns in one
 grow-only workspace buffer per dtype and per thread, instead of a fresh
@@ -137,9 +134,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
             out: np.ndarray | None = None) -> np.ndarray:
     """Columns (N, C*K*K, H_out*W_out) in `out`, or else in the column workspace (see module docstring).
 
-    x is the unpadded input. Without padding the columns are one copy of a
-    strided view of x. With padding each tap's out-of-range border strips
-    are zeroed, then each tap copies its in-range rectangle.
+    x is the unpadded input. With padding it is first copied into the interior of
+    a zeroed padded array; the columns are then one copy of a strided view of that.
     """
     n, c, h, w = x.shape
     if out is None:
@@ -147,30 +143,12 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
     else:
         _check_columns(out, x, k, h_out, w_out)
         cols = out.reshape(n, c, k, k, h_out, w_out)
-    if not pad:
-        sn, sc, sh, sw = x.strides
-        np.copyto(cols, as_strided(x, cols.shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False))
-        return cols.reshape(n, c * k * k, h_out * w_out)
-    rows = [_in_range(ki - pad, stride, h, h_out) for ki in range(k)]
-    spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
-    # zeroed on every call (the workspace still holds an earlier call's columns),
-    # all taps of one kernel row or column per strip
-    for ki, (i0, i1) in enumerate(rows):
-        if i0:
-            cols[:, :, ki, :, :i0] = 0
-        if i1 < h_out:
-            cols[:, :, ki, :, i1:] = 0
-    for kj, (j0, j1) in enumerate(spans):
-        if j0:
-            cols[:, :, :, kj, :, :j0] = 0
-        if j1 < w_out:
-            cols[:, :, :, kj, :, j1:] = 0
-    for ki, (i0, i1) in enumerate(rows):
-        r0 = i0 * stride + ki - pad
-        for kj, (j0, j1) in enumerate(spans):
-            c0 = j0 * stride + kj - pad
-            cols[:, :, ki, kj, i0:i1, j0:j1] = \
-                x[:, :, r0 : r0 + stride * (i1 - i0) : stride, c0 : c0 + stride * (j1 - j0) : stride]
+    if pad:
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
+    sn, sc, sh, sw = x.strides
+    np.copyto(cols, as_strided(x, cols.shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False))
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
@@ -392,10 +370,10 @@ def dropout(x: np.ndarray, rate: float, mode: str, rng: Rng | None = None) -> tu
     x = _as_f32(x)
     if not 0.0 <= rate < 1.0:
         raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
+    if mode not in ("train", "eval"):
+        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:
         return x, np.ones_like(x)
-    if mode != "train":
-        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if rng is None:
         raise InvalidArgument("train-mode dropout needs an explicit rng stream")
     mask = (rng.uniform(x.shape) >= rate).astype(x.dtype)

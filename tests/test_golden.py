@@ -1,0 +1,65 @@
+"""Determinism contract: every benchmark workload's outputs hash to pinned values.
+
+Each case runs one round of a `perfbench` workload (its CLI commands under
+`timing = zero`, on inputs generated from the seed) through
+`perfbench/run.py`'s `run_round` and compares `digest_of` its output hashes
+with the value pinned here. A change that moves an output byte edits the
+pinned value, and says which output moved and why.
+
+The digests depend on numpy and its BLAS, so their versions are pinned too;
+on another environment the test fails and names both.
+"""
+from __future__ import annotations
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import run  # noqa: E402  (perfbench modules, importable once their directory is on sys.path)
+from workloads import WORKLOADS  # noqa: E402
+
+NUMPY = "2.4.6"
+BLAS = "scipy-openblas 0.3.31.188.0"
+
+DIGESTS = {
+    ("classify", 1): "53b776779a391461b1ee1ce42c6bb5d4abcf658325e5e69b4af529e997945834",
+    ("segment", 1): "ef2aaf4ad66eaf0b21452e0cb110e834783b94f73fa2e108864e24f8288ac1fd",
+    ("synthesize", 1): "fb9e1e53d08ab83d55179f4238fe8bdffbc134e8cc37040991cac81ee64b2410",
+    ("classify", 2): "f93270e373e6c476367e990dca4bfe7fc236fad34cdb8aeb34464e80bad2f28c",
+    ("segment", 2): "65994e26f78484a632018f3d493b981d48c3f3d0cca14a558955640228027a50",
+    ("synthesize", 2): "b9bc11343c52887a016790093e2656f599c4b9c75041a4d51227d7904d41d02b",
+    ("classify", 3): "b1faf53516a703aaea8d44e55df6196a9030a6110936e09a59cd7d172dd7f558",
+}
+
+
+def _environment() -> tuple[str, str]:
+    """(numpy version, BLAS name and version) as the benchmark records them."""
+    env = run.environment(types.SimpleNamespace(workload=None, seed=None, seconds=None, trace=None))
+    return env["numpy"], env["blas"]
+
+
+def _pinned_for() -> str:
+    numpy, blas = _environment()
+    return f"digests are pinned for numpy {NUMPY} with {BLAS}; this environment has numpy {numpy} with {blas}"
+
+
+def test_environment_is_the_pinned_one():
+    assert _environment() == (NUMPY, BLAS), _pinned_for()
+
+
+@pytest.mark.parametrize("name, seed", list(DIGESTS))
+def test_round_outputs_match_pinned_digest(name, seed, tmp_path, monkeypatch):
+    workload = WORKLOADS[name]
+    workload.generate(tmp_path / "inputs", seed)
+    (tmp_path / "cfg").mkdir()
+    for cmd in workload.commands:
+        (tmp_path / "cfg" / f"{cmd.tag}.cfg").write_text(cmd.config_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the configs' paths are relative to the work directory
+    result = run.run_round(workload, tmp_path, "golden")
+    assert not result.failures
+    got, pinned = run.digest_of(result.digests), DIGESTS[name, seed]
+    assert got == pinned, f"{name} seed {seed}: digest {got}, pinned {pinned} ({_pinned_for()})"

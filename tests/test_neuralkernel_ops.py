@@ -241,19 +241,22 @@ class TestSamePaddingWithoutPad:
         assert dx.flags.c_contiguous and dx.base is None
 
     @pytest.mark.parametrize("k", [3, 5])
-    def test_stale_workspace_border_is_rezeroed(self, k):
+    def test_stale_workspace_columns_are_overwritten(self, k):
         rng = np.random.default_rng(5)
         big = rng.standard_normal((4, 3, 40, 40)).astype(np.float32) + 100.0
         conv2d(big, rng.standard_normal((2, 3, 5, 5)).astype(np.float32), np.zeros(2, np.float32))
         conv2d_backward(np.ones((4, 2, 36, 36), np.float32), big,
                         rng.standard_normal((2, 3, 5, 5)).astype(np.float32))
-        # the workspace now holds nonzero columns where the border strips will go
+        # the workspace now holds a larger conv's nonzero columns; the same-padded
+        # conv must overwrite every column it reads, its border taps with +0.0
         x, w, b, dy = self._operands(6, k, (7, 9), True, np.float32)
         assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
         for got, want in zip(conv2d_backward(dy, x, w, padding="same"), conv2d_same_padded_backward(dy, x, w)):
             assert _same_bits(got, want)
 
-    def test_warm_call_builds_no_padded_copy(self):
+    def test_warm_call_frees_padded_copy_before_output(self):
+        # the padded input copy (8 x 4 x 66 x 66 float32, 557,568 B) is freed when the
+        # columns are built, before the output is allocated, so it never adds to the peak
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
@@ -277,7 +280,9 @@ class TestSamePaddingWithoutPad:
 
 
 class TestValidColumns:
-    """Valid-padded columns (one strided copy) and stride-1 col2im (one reduction) equal the per-tap loops.
+    """Columns (one strided copy) and valid stride-1 col2im (one reduction) equal the per-tap loops.
+
+    Same-padded columns are compared with the loops over an np.pad copy of x.
 
     Byte equality on random terms pins the order in which numpy's reduction
     adds each element's tap terms. No case mixes NaN with both infinities:
@@ -287,6 +292,11 @@ class TestValidColumns:
     """
 
     GEOMETRY = [(k, stride, hw) for k in (1, 3, 5) for stride in (1, 2) for hw in ((1, 1), (2, 5), (4, 3))]
+    # (k, stride, hw, pad): the valid geometries, then same padding at stride 1
+    COLUMN_CASES = ([pytest.param(k, stride, hw, 0, id=f"{k}-{stride}-hw{i}")
+                     for i, (k, stride, hw) in enumerate(GEOMETRY)]
+                    + [pytest.param(k, 1, hw, (k - 1) // 2, id=f"same-{k}-hw{i}")
+                       for k in (1, 3, 5) for i, hw in enumerate(((1, 1), (2, 5), (4, 3)))])
 
     @staticmethod
     def _terms(rng: np.random.Generator, shape: tuple[int, ...], dtype, specials: tuple[float, ...]) -> np.ndarray:
@@ -298,11 +308,13 @@ class TestValidColumns:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 2])
-    @pytest.mark.parametrize("k, stride, hw", GEOMETRY)
-    def test_im2col_matches_tap_loop(self, k, stride, hw, batch, dtype):
-        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1])
-        x = self._terms(rng, (batch, 3, (hw[0] - 1) * stride + k, (hw[1] - 1) * stride + k), dtype, (np.nan, np.inf))
-        assert _same_bits(ops._im2col(x, k, stride, *hw, 0), im2col_taps(x, k, stride, *hw))
+    @pytest.mark.parametrize("k, stride, hw, pad", COLUMN_CASES)
+    def test_im2col_matches_tap_loop(self, k, stride, hw, pad, batch, dtype):
+        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1] + pad)
+        x = self._terms(rng, (batch, 3, (hw[0] - 1) * stride + k - 2 * pad, (hw[1] - 1) * stride + k - 2 * pad),
+                        dtype, (np.nan, np.inf))
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        assert _same_bits(ops._im2col(x, k, stride, *hw, pad), im2col_taps(padded, k, stride, *hw))
 
     @pytest.mark.parametrize("specials", [(), (np.nan, np.inf), (np.inf, -np.inf)], ids=["finite", "nan", "infs"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -461,6 +473,11 @@ class TestReluDenseDropout:
         for mode in ("train", "eval"):
             y, _ = dropout(x, 0.0, mode, Rng(1))
             assert np.array_equal(y, x)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_dropout_rejects_unknown_mode(self, rate):
+        with pytest.raises(InvalidArgument, match="mode"):
+            dropout(np.ones(4, np.float32), rate, "trian", Rng(1))
 
     def test_dropout_eval_identity(self):
         x = np.random.default_rng(1).random(16).astype(np.float32)
