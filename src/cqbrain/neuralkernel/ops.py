@@ -7,7 +7,7 @@ order so repeated runs are bit-identical.
 
 Backward kernels compute only what their caller uses:
 `conv2d_backward(..., input_grad=False)` returns None in place of dx and
-skips its GEMM and col2im (for a first layer, whose input is the data).
+skips the work that forms it (for a first layer, whose input is the data).
 
 Max-pool tie rule: `maxpool2x2_backward` routes each window's upstream
 gradient to the first of its maxima in row-major order
@@ -20,35 +20,38 @@ kj, i, j), into the columns. A same-padded conv (odd K, stride 1, pad
 P = (K-1)/2) first copies its input into the interior of a zeroed padded
 array, which lives only until `_im2col` returns; the view then reads the
 border taps as +0.0, so the columns are those of the zero-padded input
-value for value. A valid stride-1 `_col2im` is one
-`np.add.reduce(view, axis=(2, 3), initial=+0.0)` over a view of the
-columns zero-padded per tap: the view's last axis runs over the
-flattened dx, and its tap axes shift the read so that dx element (i, j)
-reads tap (ki, kj) at column position (i - ki, j - kj), or at a zero
-where that lies outside the columns; a 1x1 kernel takes the per-tap loop.
-numpy orders a reduction's loops by the view's strides, and the
-tap axes' strides lie between the channel's and the element's, so the
-inner loop runs along dx, one elementwise add per tap, never along the
-taps (which would form pairwise partial sums), and each dx element gets
-its terms in row-major tap order, like the per-tap loops. The padding
+value for value. The input gradient of a valid stride-1 conv with K > 1,
+`_col2im`, is one `np.add.reduce(view, axis=(2, 3), initial=+0.0)` over
+a view of the columns zero-padded per tap: the view's last axis runs
+over the flattened dx, and its tap axes shift the read so that dx
+element (i, j) reads tap (ki, kj) at column position (i - ki, j - kj),
+or at a zero where that lies outside the columns. numpy orders a
+reduction's loops by the view's strides, and the tap axes' strides lie
+between the channel's and the element's, so the inner loop runs along
+dx, one elementwise add per tap, never along the taps (which would form
+pairwise partial sums), and each dx element gets its terms in row-major
+tap order, like the per-tap loops. The padding
 adds +0.0 terms, which change no sum: the sum starts at +0.0 (`initial`),
 and a sum that starts at +0.0 never becomes -0.0 under round-to-nearest,
 so adding +0.0 leaves it as it is. dx is thus bit for bit the per-tap
 result; tests/test_neuralkernel_ops.py checks this against the loops for
 the installed numpy.
 
-Same-padded gradients without a padded copy: `_col2im` adds each tap's
-in-range rectangle straight into a zeroed, unpadded dx, taps in
-row-major order. Each element of dx thus receives the same terms, in the
-same order, as the matching interior element of a zero-padded gradient
-buffer would; the terms that would land on that buffer's border (and be
-sliced away) are never added. Both sums start at +0.0: dx is zeroed, not
-seeded with a tap's values, because a sum that starts at +0.0 never
-becomes -0.0 under round-to-nearest, while a seeded one would keep a
--0.0 term's sign. So dx is bit for bit the padded-and-sliced result, and
-it comes back as its own contiguous array, not as a strided view into a
-larger padded buffer. A valid stride-2 `_col2im` runs the same loops,
-each tap's rectangle the whole output.
+Input gradients as a conv of dy: every other conv (same-padded, strided
+or 1x1) forms dx as its forward forms y, with `_im2col` and one GEMM.
+dx is dy, spread `stride` apart into a zeroed array when stride > 1,
+zero-padded by K - 1 - P and correlated with the kernel flipped in both
+spatial axes and its two channel axes swapped (Dumoulin & Visin 2016,
+arXiv:1603.07285): dx[c, r, s] is the sum over o, ki, kj of
+dy_spread[o, r + ki - (K-1-P), s + kj - (K-1-P)] * w[o, c, K-1-ki, K-1-kj],
+reading zero outside dy_spread. The GEMM orders each element's terms its
+own way, so dx differs from a per-tap col2im by rounding only (in
+float64, about 5e-16 relative). The valid stride-1 convs with K > 1 keep
+`_col2im`, which is faster there: on the classifier's conv2 at 128 px it
+took 208 us against the conv of dy's 259 us (one BLAS thread, 2-vCPU
+Xeon VM). Order: `conv2d_backward` forms dw from x's columns before it
+builds dy's, since without caller-owned columns both sets live in the
+same workspace buffer and dy's overwrite x's.
 
 Columns: `conv2d` and `conv2d_backward` build their im2col columns in one
 grow-only workspace buffer per dtype and per thread, instead of a fresh
@@ -62,8 +65,9 @@ the largest column set the thread has built.
 Caller-owned columns: `conv2d(..., cols=buf)` builds the columns in the
 caller's contiguous (N, C_in*K*K, H_out*W_out) array instead, and
 `conv2d_backward(dy, x, w, ..., cols=buf)` then takes them as x's columns
-and builds none. They live as long as the caller keeps them; the caller
-must pass them only with the x that built them, before filling them again.
+instead of building its own. They live as long as the caller keeps them;
+the caller must pass them only with the x that built them, before filling
+them again.
 """
 from __future__ import annotations
 
@@ -116,12 +120,6 @@ def _column_buffer(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _in_range(offset: int, stride: int, size: int, n_out: int) -> tuple[int, int]:
-    """Output positions [lo, hi) whose input position (output * stride + offset) lies in [0, size)."""
-    lo = min(max(-(offset // stride), 0), n_out)
-    return lo, max(min(-((offset - size) // stride), n_out), lo)
-
-
 def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int) -> None:
     """Reject caller-owned columns that do not fit x's conv."""
     shape = (x.shape[0], x.shape[1] * k * k, h_out * w_out)
@@ -152,37 +150,20 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int,
-            pad: int) -> np.ndarray:
-    """Input gradient of `_im2col`: each element's tap terms summed in row-major tap order from +0.0.
-
-    Valid stride 1 and K > 1: one reduction over a strided view of the zero-padded
-    columns. Otherwise each tap's in-range rectangle is added into a zeroed dx.
-    """
+def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, h_out: int, w_out: int) -> np.ndarray:
+    """Input gradient of a valid stride-1 `_im2col` with K > 1: one reduction (see module docstring)."""
     n, c, h, w = x_shape
-    dcols = dcols.reshape(n, c, k, k, h_out, w_out)
-    if not pad and stride == 1 and k > 1:
-        # each tap's columns in a zeroed frame of rows W = W_out + K - 1 wide, with K zero
-        # rows above and K - 1 below: position (r, s) sits at flat offset (r + K) * W + s,
-        # and every out-of-range position with -K < s < W lands on a zero
-        rows = h_out + 2 * k - 1
-        frame = np.zeros((n, c, k, k, rows, w), dcols.dtype)
-        frame[..., k : k + h_out, :w_out] = dcols
-        taps = frame.reshape(n, c, k, k, rows * w)[..., k * w :]
-        # dx element m = i * W + j reads tap (ki, kj) at position (i - ki, j - kj): flat m - ki * W - kj
-        sn, sc, ski, skj, sm = taps.strides
-        taps = as_strided(taps, (n, c, k, k, h * w), (sn, sc, ski - w * sm, skj - sm, sm), writeable=False)
-        return np.add.reduce(taps, axis=(2, 3), initial=+0.0).reshape(x_shape)
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    spans = [_in_range(kj - pad, stride, w, w_out) for kj in range(k)]
-    for ki in range(k):
-        i0, i1 = _in_range(ki - pad, stride, h, h_out)
-        r0 = i0 * stride + ki - pad
-        for kj, (j0, j1) in enumerate(spans):
-            c0 = j0 * stride + kj - pad
-            dx[:, :, r0 : r0 + stride * (i1 - i0) : stride, c0 : c0 + stride * (j1 - j0) : stride] += \
-                dcols[:, :, ki, kj, i0:i1, j0:j1]
-    return dx
+    # each tap's columns in a zeroed frame of rows W = W_out + K - 1 wide, with K zero
+    # rows above and K - 1 below: position (r, s) sits at flat offset (r + K) * W + s,
+    # and every out-of-range position with -K < s < W lands on a zero
+    rows = h_out + 2 * k - 1
+    frame = np.zeros((n, c, k, k, rows, w), dcols.dtype)
+    frame[..., k : k + h_out, :w_out] = dcols.reshape(n, c, k, k, h_out, w_out)
+    taps = frame.reshape(n, c, k, k, rows * w)[..., k * w :]
+    # dx element m = i * W + j reads tap (ki, kj) at position (i - ki, j - kj): flat m - ki * W - kj
+    sn, sc, ski, skj, sm = taps.strides
+    taps = as_strided(taps, (n, c, k, k, h * w), (sn, sc, ski - w * sm, skj - sm, sm), writeable=False)
+    return np.add.reduce(taps, axis=(2, 3), initial=+0.0).reshape(x_shape)
 
 
 def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
@@ -253,8 +234,17 @@ def conv2d_backward(
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    dcols = np.matmul(w.reshape(c_out, -1).T, dy_mat)
-    dx = _col2im(dcols, xb.shape, k, stride, h_out, w_out, pad)
+    if not pad and stride == 1 and k > 1:
+        dx = _col2im(np.matmul(w.reshape(c_out, -1).T, dy_mat), xb.shape, k, h_out, w_out)
+    else:
+        # dx is dy, spread `stride` apart, correlated with the flipped kernel (see module
+        # docstring); dw is already formed, so dy's columns may take x's workspace
+        if stride > 1:
+            spread = np.zeros(dyb.shape[:2] + ((h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dyb.dtype)
+            spread[:, :, ::stride, ::stride] = dyb
+            dyb = spread
+        w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
+        dx = np.matmul(w_flip, _im2col(dyb, k, 1, *xb.shape[2:], k - 1 - pad)).reshape(xb.shape)
     return (dx[0] if single else dx), dw, db
 
 

@@ -88,6 +88,11 @@ class UNetConfig:
         return shapes
 
 
+# The InitVar's default would stay on the class and answer `config.width_scale` with 1.0
+# whatever scale built the widths; `__init__` keeps the default in its own signature.
+del UNetConfig.width_scale
+
+
 class UNet:
     """Configurable-depth U-Net with explicit hand-written backprop.
 

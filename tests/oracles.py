@@ -200,7 +200,7 @@ def conv2d_same_padded(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarra
 
 
 def conv2d_same_padded_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
-    """(dx, dw, db) of `conv2d_same_padded`: col2im into a padded buffer, then a strided slice."""
+    """(dx, dw, db) of `conv2d_same_padded`, dx by `conv2d_input_grad`."""
     x, w, dy = _conv_operands(x, w, dy)
     single = x.ndim == 3
     xb, dyb = (x[None], dy[None]) if single else (x, dy)
@@ -214,8 +214,27 @@ def conv2d_same_padded_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, in
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    dx = col2im_padded(np.matmul(w.reshape(c_out, -1).T, dy_mat), xb.shape, k)
+    dx = conv2d_input_grad(dyb, w, 1, p)
     return (dx[0] if single else dx), dw, db
+
+
+def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """dx of a conv with `stride` and padding `pad`, as a correlation of dy with the flipped kernel.
+
+    dy (N, C_out, H_out, W_out) is spread `stride` apart into zeros, np.pad-ed by
+    K - 1 - pad, cut into per-tap columns, and multiplied by the kernel flipped in
+    both spatial axes with its channel axes swapped.
+    """
+    dy, w = _conv_operands(dy, w)
+    n, c_out, h_out, w_out = dy.shape
+    k = w.shape[2]
+    spread = np.zeros((n, c_out, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dy.dtype)
+    spread[:, :, ::stride, ::stride] = dy
+    q = k - 1 - pad
+    padded = np.pad(spread, ((0, 0), (0, 0), (q, q), (q, q)))
+    h, wdt = padded.shape[2] - k + 1, padded.shape[3] - k + 1
+    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(w.shape[1], -1)
+    return np.matmul(w_flip, im2col_taps(padded, k, 1, h, wdt)).reshape(n, w.shape[1], h, wdt)
 
 
 def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:

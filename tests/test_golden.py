@@ -27,11 +27,11 @@ BLAS = "scipy-openblas 0.3.31.188.0"
 
 DIGESTS = {
     ("classify", 1): "53b776779a391461b1ee1ce42c6bb5d4abcf658325e5e69b4af529e997945834",
-    ("segment", 1): "ef2aaf4ad66eaf0b21452e0cb110e834783b94f73fa2e108864e24f8288ac1fd",
-    ("synthesize", 1): "fb9e1e53d08ab83d55179f4238fe8bdffbc134e8cc37040991cac81ee64b2410",
+    ("segment", 1): "eada39a5e2d9e230920222199e9e340225bb96223ee4bb16fef620e60814e992",
+    ("synthesize", 1): "7063ff3678958734ebb9d9cd4f8d24f61dd6e7040025812630d766468af0478a",
     ("classify", 2): "f93270e373e6c476367e990dca4bfe7fc236fad34cdb8aeb34464e80bad2f28c",
-    ("segment", 2): "65994e26f78484a632018f3d493b981d48c3f3d0cca14a558955640228027a50",
-    ("synthesize", 2): "b9bc11343c52887a016790093e2656f599c4b9c75041a4d51227d7904d41d02b",
+    ("segment", 2): "4c0576d61cbeea4b339d356b0555a263649e2b98daeea5a5d16673bf49d1fb80",
+    ("synthesize", 2): "a2c47ea901cb5c4b62bedcd8e6d5e1730cf13bd22ab00aede2cd9f04fb391660",
     ("classify", 3): "b1faf53516a703aaea8d44e55df6196a9030a6110936e09a59cd7d172dd7f558",
 }
 

@@ -29,6 +29,7 @@ from cqbrain.rng import Rng
 from oracles import (
     col2im_padded,
     col2im_taps,
+    conv2d_input_grad,
     conv2d_same_padded,
     conv2d_same_padded_backward,
     finite_difference_grad,
@@ -224,21 +225,32 @@ class TestSamePaddingWithoutPad:
                 assert got[0] is None and want[0] is None
             assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
 
-    @pytest.mark.parametrize("k, hw", [(3, (1, 1)), (3, (4, 6)), (5, (2, 2)), (5, (6, 3))])
-    def test_col2im_keeps_the_sign_of_zero(self, k, hw):
-        # a GEMM never returns -0.0, so -0.0 terms reach col2im only when called directly
-        rng = np.random.default_rng(k + hw[0])
-        x_shape = (2, 3, *hw)
-        dcols = _with_signed_zeros(rng, (2, 3 * k * k, hw[0] * hw[1]), np.float32)
-        dcols[0] = -0.0  # a whole image whose every term is -0.0
-        got = ops._col2im(dcols, x_shape, k, 1, *hw, (k - 1) // 2)
-        assert _same_bits(got, np.ascontiguousarray(col2im_padded(dcols, x_shape, k)))
-        assert not np.signbit(got[0]).any()
-
-    def test_input_gradient_is_contiguous(self):
-        x, w, _, dy = self._operands(0, 3, (6, 5), True, np.float32)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_input_gradient_owns_no_larger_buffer(self, batched):
+        x, w, _, dy = self._operands(0, 3, (6, 5), batched, np.float32)
         dx, _, _ = conv2d_backward(dy, x, w, padding="same")
-        assert dx.flags.c_contiguous and dx.base is None
+        assert dx.flags.c_contiguous
+        assert dx.base is None or dx.base.nbytes == dx.nbytes
+
+    @pytest.mark.parametrize("k, stride, hw", [(1, 1, (4, 7)), (3, 1, (5, 8)), (5, 1, (6, 3)),
+                                               (1, 2, (3, 4)), (3, 2, (4, 3)), (5, 2, (2, 5))])
+    def test_input_gradient_is_the_tap_sum(self, k, stride, hw):
+        # the identity itself, apart from the oracle that shares the GEMM: dx equals the
+        # per-tap col2im of W^T dy up to rounding, bounded by the same sum of |terms|
+        rng = np.random.default_rng(k * 10 + stride)
+        pad = (k - 1) // 2 if stride == 1 else 0
+        x_shape = (2, 3, (hw[0] - 1) * stride + k - 2 * pad, (hw[1] - 1) * stride + k - 2 * pad)
+        x, w = rng.standard_normal(x_shape), rng.standard_normal((4, 3, k, k))
+        dy = rng.standard_normal((2, 4, *hw))
+        got, _, _ = conv2d_backward(dy, x, w, stride, "same" if pad else "valid")
+
+        def tap_sum(w, dy):
+            dcols = np.matmul(w.reshape(4, -1).T, dy.reshape(2, 4, -1))
+            if pad:
+                return col2im_padded(dcols, x_shape, k)
+            return col2im_taps(dcols, x_shape, k, stride, *hw)
+
+        assert np.all(np.abs(got - tap_sum(w, dy)) <= 1e-12 * tap_sum(np.abs(w), np.abs(dy)))
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_stale_workspace_columns_are_overwritten(self, k):
@@ -253,6 +265,24 @@ class TestSamePaddingWithoutPad:
         assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
         for got, want in zip(conv2d_backward(dy, x, w, padding="same"), conv2d_same_padded_backward(dy, x, w)):
             assert _same_bits(got, want)
+
+    def test_warm_backward_allocates_only_dx(self):
+        # x's columns come from the forward, as a caller that keeps them passes them;
+        # building them here would add x's padded copy, which the forward's test bounds
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 8, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
+        dy = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
+        cols = np.empty((8, 8 * 9, 64 * 64), np.float32)
+        conv2d(x, w, np.zeros(4, np.float32), padding="same", cols=cols)
+        conv2d_backward(dy, x, w, padding="same", cols=cols)  # warm-up: grows the workspace
+        tracemalloc.start()
+        try:
+            dx, _, _ = conv2d_backward(dy, x, w, padding="same", cols=cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dx.nbytes + 64 * 1024
 
     def test_warm_call_frees_padded_copy_before_output(self):
         # the padded input copy (8 x 4 x 66 x 66 float32, 557,568 B) is freed when the
@@ -283,6 +313,7 @@ class TestValidColumns:
     """Columns (one strided copy) and valid stride-1 col2im (one reduction) equal the per-tap loops.
 
     Same-padded columns are compared with the loops over an np.pad copy of x.
+    A 1x1 or strided conv's input gradient is compared with `conv2d_input_grad`.
 
     Byte equality on random terms pins the order in which numpy's reduction
     adds each element's tap terms. No case mixes NaN with both infinities:
@@ -321,26 +352,37 @@ class TestValidColumns:
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("k, stride, hw", GEOMETRY)
     def test_col2im_matches_tap_loop(self, k, stride, hw, batch, dtype, specials):
+        # K > 1 at stride 1 takes `_col2im`; a 1x1 or strided conv's dx is a conv of dy
         rng = np.random.default_rng(k * 100 + stride * 10 + hw[1] + len(specials))
         x_shape = (batch, 3, (hw[0] - 1) * stride + k, (hw[1] - 1) * stride + k)
-        dcols = self._terms(rng, (batch, 3 * k * k, hw[0] * hw[1]), dtype, specials)
         with np.errstate(invalid="ignore"):  # inf - inf
-            got, want = ops._col2im(dcols, x_shape, k, stride, *hw, 0), col2im_taps(dcols, x_shape, k, stride, *hw)
+            if k > 1 and stride == 1:
+                dcols = self._terms(rng, (batch, 3 * k * k, hw[0] * hw[1]), dtype, specials)
+                got, want = ops._col2im(dcols, x_shape, k, *hw), col2im_taps(dcols, x_shape, k, stride, *hw)
+            else:
+                dy = self._terms(rng, (batch, 2, *hw), dtype, specials)
+                w = _with_signed_zeros(rng, (2, 3, k, k), dtype)
+                got, _, _ = conv2d_backward(dy, np.zeros(x_shape, dtype), w, stride)
+                want = conv2d_input_grad(dy, w, stride, 0)
         assert _same_bits(got, want)
         assert got.flags.c_contiguous
 
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [2, 3])
     def test_col2im_of_negative_zeros_is_positive_zero(self, k):
         # dx[0, 0] has one term, tap (0, 0); the sum must start at +0.0, not at that term
         dcols = np.full((1, 2 * k * k, 16), -0.0, np.float32)
-        got = ops._col2im(dcols, (1, 2, 3 + k, 3 + k), k, 1, 4, 4, 0)
+        got = ops._col2im(dcols, (1, 2, 3 + k, 3 + k), k, 4, 4)
         assert not np.signbit(got).any()
 
-    def test_one_tap_col2im_allocates_only_its_output(self):
-        dcols = np.random.default_rng(2).standard_normal((8, 4, 64 * 64)).astype(np.float32)
+    def test_one_tap_input_gradient_allocates_only_its_output(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 1, 1)).astype(np.float32)
+        dy = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
+        conv2d_backward(dy, x, w)  # warm-up: grows the workspace
         tracemalloc.start()
         try:
-            dx = ops._col2im(dcols, (8, 4, 64, 64), 1, 1, 64, 64, 0)
+            dx, _, _ = conv2d_backward(dy, x, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

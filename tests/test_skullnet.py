@@ -42,6 +42,12 @@ class TestConfig:
         cfg = UNetConfig(input_size=64, width_scale=1 / 8)
         assert cfg.widths == (4, 8, 16, 32, 64)
 
+    def test_width_scale_is_not_kept(self):
+        # the scale is spent on the widths; no attribute answers with a stale 1.0
+        cfg = UNetConfig(input_size=64, width_scale=1 / 8)
+        with pytest.raises(AttributeError):
+            cfg.width_scale
+
     def test_width_scale_floor_at_one(self):
         cfg = UNetConfig(input_size=32, widths=(4, 8), width_scale=1 / 16)
         assert cfg.widths == (1, 1)
