@@ -20,24 +20,9 @@ kj, i, j), into the columns. A same-padded conv (odd K, stride 1, pad
 P = (K-1)/2) first copies its input into the interior of a zeroed padded
 array, which lives only until `_im2col` returns; the view then reads the
 border taps as +0.0, so the columns are those of the zero-padded input
-value for value. The input gradient of a valid stride-1 conv with K > 1,
-`_col2im`, is one `np.add.reduce(view, axis=(2, 3), initial=+0.0)` over
-a view of the columns zero-padded per tap: the view's last axis runs
-over the flattened dx, and its tap axes shift the read so that dx
-element (i, j) reads tap (ki, kj) at column position (i - ki, j - kj),
-or at a zero where that lies outside the columns. numpy orders a
-reduction's loops by the view's strides, and the tap axes' strides lie
-between the channel's and the element's, so the inner loop runs along
-dx, one elementwise add per tap, never along the taps (which would form
-pairwise partial sums), and each dx element gets its terms in row-major
-tap order, like the per-tap loops. The padding
-adds +0.0 terms, which change no sum: the sum starts at +0.0 (`initial`),
-and a sum that starts at +0.0 never becomes -0.0 under round-to-nearest,
-so adding +0.0 leaves it as it is. dx is thus bit for bit the per-tap
-result; tests/test_neuralkernel_ops.py checks this against the loops for
-the installed numpy.
+value for value.
 
-Input gradients as a conv of dy: every other conv (same-padded, strided
+Input gradients as a conv of dy: every conv (valid, same-padded, strided
 or 1x1) forms dx as its forward forms y, with `_im2col` and one GEMM.
 dx is dy, spread `stride` apart into a zeroed array when stride > 1,
 zero-padded by K - 1 - P and correlated with the kernel flipped in both
@@ -46,12 +31,9 @@ arXiv:1603.07285): dx[c, r, s] is the sum over o, ki, kj of
 dy_spread[o, r + ki - (K-1-P), s + kj - (K-1-P)] * w[o, c, K-1-ki, K-1-kj],
 reading zero outside dy_spread. The GEMM orders each element's terms its
 own way, so dx differs from a per-tap col2im by rounding only (in
-float64, about 5e-16 relative). The valid stride-1 convs with K > 1 keep
-`_col2im`, which is faster there: on the classifier's conv2 at 128 px it
-took 208 us against the conv of dy's 259 us (one BLAS thread, 2-vCPU
-Xeon VM). Order: `conv2d_backward` forms dw from x's columns before it
-builds dy's, since without caller-owned columns both sets live in the
-same workspace buffer and dy's overwrite x's.
+float64, about 5e-16 relative). Order: `conv2d_backward` forms dw from
+x's columns before it builds dy's, since without caller-owned columns
+both sets live in the same workspace buffer and dy's overwrite x's.
 
 Columns: `conv2d` and `conv2d_backward` build their im2col columns in one
 grow-only workspace buffer per dtype and per thread, instead of a fresh
@@ -150,22 +132,6 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, k: int, h_out: int, w_out: int) -> np.ndarray:
-    """Input gradient of a valid stride-1 `_im2col` with K > 1: one reduction (see module docstring)."""
-    n, c, h, w = x_shape
-    # each tap's columns in a zeroed frame of rows W = W_out + K - 1 wide, with K zero
-    # rows above and K - 1 below: position (r, s) sits at flat offset (r + K) * W + s,
-    # and every out-of-range position with -K < s < W lands on a zero
-    rows = h_out + 2 * k - 1
-    frame = np.zeros((n, c, k, k, rows, w), dcols.dtype)
-    frame[..., k : k + h_out, :w_out] = dcols.reshape(n, c, k, k, h_out, w_out)
-    taps = frame.reshape(n, c, k, k, rows * w)[..., k * w :]
-    # dx element m = i * W + j reads tap (ki, kj) at position (i - ki, j - kj): flat m - ki * W - kj
-    sn, sc, ski, skj, sm = taps.strides
-    taps = as_strided(taps, (n, c, k, k, h * w), (sn, sc, ski - w * sm, skj - sm, sm), writeable=False)
-    return np.add.reduce(taps, axis=(2, 3), initial=+0.0).reshape(x_shape)
-
-
 def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
     """(c_out, c_in, k, h_out, w_out, pad) of a conv, after checking every shape."""
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
@@ -234,17 +200,14 @@ def conv2d_backward(
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     if not input_grad:
         return None, dw, db
-    if not pad and stride == 1 and k > 1:
-        dx = _col2im(np.matmul(w.reshape(c_out, -1).T, dy_mat), xb.shape, k, h_out, w_out)
-    else:
-        # dx is dy, spread `stride` apart, correlated with the flipped kernel (see module
-        # docstring); dw is already formed, so dy's columns may take x's workspace
-        if stride > 1:
-            spread = np.zeros(dyb.shape[:2] + ((h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dyb.dtype)
-            spread[:, :, ::stride, ::stride] = dyb
-            dyb = spread
-        w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-        dx = np.matmul(w_flip, _im2col(dyb, k, 1, *xb.shape[2:], k - 1 - pad)).reshape(xb.shape)
+    # dx is dy, spread `stride` apart, correlated with the flipped kernel (see module
+    # docstring); dw is already formed, so dy's columns may take x's workspace
+    if stride > 1:
+        spread = np.zeros(dyb.shape[:2] + ((h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dyb.dtype)
+        spread[:, :, ::stride, ::stride] = dyb
+        dyb = spread
+    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
+    dx = np.matmul(w_flip, _im2col(dyb, k, 1, *xb.shape[2:], k - 1 - pad)).reshape(xb.shape)
     return (dx[0] if single else dx), dw, db
 
 

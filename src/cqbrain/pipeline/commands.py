@@ -176,17 +176,17 @@ def cmd_slice(cfg: dict) -> None:
             k1, k2 = cfg[f"k1_{plane.value}"], cfg[f"k2_{plane.value}"]
             try:
                 plan = volio.plan_slices(plane, vol.plane_extent(plane), cfg["n"], k1, k2)
+                plane_dir = out_dir / plane.value
+                plane_dir.mkdir(parents=True, exist_ok=True)
+                files = []
+                for idx in plan.indices:
+                    img = volio.extract_slice(vol, plane, idx)
+                    img = resize_bilinear(img, cfg["size"], cfg["size"])
+                    name = f"{vol_path.stem}_{plane.value}_{idx:03d}.pgm"
+                    (plane_dir / name).write_bytes(write_pgm(img))
+                    files.append(name)
             except CqbrainError as exc:
                 raise type(exc)(f"{vol_path.name} [{plane.value}]: {exc}") from exc
-            plane_dir = out_dir / plane.value
-            plane_dir.mkdir(parents=True, exist_ok=True)
-            files = []
-            for idx in plan.indices:
-                img = volio.extract_slice(vol, plane, idx)
-                img = resize_bilinear(img, cfg["size"], cfg["size"])
-                name = f"{vol_path.stem}_{plane.value}_{idx:03d}.pgm"
-                (plane_dir / name).write_bytes(write_pgm(img))
-                files.append(name)
             record[plane.value] = {
                 "interval": plan.i, "n_slices": plan.n_slices, "files": files,
             }

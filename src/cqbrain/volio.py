@@ -206,7 +206,10 @@ def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
     Only this cross-section of the stored voxels is converted and scaled.
     Constant slices come back all-zero. Pixel layout follows the module
     convention (axial rows = y, cols = x; coronal rows = z, cols = y;
-    sagittal rows = x, cols = z).
+    sagittal rows = x, cols = z). A cross-section holding a NaN or an
+    infinity after scaling (a stored one, or an int16 voxel times
+    scl_slope beyond float32's range) raises BadFormat: no normalization
+    maps it to pixels.
     """
     extent = vol.plane_extent(plane)
     if not 0 <= index < extent:
@@ -218,7 +221,10 @@ def extract_slice(vol: Volume3D, plane: Plane, index: int) -> Image2D:
         raw = g[:, :, index]  # (z, y)
     else:
         raw = g[:, index, :].T  # (x, z)
-    arr = vol.scaled(raw)
+    with np.errstate(over="ignore"):  # an overflowing scl_slope is reported below
+        arr = vol.scaled(raw)
+    if not np.isfinite(arr).all():
+        raise BadFormat(f"{plane.value} slice {index} holds non-finite values after scaling")
     lo = float(arr.min())
     hi = float(arr.max())
     if hi > lo:

@@ -229,11 +229,13 @@ class TestKeptColumns:
         real = ops._im2col
         monkeypatch.setattr(ops, "_im2col", lambda *args: calls.append(args[1:]) or real(*args))
         model.backward(np.array([1.0, 0.0], np.float32))
-        assert calls == []
+        # x's columns come from the forward; the one set built is conv2's dy, padded by K - 1
+        assert calls == [(5, 1, 62, 62, 4)]
 
     def test_warm_training_step_allocates_no_conv1_columns(self, monkeypatch):
-        # one conv1 channel keeps the rest of the step (conv2's gradient columns
-        # and their zero-padded frame above all) below the size of conv1's columns
+        # one conv1 channel keeps the rest of the step (conv2's padded dy above all)
+        # below the size of conv1's columns; conv2's dy columns, as large, reuse the
+        # workspace that the warm-up grew
         monkeypatch.setattr(cqcnn, "CONV1_OUT", 1)
         model = CqcnnModel(CqcnnConfig())
         assert model.params()["conv1_w"].shape == (1, 1, 5, 5)

@@ -26,13 +26,13 @@ NUMPY = "2.4.6"
 BLAS = "scipy-openblas 0.3.31.188.0"
 
 DIGESTS = {
-    ("classify", 1): "53b776779a391461b1ee1ce42c6bb5d4abcf658325e5e69b4af529e997945834",
+    ("classify", 1): "894d33cab26dc207b43e7926aa0e900985e3166a7eff57f3fab1668d7aefee72",
     ("segment", 1): "eada39a5e2d9e230920222199e9e340225bb96223ee4bb16fef620e60814e992",
     ("synthesize", 1): "7063ff3678958734ebb9d9cd4f8d24f61dd6e7040025812630d766468af0478a",
-    ("classify", 2): "f93270e373e6c476367e990dca4bfe7fc236fad34cdb8aeb34464e80bad2f28c",
+    ("classify", 2): "b967263875147fba537066478bba099e464766a4653098fc3c8b1ba34bb00ba9",
     ("segment", 2): "4c0576d61cbeea4b339d356b0555a263649e2b98daeea5a5d16673bf49d1fb80",
     ("synthesize", 2): "a2c47ea901cb5c4b62bedcd8e6d5e1730cf13bd22ab00aede2cd9f04fb391660",
-    ("classify", 3): "b1faf53516a703aaea8d44e55df6196a9030a6110936e09a59cd7d172dd7f558",
+    ("classify", 3): "d60485bbe3a805a8cec463f7467e229425d3c8f7d63f653048a04e8a35325fd8",
 }
 
 

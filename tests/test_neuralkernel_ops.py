@@ -232,17 +232,25 @@ class TestSamePaddingWithoutPad:
         assert dx.flags.c_contiguous
         assert dx.base is None or dx.base.nbytes == dx.nbytes
 
-    @pytest.mark.parametrize("k, stride, hw", [(1, 1, (4, 7)), (3, 1, (5, 8)), (5, 1, (6, 3)),
-                                               (1, 2, (3, 4)), (3, 2, (4, 3)), (5, 2, (2, 5))])
-    def test_input_gradient_is_the_tap_sum(self, k, stride, hw):
+    @pytest.mark.parametrize("k, stride, hw, padding", [
+        pytest.param(1, 1, (4, 7), "same", id="1-1-hw0"),
+        pytest.param(3, 1, (5, 8), "same", id="3-1-hw1"),
+        pytest.param(5, 1, (6, 3), "same", id="5-1-hw2"),
+        pytest.param(1, 2, (3, 4), "valid", id="1-2-hw3"),
+        pytest.param(3, 2, (4, 3), "valid", id="3-2-hw4"),
+        pytest.param(5, 2, (2, 5), "valid", id="5-2-hw5"),
+        pytest.param(3, 1, (5, 8), "valid", id="valid-3-1-hw6"),
+        pytest.param(5, 1, (6, 3), "valid", id="valid-5-1-hw7"),
+    ])
+    def test_input_gradient_is_the_tap_sum(self, k, stride, hw, padding):
         # the identity itself, apart from the oracle that shares the GEMM: dx equals the
         # per-tap col2im of W^T dy up to rounding, bounded by the same sum of |terms|
         rng = np.random.default_rng(k * 10 + stride)
-        pad = (k - 1) // 2 if stride == 1 else 0
+        pad = (k - 1) // 2 if padding == "same" else 0
         x_shape = (2, 3, (hw[0] - 1) * stride + k - 2 * pad, (hw[1] - 1) * stride + k - 2 * pad)
         x, w = rng.standard_normal(x_shape), rng.standard_normal((4, 3, k, k))
         dy = rng.standard_normal((2, 4, *hw))
-        got, _, _ = conv2d_backward(dy, x, w, stride, "same" if pad else "valid")
+        got, _, _ = conv2d_backward(dy, x, w, stride, padding)
 
         def tap_sum(w, dy):
             dcols = np.matmul(w.reshape(4, -1).T, dy.reshape(2, 4, -1))
@@ -310,16 +318,12 @@ class TestSamePaddingWithoutPad:
 
 
 class TestValidColumns:
-    """Columns (one strided copy) and valid stride-1 col2im (one reduction) equal the per-tap loops.
+    """Columns (one strided copy) equal the per-tap loops; a valid conv's dx equals `conv2d_input_grad`.
 
     Same-padded columns are compared with the loops over an np.pad copy of x.
-    A 1x1 or strided conv's input gradient is compared with `conv2d_input_grad`.
-
-    Byte equality on random terms pins the order in which numpy's reduction
-    adds each element's tap terms. No case mixes NaN with both infinities:
-    where a NaN meets a NaN of the other sign (inf - inf makes one), which
-    one survives depends on whether numpy's vector loop or its scalar tail
-    adds the pair, in the per-tap loops too.
+    The input gradient's oracle builds dy's columns with the per-tap loops over
+    an np.pad copy and runs the same GEMM, so the two agree byte for byte on
+    -0.0, NaN and infinite terms as well.
     """
 
     GEOMETRY = [(k, stride, hw) for k in (1, 3, 5) for stride in (1, 2) for hw in ((1, 1), (2, 5), (4, 3))]
@@ -351,28 +355,16 @@ class TestValidColumns:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("k, stride, hw", GEOMETRY)
-    def test_col2im_matches_tap_loop(self, k, stride, hw, batch, dtype, specials):
-        # K > 1 at stride 1 takes `_col2im`; a 1x1 or strided conv's dx is a conv of dy
+    def test_input_gradient_matches_oracle(self, k, stride, hw, batch, dtype, specials):
         rng = np.random.default_rng(k * 100 + stride * 10 + hw[1] + len(specials))
         x_shape = (batch, 3, (hw[0] - 1) * stride + k, (hw[1] - 1) * stride + k)
+        dy = self._terms(rng, (batch, 2, *hw), dtype, specials)
+        w = _with_signed_zeros(rng, (2, 3, k, k), dtype)
         with np.errstate(invalid="ignore"):  # inf - inf
-            if k > 1 and stride == 1:
-                dcols = self._terms(rng, (batch, 3 * k * k, hw[0] * hw[1]), dtype, specials)
-                got, want = ops._col2im(dcols, x_shape, k, *hw), col2im_taps(dcols, x_shape, k, stride, *hw)
-            else:
-                dy = self._terms(rng, (batch, 2, *hw), dtype, specials)
-                w = _with_signed_zeros(rng, (2, 3, k, k), dtype)
-                got, _, _ = conv2d_backward(dy, np.zeros(x_shape, dtype), w, stride)
-                want = conv2d_input_grad(dy, w, stride, 0)
+            got, _, _ = conv2d_backward(dy, np.zeros(x_shape, dtype), w, stride)
+            want = conv2d_input_grad(dy, w, stride, 0)
         assert _same_bits(got, want)
         assert got.flags.c_contiguous
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_col2im_of_negative_zeros_is_positive_zero(self, k):
-        # dx[0, 0] has one term, tap (0, 0); the sum must start at +0.0, not at that term
-        dcols = np.full((1, 2 * k * k, 16), -0.0, np.float32)
-        got = ops._col2im(dcols, (1, 2, 3 + k, 3 + k), k, 4, 4)
-        assert not np.signbit(got).any()
 
     def test_one_tap_input_gradient_allocates_only_its_output(self):
         rng = np.random.default_rng(2)

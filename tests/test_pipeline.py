@@ -222,6 +222,22 @@ class TestCli:
         assert main(["slice", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: bad.nii: ")
 
+    @pytest.mark.parametrize("voxel, datatype, slope", [
+        (math.nan, 16, 0.0), (math.inf, 16, 0.0), (30000, 4, 1e35),
+    ], ids=["nan", "inf", "slope-overflow"])
+    def test_slice_non_finite_voxel_exits_2_naming_the_file(self, tmp_path, capsys, voxel, datatype, slope):
+        vol_dir = tmp_path / "vols"
+        vol_dir.mkdir()
+        voxels = np.ones(512)
+        voxels[4 * 64] = voxel  # z = 4, on the second axial slice the plan takes
+        (vol_dir / "bad.nii").write_bytes(nifti_bytes((8, 8, 8), voxels, datatype=datatype, scl_slope=slope))
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=2,
+                         plane="axial", k1_axial=0, k2_axial=0, size=8)
+        capsys.readouterr()
+        assert main(["slice", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad.nii [axial]: axial slice 4 holds non-finite values")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_slice_two_file_nifti_exits_2(self, tmp_path, capsys):
         vol_dir = tmp_path / "vols"
         vol_dir.mkdir()

@@ -224,6 +224,21 @@ class TestExtractSlice:
         with pytest.raises(InvalidArgument):
             volio.extract_slice(vol, Plane.SAGITTAL, 3)
 
+    @pytest.mark.parametrize("plane, index", [(Plane.AXIAL, 1), (Plane.CORONAL, 2), (Plane.SAGITTAL, 0)])
+    @pytest.mark.parametrize("raw, slope", [
+        (np.array(np.nan, np.float32), 0.0),
+        (np.array(np.inf, np.float32), 0.0),
+        (np.array(30000, np.int16), 1e35),  # 3e39 overflows float32
+    ], ids=["nan", "inf", "slope-overflow"])
+    def test_non_finite_cross_section_rejected(self, plane, index, raw, slope):
+        grid = np.ones((3, 3, 3), raw.dtype)
+        grid[1, 0, 2] = raw  # z = 1, y = 0, x = 2: on axial 1, coronal 2 and sagittal 0
+        vol = volio.Volume3D(3, 3, 3, grid.reshape(-1), scl_slope=slope)
+        with pytest.raises(BadFormat, match=f"^{plane.value} slice {index} holds non-finite values"):
+            volio.extract_slice(vol, plane, index)
+        other = volio.extract_slice(vol, plane, index - 1 if index else 1)
+        assert np.isfinite(other.pixels).all()
+
     def test_full_plan_over_three_planes_yields_50_images(self):
         # full scanner-sized volume: 256 x 192 x 256 voxels
         nx, ny, nz = 256, 192, 256
