@@ -14,45 +14,67 @@ gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
 
-Columns in one pass: `_im2col` (any padding, any stride) is one
-`np.copyto` from a read-only strided view of the input, indexed (n, c, ki,
-kj, i, j), into the columns. A same-padded conv (odd K, stride 1, pad
-P = (K-1)/2) first copies its input into the interior of a zeroed padded
-array, which lives only until `_im2col` returns; the view then reads the
-border taps as +0.0, so the columns are those of the zero-padded input
-value for value.
+Same-padded convs on taps: a same-padded conv with K > 1 and C_in > 1
+builds no columns; it sums one GEMM per kernel tap instead (kn2row,
+Anderson et al. 2017, arXiv:1709.03395). It copies x once into the
+interior of a zeroed grid (N, C_in, H+2P, W+2P). Read flat per map, the
+input that tap (ki, kj) weighs for output (i, j) is at q + ki*(W+2P) + kj,
+where q = i*(W+2P) + j. So over the run q < span = (H-1)*(W+2P) + W, the
+outputs are the sum, over taps in row-major order, of the GEMMs
+w[:, :, ki, kj] @ grid[n, :, off : off + span], off = ki*(W+2P) + kj; the
+run's 2P junk entries per row (j >= W) are cropped away when the output is
+copied out. Each map gets GEMMs of its own, so a batch item's result is
+its one-item result bit for bit. Backward puts dy on a grid the same way:
+dw[:, :, ki, kj] is the sum over maps of dy's run times the transpose of
+tap (ki, kj)'s run of x, and dx is the tap kernel run on dy's grid with
+the kernel flipped in both spatial axes and its two channel axes swapped.
 
-Input gradients as a conv of dy: every conv (valid, same-padded, strided
-or 1x1) forms dx as its forward forms y, with `_im2col` and one GEMM.
-dx is dy, spread `stride` apart into a zeroed array when stride > 1,
-zero-padded by K - 1 - P and correlated with the kernel flipped in both
-spatial axes and its two channel axes swapped (Dumoulin & Visin 2016,
-arXiv:1603.07285): dx[c, r, s] is the sum over o, ki, kj of
+Columns for the rest: valid convs (the classifier's, the 1x1 head) and
+same-padded ones with C_in = 1 or K = 1 build im2col columns and run one
+GEMM. A tap GEMM over one input channel is a K = 1 product, which OpenBLAS
+runs far slower than the columns cost to build. `_im2col` (any padding,
+any stride) is one `np.copyto` from a read-only strided view of the input,
+indexed (n, c, ki, kj, i, j), into the columns; with padding it first
+copies its input into the interior of a zeroed padded array, which lives
+only until `_im2col` returns.
+
+Input gradients of column convs as a conv of dy: dx is formed as the
+forward forms y, with `_im2col` and one GEMM. dx is dy, spread `stride`
+apart into a zeroed array when stride > 1, zero-padded by K - 1 - P and
+correlated with the kernel flipped in both spatial axes and its two
+channel axes swapped (Dumoulin & Visin 2016, arXiv:1603.07285): dx[c, r, s]
+is the sum over o, ki, kj of
 dy_spread[o, r + ki - (K-1-P), s + kj - (K-1-P)] * w[o, c, K-1-ki, K-1-kj],
-reading zero outside dy_spread. The GEMM orders each element's terms its
-own way, so dx differs from a per-tap col2im by rounding only (in
-float64, about 5e-16 relative). Order: `conv2d_backward` forms dw from
-x's columns before it builds dy's, since without caller-owned columns
-both sets live in the same workspace buffer and dy's overwrite x's.
+reading zero outside dy_spread. Order: `conv2d_backward` forms dw from x's
+columns before it builds dy's, since without caller-owned columns both
+sets live in the same workspace buffer and dy's overwrite x's.
 
-Columns: `conv2d` and `conv2d_backward` build their im2col columns in one
-grow-only workspace buffer per dtype and per thread, instead of a fresh
-array per call (1.5 MB for a 128 px first layer, which the allocator
-would otherwise hand back to the system and page in again on every call).
-Lifetime rule for workspace columns: they live only until the kernel that
-built them returns. No kernel returns them, keeps them, or builds a second
-set while the first is in use, and every returned array is freshly
+The 2x2 transposed conv is one GEMM of the (C_out*4, C_in) weight matrix,
+rows (o, di, dj), against each map, plus one copy that interleaves those
+rows into the doubled output. Its backward de-interleaves dy into such
+rows with one copy, then forms dx with one GEMM against the same matrix
+and dw with one GEMM of the rows against each map of x.
+
+Workspace: grids, tap sums, transposed-conv rows and columns are carved
+from one grow-only workspace buffer per dtype and per thread, instead of
+fresh arrays per call (1.5 MB of columns for a 128 px first layer, which
+the allocator would otherwise hand back to the system and page in again
+on every call). Lifetime rule: they live only until the kernel that
+carved them returns. A kernel carves all it needs in one call, except a
+column backward, which builds dy's columns over x's once dw is formed. No
+kernel returns or keeps them, and every returned array is freshly
 allocated, so no output aliases the buffer. The buffer keeps the size of
-the largest column set the thread has built.
-Caller-owned columns: `conv2d(..., cols=buf)` builds the columns in the
-caller's contiguous (N, C_in*K*K, H_out*W_out) array instead, and
-`conv2d_backward(dy, x, w, ..., cols=buf)` then takes them as x's columns
-instead of building its own. They live as long as the caller keeps them;
-the caller must pass them only with the x that built them, before filling
-them again.
+the largest set the thread has carved.
+Caller-owned columns, valid padding only: `conv2d(..., cols=buf)` builds
+the columns in the caller's contiguous (N, C_in*K*K, H_out*W_out) array
+instead, and `conv2d_backward(dy, x, w, ..., cols=buf)` then takes them as
+x's columns instead of building its own. They live as long as the caller
+keeps them; the caller must pass them only with the x that built them,
+before filling them again.
 """
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -92,18 +114,24 @@ def _batched(x: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
 _workspace = threading.local()
 
 
-def _column_buffer(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """The calling thread's column buffer for `dtype`, grown if needed, viewed as `shape`."""
+def _workspace_arrays(dtype: np.dtype, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """One view per shape, end to end in the calling thread's workspace for `dtype`, grown if needed."""
     buffers = _workspace.__dict__.setdefault("by_dtype", {})
-    size = int(np.prod(shape))
+    sizes = [math.prod(shape) for shape in shapes]
     buf = buffers.get(dtype)
-    if buf is None or buf.size < size:
-        buf = buffers[dtype] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+    if buf is None or buf.size < sum(sizes):
+        buf = buffers[dtype] = np.empty(sum(sizes), dtype)
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
-def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int) -> None:
-    """Reject caller-owned columns that do not fit x's conv."""
+def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int, pad: int) -> None:
+    """Reject caller-owned columns that do not fit x's conv, or any padded conv."""
+    if pad:
+        raise InvalidArgument("caller-owned columns are for valid padding only")
     shape = (x.shape[0], x.shape[1] * k * k, h_out * w_out)
     if cols.shape != shape or cols.dtype != x.dtype or not cols.flags.c_contiguous:
         raise InvalidArgument(f"columns must be a contiguous {x.dtype} array of shape {shape}, "
@@ -112,16 +140,15 @@ def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: i
 
 def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int,
             out: np.ndarray | None = None) -> np.ndarray:
-    """Columns (N, C*K*K, H_out*W_out) in `out`, or else in the column workspace (see module docstring).
+    """Columns (N, C*K*K, H_out*W_out) in `out`, or else in the workspace (see module docstring).
 
     x is the unpadded input. With padding it is first copied into the interior of
     a zeroed padded array; the columns are then one copy of a strided view of that.
     """
     n, c, h, w = x.shape
     if out is None:
-        cols = _column_buffer((n, c, k, k, h_out, w_out), x.dtype)
+        (cols,) = _workspace_arrays(x.dtype, (n, c, k, k, h_out, w_out))
     else:
-        _check_columns(out, x, k, h_out, w_out)
         cols = out.reshape(n, c, k, k, h_out, w_out)
     if pad:
         padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
@@ -130,6 +157,48 @@ def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int
     sn, sc, sh, sw = x.strides
     np.copyto(cols, as_strided(x, cols.shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False))
     return cols.reshape(n, c * k * k, h_out * w_out)
+
+
+def _uses_taps(padding: str, k: int, c_in: int) -> bool:
+    """Whether a conv runs the tap kernel (see module docstring) rather than building columns."""
+    return padding == "same" and k > 1 and c_in > 1
+
+
+def _fill_grid(grid: np.ndarray, x: np.ndarray) -> None:
+    """Copy x (N, C, H, W) into the interior of grid (N, C, H+2P, W+2P) and zero its border."""
+    pad = (grid.shape[2] - x.shape[2]) // 2
+    grid.fill(0.0)
+    grid[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]] = x
+
+
+def _tap_conv(taps: np.ndarray, grid: np.ndarray, acc: np.ndarray, product: np.ndarray,
+              dtype: np.dtype) -> np.ndarray:
+    """A fresh (N, C_out, H, W) same-padded correlation of the maps on grid (N, C_in, H+2P, W+2P).
+
+    taps is (K, K, C_out, C_in); acc and product are (N, C_out, span) workspace views,
+    product holding each later tap's GEMM (see module docstring).
+    """
+    k, span, row = taps.shape[0], acc.shape[2], grid.shape[3]
+    flat = grid.reshape(*grid.shape[:2], -1)
+    for ki in range(k):
+        for kj in range(k):
+            shifted = flat[:, :, ki * row + kj :][:, :, :span]
+            if ki == kj == 0:
+                np.matmul(taps[0, 0], shifted, out=acc)
+            else:
+                np.matmul(taps[ki, kj], shifted, out=product)
+                acc += product
+    n, c, _ = acc.shape
+    out = np.empty((n, c, grid.shape[2] - k + 1, row - k + 1), dtype)
+    np.copyto(out, as_strided(acc, out.shape, (*acc.strides[:2], row * acc.itemsize, acc.itemsize),
+                              writeable=False))
+    return out
+
+
+def _tap_shapes(x: np.ndarray, k: int) -> tuple[int, int, int]:
+    """(H+2P, W+2P, span) of a same-padded conv of x with kernel K: a padded map, and its flat run of outputs."""
+    h, w = x.shape[2:]
+    return h + k - 1, w + k - 1, (h - 1) * (w + k - 1) + w
 
 
 def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
@@ -161,17 +230,27 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
            cols: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K).
 
-    With `cols` (N, C_in*K*K, H_out*W_out) the columns are built there, for the
-    caller to pass to `conv2d_backward` (see module docstring).
+    With `cols` (N, C_in*K*K, H_out*W_out), valid padding only, the columns are
+    built there, for the caller to pass to `conv2d_backward` (see module docstring).
     """
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
     c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
     if b.shape != (c_out,):
         raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
-    cols = _im2col(xb, k, stride, h_out, w_out, pad, cols)
-    y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
-    y = y.astype(np.result_type(y, b), copy=False)
+    if cols is not None:
+        _check_columns(cols, xb, k, h_out, w_out, pad)
+    if _uses_taps(padding, k, c_in):
+        n = xb.shape[0]
+        hp, wp, span = _tap_shapes(xb, k)
+        grid, acc, product = _workspace_arrays(
+            np.result_type(xb, w), (n, c_in, hp, wp), (n, c_out, span), (n, c_out, span))
+        _fill_grid(grid, xb)
+        y = _tap_conv(w.transpose(2, 3, 0, 1), grid, acc, product, np.result_type(grid, b))
+    else:
+        cols = _im2col(xb, k, stride, h_out, w_out, pad, cols)
+        y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
+        y = y.astype(np.result_type(y, b), copy=False)
     y += b[:, None, None]  # in place: no second output-sized temporary
     return y[0] if single else y
 
@@ -190,13 +269,16 @@ def conv2d_backward(
     c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
         raise InvalidArgument(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
+    if cols is not None:
+        _check_columns(cols, xb, k, h_out, w_out, pad)
+    dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
+    db = dy_mat.sum(axis=(0, 2))
+    if _uses_taps(padding, k, c_in):
+        dx, dw = _tap_backward(dyb, xb, w, input_grad)
+        return (dx[0] if single and input_grad else dx), dw, db
+
     if cols is None:
         cols = _im2col(xb, k, stride, h_out, w_out, pad)
-    else:
-        _check_columns(cols, xb, k, h_out, w_out)
-    dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
-
-    db = dy_mat.sum(axis=(0, 2))
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     if not input_grad:
         return None, dw, db
@@ -211,8 +293,43 @@ def conv2d_backward(
     return (dx[0] if single else dx), dw, db
 
 
+def _tap_backward(dyb: np.ndarray, xb: np.ndarray, w: np.ndarray,
+                  input_grad: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(dx, dw) of a batched same-padded conv on the tap kernel, x and dy each on a grid (see module docstring)."""
+    c_out, c_in, k, _ = w.shape
+    n = xb.shape[0]
+    hp, wp, span = _tap_shapes(xb, k)
+    grid, dy_grid, acc, product, per_map = _workspace_arrays(
+        np.result_type(xb, w, dyb), (n, c_in, hp, wp), (n, c_out, hp, wp), (n, c_in, span), (n, c_in, span),
+        (n, c_out, c_in))
+    _fill_grid(grid, xb)
+    _fill_grid(dy_grid, dyb)
+    # output q's dy sits at q + first on its grid, tap (ki, kj)'s input at q + ki*(W+2P) + kj
+    first = (k - 1) // 2 * (wp + 1)
+    dy_flat = dy_grid.reshape(n, c_out, -1)[:, :, first : first + span]
+    x_flat = grid.reshape(n, c_in, -1)
+    dw = np.empty((k, k, c_out, c_in), grid.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            np.matmul(dy_flat, x_flat[:, :, ki * wp + kj :][:, :, :span].transpose(0, 2, 1), out=per_map)
+            per_map.sum(axis=0, out=dw[ki, kj])
+    dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
+    if not input_grad:
+        return None, dw
+    dx = _tap_conv(w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0), dy_grid, acc, product, acc.dtype)
+    return dx, dw
+
+
+def _transpose_matrix(w: np.ndarray) -> np.ndarray:
+    """A 2x2 transposed conv's (C_in, C_out, 2, 2) weights as the (C_out*4, C_in) matrix, rows (o, di, dj)."""
+    return w.transpose(1, 2, 3, 0).reshape(-1, w.shape[0])
+
+
 def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 transposed conv (doubles H and W); w is (C_in, C_out, 2, 2)."""
+    """2x2 stride-2 transposed conv (doubles H and W); w is (C_in, C_out, 2, 2).
+
+    One GEMM gives every output's value at (o, di, dj) rows; one copy interleaves them.
+    """
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
     if w.ndim != 4 or w.shape[2:] != (2, 2):
@@ -223,9 +340,12 @@ def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     if b.shape != (c_out,):
         raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
     n, _, h, wdt = xb.shape
-    y = np.zeros((n, c_out, 2 * h, 2 * wdt), dtype=xb.dtype)
-    for di, dj in _WINDOW_OFFSETS:
-        y[:, :, di::2, dj::2] = np.einsum("io,nihw->nohw", w[:, :, di, dj], xb)
+    dtype = np.result_type(xb, w)
+    (rows,) = _workspace_arrays(dtype, (n, c_out * 4, h * wdt))
+    np.matmul(_transpose_matrix(w), xb.reshape(n, c_in, -1), out=rows)
+    y = np.empty((n, c_out, 2 * h, 2 * wdt), np.result_type(dtype, b))
+    # rows[n, (o, di, dj), (i, j)] is y[n, o, 2i + di, 2j + dj]
+    np.copyto(y.reshape(n, c_out, h, 2, wdt, 2), rows.reshape(n, c_out, 2, 2, h, wdt).transpose(0, 1, 4, 2, 5, 3))
     y += b[:, None, None]
     return y[0] if single else y
 
@@ -233,18 +353,20 @@ def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
 def conv_transpose2x2_backward(
     dy: np.ndarray, x: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dw, db): dy de-interleaved into (o, di, dj) rows by one copy, then one GEMM each for dx and dw."""
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
     c_in, c_out = w.shape[:2]
-    if dyb.shape[1:] != (c_out, 2 * xb.shape[2], 2 * xb.shape[3]):
+    n, _, h, wdt = xb.shape
+    if dyb.shape[1:] != (c_out, 2 * h, 2 * wdt):
         raise InvalidArgument(f"upstream shape {dyb.shape} does not match doubled input {xb.shape}")
-    dx = np.zeros_like(xb)
-    dw = np.zeros_like(w)
-    for di, dj in _WINDOW_OFFSETS:
-        dy_sub = dyb[:, :, di::2, dj::2]
-        dx += np.einsum("io,nohw->nihw", w[:, :, di, dj], dy_sub)
-        dw[:, :, di, dj] = np.einsum("nihw,nohw->io", xb, dy_sub)
+    dtype = np.result_type(xb, w, dyb)
+    (rows,) = _workspace_arrays(dtype, (n, c_out * 4, h * wdt))
+    np.copyto(rows.reshape(n, c_out, 2, 2, h, wdt), dyb.reshape(n, c_out, h, 2, wdt, 2).transpose(0, 1, 3, 5, 2, 4))
+    dx = np.matmul(_transpose_matrix(w).T, rows).reshape(xb.shape)
+    dw = np.matmul(rows, xb.reshape(n, c_in, -1).transpose(0, 2, 1)).sum(axis=0)
+    dw = np.ascontiguousarray(dw.reshape(c_out, 2, 2, c_in).transpose(3, 0, 1, 2))
     db = dyb.sum(axis=(0, 2, 3))
     return (dx[0] if single else dx), dw, db
 

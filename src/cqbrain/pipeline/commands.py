@@ -157,42 +157,55 @@ def _load_pgm_dir(path: Path, size: int) -> list[tuple[str, np.ndarray]]:
     return [(f.name, fit(read_pgm(f.read_bytes()), size, size).pixels) for f in files]
 
 
+def _slice_volume(vol_path: Path, planes: list[Plane], cfg: dict, written: list[Path]) -> dict:
+    """Write one volume's PGM slices, appending each path to `written`; returns its manifest record."""
+    try:
+        _, vol = volio.parse_nifti(vol_path.read_bytes())
+    except CqbrainError as exc:
+        raise type(exc)(f"{vol_path.name}: {exc}") from exc
+    record: dict = {}
+    for plane in planes:
+        k1, k2 = cfg[f"k1_{plane.value}"], cfg[f"k2_{plane.value}"]
+        try:
+            plan = volio.plan_slices(plane, vol.plane_extent(plane), cfg["n"], k1, k2)
+            plane_dir = cfg["output_dir"] / plane.value
+            plane_dir.mkdir(parents=True, exist_ok=True)
+            files = []
+            for idx in plan.indices:
+                img = volio.extract_slice(vol, plane, idx)
+                img = resize_bilinear(img, cfg["size"], cfg["size"])
+                path = plane_dir / f"{vol_path.stem}_{plane.value}_{idx:03d}.pgm"
+                path.write_bytes(write_pgm(img))
+                written.append(path)
+                files.append(path.name)
+        except CqbrainError as exc:
+            raise type(exc)(f"{vol_path.name} [{plane.value}]: {exc}") from exc
+        record[plane.value] = {
+            "interval": plan.i, "n_slices": plan.n_slices, "files": files,
+        }
+    return record
+
+
 def cmd_slice(cfg: dict) -> None:
-    """NIfTI volumes -> per-plane resized PGM slices plus a manifest, one volume in memory at a time."""
+    """NIfTI volumes -> per-plane resized PGM slices plus a manifest, one volume in memory at a time.
+
+    A call that fails unlinks every PGM it wrote: no manifest would list them.
+    """
     in_dir: Path = cfg["input_dir"]
-    out_dir: Path = cfg["output_dir"]
     volumes = sorted(in_dir.glob("*.nii"))
     if not volumes:
         raise EmptyInput(f"no .nii files in {in_dir}")
     planes = list(Plane) if cfg["plane"] == "3plane" else [Plane(cfg["plane"])]
     manifest: dict = {"size": cfg["size"], "volumes": {}}
-    for vol_path in volumes:
-        try:
-            _, vol = volio.parse_nifti(vol_path.read_bytes())
-        except CqbrainError as exc:
-            raise type(exc)(f"{vol_path.name}: {exc}") from exc
-        record: dict = {}
-        for plane in planes:
-            k1, k2 = cfg[f"k1_{plane.value}"], cfg[f"k2_{plane.value}"]
-            try:
-                plan = volio.plan_slices(plane, vol.plane_extent(plane), cfg["n"], k1, k2)
-                plane_dir = out_dir / plane.value
-                plane_dir.mkdir(parents=True, exist_ok=True)
-                files = []
-                for idx in plan.indices:
-                    img = volio.extract_slice(vol, plane, idx)
-                    img = resize_bilinear(img, cfg["size"], cfg["size"])
-                    name = f"{vol_path.stem}_{plane.value}_{idx:03d}.pgm"
-                    (plane_dir / name).write_bytes(write_pgm(img))
-                    files.append(name)
-            except CqbrainError as exc:
-                raise type(exc)(f"{vol_path.name} [{plane.value}]: {exc}") from exc
-            record[plane.value] = {
-                "interval": plan.i, "n_slices": plan.n_slices, "files": files,
-            }
-        manifest["volumes"][vol_path.name] = record
-        del vol  # its raw voxels keep the payload alive; free it before the next file is read
-    write_atomic(out_dir / "manifest.json",
+    written: list[Path] = []
+    try:
+        for vol_path in volumes:
+            manifest["volumes"][vol_path.name] = _slice_volume(vol_path, planes, cfg, written)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    write_atomic(cfg["output_dir"] / "manifest.json",
                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 

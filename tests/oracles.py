@@ -183,39 +183,62 @@ def col2im_taps(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: i
     return dx
 
 
-def conv2d_same_padded(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 conv2d through an explicit np.pad copy of the input."""
-    x, w, b = _conv_operands(x, w, b)
+def conv2d_same_taps(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 conv2d in float64: the bias plus each tap's product with an np.pad copy of x, tap by tap."""
+    x, w, b = (np.asarray(a, np.float64) for a in (x, w, b))
     single = x.ndim == 3
     xb = x[None] if single else x
-    c_out, k = w.shape[0], w.shape[2]
+    k, (h, wdt) = w.shape[2], xb.shape[2:]
     p = (k - 1) // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-    h_out, w_out = xb.shape[2:]
-    cols = im2col_taps(xp, k, 1, h_out, w_out)
-    y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
-    y = y.astype(np.result_type(y, b), copy=False)
+    y = np.zeros((xb.shape[0], w.shape[0], h, wdt)) + b[:, None, None]
+    for ki in range(k):
+        for kj in range(k):
+            y += np.einsum("oc,nchw->nohw", w[:, :, ki, kj], xp[:, :, ki : ki + h, kj : kj + wdt])
+    return y[0] if single else y
+
+
+def conv2d_same_taps_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of `conv2d_same_taps` in float64, tap by tap: dx is added up on a padded map, then cropped."""
+    dy, x, w = (np.asarray(a, np.float64) for a in (dy, x, w))
+    single = x.ndim == 3
+    xb, dyb = (x[None], dy[None]) if single else (x, dy)
+    k, (h, wdt) = w.shape[2], xb.shape[2:]
+    p = (k - 1) // 2
+    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    for ki in range(k):
+        for kj in range(k):
+            dw[:, :, ki, kj] = np.einsum("nohw,nchw->oc", dyb, xp[:, :, ki : ki + h, kj : kj + wdt])
+            dxp[:, :, ki : ki + h, kj : kj + wdt] += np.einsum("oc,nohw->nchw", w[:, :, ki, kj], dyb)
+    dx = dxp[:, :, p : p + h, p : p + wdt]
+    return (dx[0] if single else dx), dw, dyb.sum(axis=(0, 2, 3))
+
+
+def conv_transpose2x2_einsum(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 transposed conv, one einsum per output offset (di, dj); w is (C_in, C_out, 2, 2)."""
+    single = x.ndim == 3
+    xb = x[None] if single else x
+    n, _, h, wdt = xb.shape
+    y = np.zeros((n, w.shape[1], 2 * h, 2 * wdt), dtype=np.result_type(xb, w))
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        y[:, :, di::2, dj::2] = np.einsum("io,nihw->nohw", w[:, :, di, dj], xb)
     y += b[:, None, None]
     return y[0] if single else y
 
 
-def conv2d_same_padded_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
-    """(dx, dw, db) of `conv2d_same_padded`, dx by `conv2d_input_grad`."""
-    x, w, dy = _conv_operands(x, w, dy)
+def conv_transpose2x2_einsum_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of `conv_transpose2x2_einsum`, one einsum each per output offset."""
     single = x.ndim == 3
     xb, dyb = (x[None], dy[None]) if single else (x, dy)
-    c_out, k = w.shape[0], w.shape[2]
-    p = (k - 1) // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-    h_out, w_out = xb.shape[2:]
-    cols = im2col_taps(xp, k, 1, h_out, w_out)
-    dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
-    db = dy_mat.sum(axis=(0, 2))
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    if not input_grad:
-        return None, dw, db
-    dx = conv2d_input_grad(dyb, w, 1, p)
-    return (dx[0] if single else dx), dw, db
+    dx = np.zeros(xb.shape, np.result_type(xb, w, dyb))
+    dw = np.zeros(w.shape, dx.dtype)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        dy_sub = dyb[:, :, di::2, dj::2]
+        dx += np.einsum("io,nohw->nihw", w[:, :, di, dj], dy_sub)
+        dw[:, :, di, dj] = np.einsum("nihw,nohw->io", xb, dy_sub)
+    return (dx[0] if single else dx), dw, dyb.sum(axis=(0, 2, 3))
 
 
 def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:

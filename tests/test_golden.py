@@ -27,11 +27,11 @@ BLAS = "scipy-openblas 0.3.31.188.0"
 
 DIGESTS = {
     ("classify", 1): "894d33cab26dc207b43e7926aa0e900985e3166a7eff57f3fab1668d7aefee72",
-    ("segment", 1): "eada39a5e2d9e230920222199e9e340225bb96223ee4bb16fef620e60814e992",
-    ("synthesize", 1): "7063ff3678958734ebb9d9cd4f8d24f61dd6e7040025812630d766468af0478a",
+    ("segment", 1): "f7b2f7de8e324eb60f814f78d7bd9f9d3dd4fa8e9a30cfcaafa20b4cfc6fbe4a",
+    ("synthesize", 1): "959296cda2cd66878584a297165bd98375c44d1640d908a47762050ac4c4f66b",
     ("classify", 2): "b967263875147fba537066478bba099e464766a4653098fc3c8b1ba34bb00ba9",
-    ("segment", 2): "4c0576d61cbeea4b339d356b0555a263649e2b98daeea5a5d16673bf49d1fb80",
-    ("synthesize", 2): "a2c47ea901cb5c4b62bedcd8e6d5e1730cf13bd22ab00aede2cd9f04fb391660",
+    ("segment", 2): "415348e3a3e400e483c2d14b9c37050d4ad2b3030593a1fe18e9d3480d3fcb17",
+    ("synthesize", 2): "94bd20718d39ea109e9a0c064512ae62f311680d0eba8126f9b9056693d0a062",
     ("classify", 3): "d60485bbe3a805a8cec463f7467e229425d3c8f7d63f653048a04e8a35325fd8",
 }
 

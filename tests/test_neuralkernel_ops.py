@@ -30,8 +30,10 @@ from oracles import (
     col2im_padded,
     col2im_taps,
     conv2d_input_grad,
-    conv2d_same_padded,
-    conv2d_same_padded_backward,
+    conv2d_same_taps,
+    conv2d_same_taps_backward,
+    conv_transpose2x2_einsum,
+    conv_transpose2x2_einsum_backward,
     finite_difference_grad,
     grads_close,
     im2col_taps,
@@ -145,9 +147,11 @@ class TestColumnWorkspace:
             tracemalloc.stop()
         assert peak <= out.nbytes + 64 * 1024
 
+    @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("padding", ["valid", "same"])
-    def test_outputs_never_alias_the_workspace(self, padding):
+    def test_outputs_never_alias_the_workspace(self, padding, channels):
         x, w, b = self._first_layer(batch=2)
+        x, w = np.repeat(x, channels, axis=1), np.repeat(w, channels, axis=1)  # same-padded C_in > 1 runs taps
         y = conv2d(x, w, b, padding=padding)
         grads = conv2d_backward(np.ones_like(y), x, w, padding=padding)
         buffer = ops._workspace.by_dtype[np.dtype(np.float32)]
@@ -194,8 +198,22 @@ def _with_signed_zeros(rng: np.random.Generator, shape: tuple[int, ...], dtype) 
     return a
 
 
+def _within_rounding(got: np.ndarray, want: np.ndarray, size: np.ndarray, terms: int) -> bool:
+    """Equal shapes, and |got - want| <= 2 * terms * eps * size elementwise, eps of got's dtype.
+
+    `want` is a float64 sum of `terms` terms whose absolute values sum to `size`; any
+    summation order in got's precision, and the oracle's own, stays within the bound.
+    """
+    eps = np.finfo(got.dtype).eps
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= 2 * terms * eps * size))
+
+
+def _abs(*arrays: np.ndarray) -> list[np.ndarray]:
+    return [np.abs(np.asarray(a, np.float64)) for a in arrays]
+
+
 class TestSamePaddingWithoutPad:
-    """Same-padded conv2d and its backward match the np.pad formulation bit for bit."""
+    """Same-padded conv2d and its backward are the per-tap sums up to rounding, and allocate only what they return."""
 
     @staticmethod
     def _operands(seed, k, hw, batched, dtype, c_in=2, c_out=3):
@@ -213,17 +231,34 @@ class TestSamePaddingWithoutPad:
         (3, (1, 1)), (3, (2, 2)), (3, (5, 8)), (3, (9, 4)),
         (5, (1, 1)), (5, (2, 2)), (5, (3, 6)), (5, (11, 7)),
     ])
-    def test_forward_and_backward_match_padded_oracle(self, k, hw, batched, dtype):
+    def test_forward_and_backward_match_tap_sums(self, k, hw, batched, dtype):
         x, w, b, dy = self._operands(k * 100 + hw[0] * 10 + hw[1], k, hw, batched, dtype)
-        assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
+        y = conv2d(x, w, b, padding="same")
+        assert y.dtype == dtype
+        assert _within_rounding(y, conv2d_same_taps(x, w, b), conv2d_same_taps(*_abs(x, w, b)), 2 * k * k + 1)
+        per_map = (4 if batched else 1) * hw[0] * hw[1]
+        want = conv2d_same_taps_backward(dy, x, w)
+        size = conv2d_same_taps_backward(*_abs(dy, x, w))
         for input_grad in (True, False):
             got = conv2d_backward(dy, x, w, padding="same", input_grad=input_grad)
-            want = conv2d_same_padded_backward(dy, x, w, input_grad=input_grad)
             if input_grad:
-                assert _same_bits(got[0], want[0])
+                assert _within_rounding(got[0], want[0], size[0], 3 * k * k)
             else:
-                assert got[0] is None and want[0] is None
-            assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+                assert got[0] is None
+            assert _within_rounding(got[1], want[1], size[1], per_map)
+            assert _within_rounding(got[2], want[2], size[2], per_map)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("n, c_in, c_out, hw", [(3, 5, 4, 6), (8, 64, 64, 4)])
+    def test_batch_items_equal_one_item_results(self, n, c_in, c_out, hw, k):
+        # each map gets GEMMs of its own, so a batch's shape cannot change an item's rounding
+        rng = np.random.default_rng(n + c_in + k)
+        x = rng.standard_normal((n, c_in, hw, hw)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        y = conv2d(x, w, b, padding="same")
+        for item, y_item in zip(x, y):
+            assert _same_bits(y_item, conv2d(item, w, b, padding="same"))
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_input_gradient_owns_no_larger_buffer(self, batched):
@@ -267,34 +302,37 @@ class TestSamePaddingWithoutPad:
         conv2d(big, rng.standard_normal((2, 3, 5, 5)).astype(np.float32), np.zeros(2, np.float32))
         conv2d_backward(np.ones((4, 2, 36, 36), np.float32), big,
                         rng.standard_normal((2, 3, 5, 5)).astype(np.float32))
-        # the workspace now holds a larger conv's nonzero columns; the same-padded
-        # conv must overwrite every column it reads, its border taps with +0.0
+        # the workspace now holds a larger conv's columns, then NaN everywhere; a reused
+        # grid must read +0.0 at its border, and every tap sum must overwrite its run
+        ops._workspace.by_dtype[np.dtype(np.float32)].fill(np.nan)
         x, w, b, dy = self._operands(6, k, (7, 9), True, np.float32)
-        assert _same_bits(conv2d(x, w, b, padding="same"), conv2d_same_padded(x, w, b))
-        for got, want in zip(conv2d_backward(dy, x, w, padding="same"), conv2d_same_padded_backward(dy, x, w)):
-            assert _same_bits(got, want)
+        want, size = conv2d_same_taps(x, w, b), conv2d_same_taps(*_abs(x, w, b))
+        assert _within_rounding(conv2d(x, w, b, padding="same"), want, size, 2 * k * k + 1)
+        got = conv2d_backward(dy, x, w, padding="same")
+        want, size = conv2d_same_taps_backward(dy, x, w), conv2d_same_taps_backward(*_abs(dy, x, w))
+        for got_g, want_g, size_g, terms in zip(got, want, size, (3 * k * k, 4 * 7 * 9, 4 * 7 * 9)):
+            assert _within_rounding(got_g, want_g, size_g, terms)
 
     def test_warm_backward_allocates_only_dx(self):
-        # x's columns come from the forward, as a caller that keeps them passes them;
-        # building them here would add x's padded copy, which the forward's test bounds
+        # x's and dy's grids, the tap sums and the per-map dw products are all carved
+        # from the workspace; of the arrays backward returns, only dx is large
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 8, 64, 64)).astype(np.float32)
         w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
         dy = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
-        cols = np.empty((8, 8 * 9, 64 * 64), np.float32)
-        conv2d(x, w, np.zeros(4, np.float32), padding="same", cols=cols)
-        conv2d_backward(dy, x, w, padding="same", cols=cols)  # warm-up: grows the workspace
+        conv2d_backward(dy, x, w, padding="same")  # warm-up: grows the workspace
         tracemalloc.start()
         try:
-            dx, _, _ = conv2d_backward(dy, x, w, padding="same", cols=cols)
+            dx, _, _ = conv2d_backward(dy, x, w, padding="same")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= dx.nbytes + 64 * 1024
 
-    def test_warm_call_frees_padded_copy_before_output(self):
-        # the padded input copy (8 x 4 x 66 x 66 float32, 557,568 B) is freed when the
-        # columns are built, before the output is allocated, so it never adds to the peak
+    def test_warm_call_allocates_only_its_output(self):
+        # the grid (8 x 4 x 66 x 66 float32, 557,568 B), the tap sum and the per-tap
+        # product come from the workspace; the output is the sum's crop, copied out
+        # once, with the bias then added in place
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
@@ -406,7 +444,58 @@ class TestValidColumns:
             conv2d_backward(np.zeros((2, 4, 7, 5), np.float32), x, w, cols=cols)
 
 
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_columns_need_valid_padding(self, c_in):
+        # a same-padded conv builds a grid (C_in > 1) or a padded copy (C_in = 1), never the caller's columns
+        x, w = np.zeros((2, c_in, 9, 7), np.float32), np.zeros((4, c_in, 3, 3), np.float32)
+        cols = np.empty((2, c_in * 9, 63), np.float32)
+        with pytest.raises(InvalidArgument, match="valid padding"):
+            conv2d(x, w, np.zeros(4, np.float32), padding="same", cols=cols)
+        with pytest.raises(InvalidArgument, match="valid padding"):
+            conv2d_backward(np.zeros((2, 4, 9, 7), np.float32), x, w, padding="same", cols=cols)
+
+
 class TestConvTranspose:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 1), (2, 3, 1, 1), (4, 5, 3, 6), (8, 16, 4, 4)])
+    def test_gemm_matches_einsum_oracle(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        c_in, c_out = shape[-3], 3
+        x = _with_signed_zeros(rng, shape, dtype)
+        w = _with_signed_zeros(rng, (c_in, c_out, 2, 2), dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        dy = _with_signed_zeros(rng, shape[:-3] + (c_out, 2 * shape[-2], 2 * shape[-1]), dtype)
+        f64 = [np.asarray(a, np.float64) for a in (x, w, b, dy)]
+        y = conv_transpose2x2(x, w, b)
+        assert y.dtype == dtype
+        assert _within_rounding(y, conv_transpose2x2_einsum(*f64[:3]), conv_transpose2x2_einsum(*_abs(x, w, b)), c_in + 1)
+        got = conv_transpose2x2_backward(dy, x, w)
+        want = conv_transpose2x2_einsum_backward(f64[3], *f64[:2])
+        size = conv_transpose2x2_einsum_backward(*_abs(dy, x, w))
+        per_map = x.size // c_in  # N * H * W inputs, each one term of dw
+        for got_g, want_g, size_g, terms in zip(got, want, size, (c_out * 4, per_map, 4 * per_map)):
+            assert got_g.dtype == dtype
+            assert _within_rounding(got_g, want_g, size_g, terms)
+
+    def test_batch_items_equal_one_item_results(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((5, 6, 4, 3)).astype(np.float32)
+        w = rng.standard_normal((6, 4, 2, 2)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        y = conv_transpose2x2(x, w, b)
+        for item, y_item in zip(x, y):
+            assert _same_bits(y_item, conv_transpose2x2(item, w, b))
+
+    def test_outputs_never_alias_the_workspace(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        w = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
+        y = conv_transpose2x2(x, w, np.zeros(2, np.float32))
+        grads = conv_transpose2x2_backward(np.ones_like(y), x, w)
+        buffer = ops._workspace.by_dtype[np.dtype(np.float32)]
+        for arr in (y, *grads):
+            assert not np.shares_memory(arr, buffer)
+
     def test_doubles_spatial_size(self):
         x = np.random.default_rng(0).random((3, 4, 5)).astype(np.float32)
         w = np.random.default_rng(1).standard_normal((3, 2, 2, 2)).astype(np.float32)

@@ -238,6 +238,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: bad.nii [axial]: axial slice 4 holds non-finite values")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("good_first", [False, True], ids=["one-volume", "after-a-good-volume"])
+    def test_failed_slice_leaves_no_pgm(self, tmp_path, good_first):
+        vol_dir = tmp_path / "vols"
+        vol_dir.mkdir()
+        voxels = np.ones(512)
+        if good_first:  # a.nii sorts first and slices cleanly; its PGMs go too
+            (vol_dir / "a.nii").write_bytes(nifti_bytes((8, 8, 8), np.arange(512.0), datatype=16))
+        voxels[4 * 64] = math.nan  # z = 4: the plan [0, 4] writes axial slice 0 first
+        (vol_dir / "bad.nii").write_bytes(nifti_bytes((8, 8, 8), voxels, datatype=16))
+        cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=2,
+                         plane="axial", k1_axial=0, k2_axial=0, size=8)
+        assert main(["slice", "-c", str(cfg)]) == 2
+        assert (tmp_path / "o").is_dir()
+        assert not list((tmp_path / "o").rglob("*.pgm"))
+
     def test_slice_two_file_nifti_exits_2(self, tmp_path, capsys):
         vol_dir = tmp_path / "vols"
         vol_dir.mkdir()
