@@ -3,6 +3,10 @@
 Trunk: conv(5x5, valid, 2 channels) -> relu -> 2x2 maxpool -> conv(5x5,
 valid, 4 channels) -> relu -> maxpool -> dropout -> flatten -> dense down to
 a small feature vector. The convs are the paper's and no config sets them.
+Each stage computes relu(maxpool2x2(z)), pooling before the ReLU: both are
+monotone, so the output equals maxpool2x2(relu(z)) byte for byte (the ReLU
+turns a pooled -0.0 into the +0.0 it gives each element), at a quarter of
+the ReLU work. Backward runs `relu_maxpool2x2_backward` once per stage.
 The quantum head feeds the first n_qubits features into the simulated
 circuit, squashes the resulting probability through a scalar affine +
 sigmoid stage o1, and emits the class distribution (o1, 1 - o1). The
@@ -55,9 +59,8 @@ from .neuralkernel import (
     dropout_backward,
     glorot,
     maxpool2x2,
-    maxpool2x2_backward,
     relu,
-    relu_backward,
+    relu_maxpool2x2_backward,
     run_epoch,
     sigmoid,
     sigmoid_backward,
@@ -181,7 +184,7 @@ class CqcnnModel:
         return img
 
     def _trunk(self, x0: np.ndarray, keep: bool = False) -> dict[str, np.ndarray]:
-        """Conv/ReLU/pool activations for one (1, H, W) image or an (N, 1, H, W) stack.
+        """Conv outputs and pooled activations for one (1, H, W) image or an (N, 1, H, W) stack.
 
         keep (one image only): build each conv's columns in this model's own
         buffers and return them too, for `backward`.
@@ -189,12 +192,10 @@ class CqcnnModel:
         p = self._params
         cols1 = self._cols1 if keep else None
         z1 = conv2d(x0, p["conv1_w"], p["conv1_b"], cols=cols1)
-        a1 = relu(z1)
-        p1 = maxpool2x2(a1)
+        p1 = relu(maxpool2x2(z1))  # pool first (module docstring)
         cols2 = self._cols2 if keep else None
         z2 = conv2d(p1, p["conv2_w"], p["conv2_b"], cols=cols2)
-        a2 = relu(z2)
-        return {"x0": x0, "z1": z1, "a1": a1, "p1": p1, "z2": z2, "a2": a2, "p2": maxpool2x2(a2),
+        return {"x0": x0, "z1": z1, "p1": p1, "z2": z2, "p2": relu(maxpool2x2(z2)),
                 "cols1": cols1, "cols2": cols2}
 
     def _head(self, fc_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -269,11 +270,9 @@ class CqcnnModel:
         dflat, grads["fc_w"], grads["fc_b"] = dense_backward(dfc, c["flat"], p["fc_w"])
         dd = dflat.reshape(c["p2"].shape)
         dp2 = dropout_backward(dd, c["mask"], c["rate"])
-        da2 = maxpool2x2_backward(dp2, c["a2"])
-        dz2 = relu_backward(da2, c["z2"])
+        dz2 = relu_maxpool2x2_backward(dp2, c["z2"])
         dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"], cols=c["cols2"])
-        da1 = maxpool2x2_backward(dp1, c["a1"])
-        dz1 = relu_backward(da1, c["z1"])
+        dz1 = relu_maxpool2x2_backward(dp1, c["z1"])
         _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(
             dz1, c["x0"], p["conv1_w"], input_grad=False, cols=c["cols1"])
         return grads

@@ -21,6 +21,7 @@ from .ops import (
     maxpool2x2_backward,
     relu,
     relu_backward,
+    relu_maxpool2x2_backward,
     sigmoid,
     sigmoid_backward,
 )
@@ -31,7 +32,7 @@ from .metrics import ConfusionCounts, classify_metrics, dice_iou
 __all__ = [
     "conv2d", "conv2d_backward", "conv_transpose2x2", "conv_transpose2x2_backward",
     "dense", "dense_backward", "dropout", "dropout_backward", "glorot",
-    "maxpool2x2", "maxpool2x2_backward", "relu", "relu_backward",
+    "maxpool2x2", "maxpool2x2_backward", "relu", "relu_backward", "relu_maxpool2x2_backward",
     "sigmoid", "sigmoid_backward",
     "cross_entropy", "cross_entropy_grad",
     "Params", "Optimizer", "make_optimizer", "run_epoch",

@@ -13,6 +13,19 @@ Max-pool tie rule: `maxpool2x2_backward` routes each window's upstream
 gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
+`relu_maxpool2x2_backward(dy, z)`, the gradient of maxpool2x2(relu(z)),
+follows the same rule on z, and routes only where the window's max is
+above 0; its result equals
+`relu_backward(maxpool2x2_backward(dy, relu(z)), z)` byte for byte. Every
+element no window routes to, the odd trailing row and column included, is
++0.0.
+
+Backward without selects: `relu_backward` and both pool backward kernels
+pass dy on as a bit mask of its integer view (int32 for float32, int64 for
+float64): dy's bits AND -keep, where keep is 0 or 1, so a kept element is dy
+exactly (NaN payloads and -0.0 included) and every other element is +0.0's
+all-zero bits. The product dy * keep would differ: NaN * 0 is NaN and
+-x * 0 is -0.0.
 
 Same-padded convs on taps: a same-padded conv with K > 1 and C_in > 1
 builds no columns; it sums one GEMM per kernel tap instead (kn2row,
@@ -392,23 +405,51 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     return y[0] if single else y
 
 
-def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Routes dy to each window's first max in row-major order (see module docstring)."""
-    x, dy = _as_f32(x), _as_f32(dy)
+def _bits(a: np.ndarray) -> np.ndarray:
+    """A float32 or float64 array viewed as integers of the same width."""
+    return a.view(np.int64 if a.dtype == np.float64 else np.int32)
+
+
+def _masked(dy: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """dy's bits where `keep` (broadcast), +0.0's bits elsewhere: dy AND a mask of -keep.
+
+    Without `out` the result is written over the mask, so only one array of its size is allocated.
+    """
+    bits = _bits(dy)
+    mask = np.negative(keep, dtype=bits.dtype)
+    return np.bitwise_and(bits, mask, out=mask if out is None else out)
+
+
+def _pool_backward(dy: np.ndarray, x: np.ndarray, positive_only: bool) -> np.ndarray:
+    """Routes dy to each window's first max of x, only where that max is above 0 if `positive_only`."""
+    x = _as_f32(x)
     xb, single = _batched(x, 3)
-    dyb, _ = _batched(dy, 3)
-    if dyb.shape[1:] != (xb.shape[1], xb.shape[2] // 2, xb.shape[3] // 2):
+    dyb, _ = _batched(np.ascontiguousarray(dy, dtype=x.dtype), 3)
+    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
+    if dyb.shape != (*xb.shape[:2], h2, w2):
         raise InvalidArgument(f"upstream shape {dyb.shape} does not match pooled {xb.shape}")
     views = _pool_windows(xb)
     y = _window_max(views)
-    dx = np.zeros_like(xb)
-    unclaimed = np.ones(y.shape, dtype=bool)
-    for view, dx_view in zip(views, _pool_windows(dx)):
+    unclaimed = y > 0 if positive_only else np.ones(y.shape, dtype=bool)
+    dx = np.empty_like(xb)
+    dx[:, :, 2 * h2 :] = 0.0
+    dx[:, :, :, 2 * w2 :] = 0.0
+    for view, dx_bits in zip(views, _pool_windows(_bits(dx))):
         hit = view == y
         hit &= unclaimed
-        np.copyto(dx_view, dyb, where=hit)
+        _masked(dyb, hit, out=dx_bits)
         unclaimed ^= hit
     return dx[0] if single else dx
+
+
+def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Routes dy to each window's first max in row-major order (see module docstring)."""
+    return _pool_backward(dy, x, positive_only=False)
+
+
+def relu_maxpool2x2_backward(dy: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient of maxpool2x2(relu(z)) in one pass (see module docstring)."""
+    return _pool_backward(dy, z, positive_only=True)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -417,7 +458,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     dy = _as_f32(dy)
-    return np.where(np.asarray(x) > 0, dy, dy.dtype.type(0.0))
+    return _masked(dy, np.asarray(x) > 0).view(dy.dtype)
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -157,8 +157,22 @@ def _load_pgm_dir(path: Path, size: int) -> list[tuple[str, np.ndarray]]:
     return [(f.name, fit(read_pgm(f.read_bytes()), size, size).pixels) for f in files]
 
 
-def _slice_volume(vol_path: Path, planes: list[Plane], cfg: dict, written: list[Path]) -> dict:
-    """Write one volume's PGM slices, appending each path to `written`; returns its manifest record."""
+def _make_dirs(path: Path, made: list[Path]) -> None:
+    """Create `path` and its missing parents, appending each to `made`, outermost first."""
+    missing = []
+    while not path.exists():
+        missing.append(path)
+        path = path.parent
+    for directory in reversed(missing):
+        directory.mkdir()
+        made.append(directory)
+
+
+def _slice_volume(vol_path: Path, planes: list[Plane], cfg: dict, made: list[Path]) -> dict:
+    """Write one volume's PGM slices, appending each directory and file it creates to `made`.
+
+    Returns the volume's manifest record.
+    """
     try:
         _, vol = volio.parse_nifti(vol_path.read_bytes())
     except CqbrainError as exc:
@@ -169,14 +183,14 @@ def _slice_volume(vol_path: Path, planes: list[Plane], cfg: dict, written: list[
         try:
             plan = volio.plan_slices(plane, vol.plane_extent(plane), cfg["n"], k1, k2)
             plane_dir = cfg["output_dir"] / plane.value
-            plane_dir.mkdir(parents=True, exist_ok=True)
+            _make_dirs(plane_dir, made)
             files = []
             for idx in plan.indices:
                 img = volio.extract_slice(vol, plane, idx)
                 img = resize_bilinear(img, cfg["size"], cfg["size"])
                 path = plane_dir / f"{vol_path.stem}_{plane.value}_{idx:03d}.pgm"
                 path.write_bytes(write_pgm(img))
-                written.append(path)
+                made.append(path)
                 files.append(path.name)
         except CqbrainError as exc:
             raise type(exc)(f"{vol_path.name} [{plane.value}]: {exc}") from exc
@@ -189,7 +203,8 @@ def _slice_volume(vol_path: Path, planes: list[Plane], cfg: dict, written: list[
 def cmd_slice(cfg: dict) -> None:
     """NIfTI volumes -> per-plane resized PGM slices plus a manifest, one volume in memory at a time.
 
-    A call that fails unlinks every PGM it wrote: no manifest would list them.
+    A call that fails unlinks every PGM it wrote, and removes each directory it
+    created if that is then empty: no manifest would list them.
     """
     in_dir: Path = cfg["input_dir"]
     volumes = sorted(in_dir.glob("*.nii"))
@@ -197,13 +212,16 @@ def cmd_slice(cfg: dict) -> None:
         raise EmptyInput(f"no .nii files in {in_dir}")
     planes = list(Plane) if cfg["plane"] == "3plane" else [Plane(cfg["plane"])]
     manifest: dict = {"size": cfg["size"], "volumes": {}}
-    written: list[Path] = []
+    made: list[Path] = []
     try:
         for vol_path in volumes:
-            manifest["volumes"][vol_path.name] = _slice_volume(vol_path, planes, cfg, written)
+            manifest["volumes"][vol_path.name] = _slice_volume(vol_path, planes, cfg, made)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for path in reversed(made):  # newest first: a directory's files go before it
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
+            elif not any(path.iterdir()):
+                path.rmdir()
         raise
     write_atomic(cfg["output_dir"] / "manifest.json",
                  json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))

@@ -153,6 +153,30 @@ def maxpool2x2_backward_argmax(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dx[0] if single else dx
 
 
+def maxpool2x2_backward_copyto(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`neuralkernel.maxpool2x2_backward` in its select form: dy copied where a view first holds the max."""
+    x = np.asarray(x)
+    single = x.ndim == 3
+    xb, dyb = (x[None], np.asarray(dy)[None]) if single else (x, np.asarray(dy))
+    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    views = [xb[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di, dj in offsets]
+    y = np.maximum(np.maximum(np.maximum(views[0], views[1]), views[2]), views[3])
+    dx = np.zeros_like(xb)
+    unclaimed = np.ones(y.shape, dtype=bool)
+    for view, (di, dj) in zip(views, offsets):
+        hit = (view == y) & unclaimed
+        np.copyto(dx[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2], dyb, where=hit)
+        unclaimed &= ~hit
+    return dx[0] if single else dx
+
+
+def relu_backward_where(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`neuralkernel.relu_backward` in its select form: dy where x > 0, +0.0 elsewhere."""
+    dy = np.asarray(dy)
+    return np.where(np.asarray(x) > 0, dy, dy.dtype.type(0.0))
+
+
 def _conv_operands(*arrays: np.ndarray) -> list[np.ndarray]:
     """float64 stays float64, everything else computes in float32 (as the kernels do)."""
     out = []

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,26 @@ class TestBackward:
         params = model.params()
         assert calls == [(params["conv2_w"].shape, True), (params["conv1_w"].shape, False)]
         assert grads["conv1_w"].shape == params["conv1_w"].shape
+
+
+    @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
+    def test_training_step_runs_only_the_fused_pool_backward(self, head, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            return lambda dy, z: calls.append((fn.__name__, z.shape)) or fn(dy, z)
+
+        kernels = [getattr(ops, name) for name in ("relu_maxpool2x2_backward", "relu_backward", "maxpool2x2_backward")]
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cqbrain"):  # every binding a module could call one through
+                for attr, value in list(vars(module).items()):
+                    if any(value is kernel for kernel in kernels):
+                        monkeypatch.setattr(module, attr, spy(value))
+        config = _small_config(head=head, dropout_rate=0.5)
+        img = np.random.default_rng(8).random((16, 16)).astype(np.float32)
+        backward(CqcnnModel(config), img, np.array([1.0, 0.0], np.float32), mode="train", rng=Rng(2))
+        trace = config.shape_trace()
+        assert calls == [("relu_maxpool2x2_backward", trace["conv2"]), ("relu_maxpool2x2_backward", trace["conv1"])]
 
 
 class TestKeptColumns:

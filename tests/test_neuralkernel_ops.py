@@ -21,6 +21,7 @@ from cqbrain.neuralkernel import (
     maxpool2x2_backward,
     relu,
     relu_backward,
+    relu_maxpool2x2_backward,
     sigmoid,
     sigmoid_backward,
 )
@@ -38,6 +39,8 @@ from oracles import (
     grads_close,
     im2col_taps,
     maxpool2x2_backward_argmax,
+    maxpool2x2_backward_copyto,
+    relu_backward_where,
     separated_values,
 )
 
@@ -575,6 +578,90 @@ class TestMaxPool:
         assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
         dy = rng.standard_normal((2, 2, 4, 5)).astype(np.float32)
         self._assert_matches_argmax_oracle(x, dy)
+
+
+SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0)
+POOL_SHAPES = [(2, 6, 8), (3, 7, 9), (2, 2, 5, 6), (3, 4, 9, 7), (1, 2, 124, 124)]
+
+
+def _with_specials(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Integers in [-2, 2] (ties, zeros, both signs) with NaN, ±inf and ±0.0 at a fifth of the places."""
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    special = rng.random(shape) < 0.2
+    x[special] = rng.choice(np.array(SPECIALS, dtype), special.sum())
+    return x
+
+
+def _pooled(shape: tuple[int, ...]) -> tuple[int, ...]:
+    return shape[:-2] + (shape[-2] // 2, shape[-1] // 2)
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: the sign of zeros and NaN payloads count."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSelectFreeBackward:
+    """The bit-mask pool and ReLU backward kernels equal their select forms and compositions byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_fused_equals_the_composition(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed + 500)
+        z, dy = _with_specials(rng, shape, dtype), _with_specials(rng, _pooled(shape), dtype)
+        got = relu_maxpool2x2_backward(dy, z)
+        assert _same_bytes(got, relu_backward(maxpool2x2_backward(dy, relu(z)), z))
+        assert _same_bytes(got, relu_backward_where(maxpool2x2_backward_copyto(dy, relu(z)), z))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_pool_then_relu_equals_relu_then_pool(self, shape, dtype, seed):
+        z = _with_specials(np.random.default_rng(seed + 600), shape, dtype)
+        assert _same_bytes(relu(maxpool2x2(z)), maxpool2x2(relu(z)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_relu_backward_equals_the_select_form(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed + 700)
+        x, dy = _with_specials(rng, shape, dtype), _with_specials(rng, shape, dtype)
+        assert _same_bytes(relu_backward(dy, x), relu_backward_where(dy, x))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_maxpool_backward_equals_the_copyto_form(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed + 800)
+        x, dy = _with_specials(rng, shape, dtype), _with_specials(rng, _pooled(shape), dtype)
+        for pooled_input in (x, relu(x)):
+            assert _same_bytes(maxpool2x2_backward(dy, pooled_input), maxpool2x2_backward_copyto(dy, pooled_input))
+
+    def test_fused_windows(self):
+        # windows left to right: a positive max tied twice, a max of 0 held by +0.0 and -0.0,
+        # a NaN beside a positive value, all negative, and a positive max whose dy is -0.0
+        z = np.array([[[1.0, 3.0, 0.0, -1.0, 5.0, np.nan, -1.0, -2.0, 2.0, 1.0],
+                       [3.0, -1.0, -0.0, -2.0, 1.0, 2.0, -3.0, -4.0, 0.5, 0.0]]], np.float32)
+        dy = np.array([[[7.0, 7.0, 7.0, 7.0, -0.0]]], np.float32)
+        want = np.zeros_like(z)
+        want[0, 0, 1] = 7.0  # the first 3.0 in row-major order
+        want[0, 0, 8] = -0.0
+        assert _same_bytes(relu_maxpool2x2_backward(dy, z), want)  # bytes: -0.0 at [0, 0, 8] only
+
+    def test_fused_rejects_a_mismatched_upstream(self):
+        with pytest.raises(InvalidArgument, match="upstream shape"):
+            relu_maxpool2x2_backward(np.zeros((2, 3, 3), np.float32), np.zeros((2, 7, 8), np.float32))
+
+    @pytest.mark.parametrize("seed", range(N_GRADCHECK_SEEDS))
+    @pytest.mark.parametrize("shape", [(2, 6, 6), (2, 2, 5, 7)])
+    def test_fused_gradient_matches_finite_differences(self, shape, seed):
+        rng = np.random.default_rng(seed + 900)
+        z = separated_values(rng, shape)  # no ties, no kink at 0
+        up = rng.standard_normal(_pooled(shape)).astype(np.float32)
+        dz = relu_maxpool2x2_backward(up, z)
+        num = finite_difference_grad(lambda _: float((maxpool2x2(relu(z)).astype(np.float64) * up).sum()), z)
+        assert grads_close(dz, num, LAYER_TOL)
 
 
 class TestReluDenseDropout:

@@ -238,10 +238,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: bad.nii [axial]: axial slice 4 holds non-finite values")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("existing", ["", "o", "o/axial"], ids=["fresh", "output-dir-existed", "plane-dir-existed"])
     @pytest.mark.parametrize("good_first", [False, True], ids=["one-volume", "after-a-good-volume"])
-    def test_failed_slice_leaves_no_pgm(self, tmp_path, good_first):
+    def test_failed_slice_leaves_no_pgm(self, tmp_path, good_first, existing):
         vol_dir = tmp_path / "vols"
         vol_dir.mkdir()
+        if existing:
+            (tmp_path / existing).mkdir(parents=True)
         voxels = np.ones(512)
         if good_first:  # a.nii sorts first and slices cleanly; its PGMs go too
             (vol_dir / "a.nii").write_bytes(nifti_bytes((8, 8, 8), np.arange(512.0), datatype=16))
@@ -249,9 +252,11 @@ class TestCli:
         (vol_dir / "bad.nii").write_bytes(nifti_bytes((8, 8, 8), voxels, datatype=16))
         cfg = _write_cfg(tmp_path / "s.cfg", input_dir=vol_dir, output_dir=tmp_path / "o", n=2,
                          plane="axial", k1_axial=0, k2_axial=0, size=8)
+        dirs_before = sorted(p for p in tmp_path.rglob("*") if p.is_dir())
         assert main(["slice", "-c", str(cfg)]) == 2
-        assert (tmp_path / "o").is_dir()
-        assert not list((tmp_path / "o").rglob("*.pgm"))
+        assert not list(tmp_path.rglob("*.pgm"))
+        # the directories the call created are gone; those that existed before it stay
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_dir()) == dirs_before
 
     def test_slice_two_file_nifti_exits_2(self, tmp_path, capsys):
         vol_dir = tmp_path / "vols"
