@@ -28,13 +28,11 @@ kernels compute each batch item on its own, `dense` takes one row
 one), and the circuit evaluator forms each row's phase product in a fixed
 order.
 
-Training keeps its conv columns: `forward` builds each conv's im2col
-columns (25 x 15376 and 50 x 3364 values at 128 px) in two float32
-buffers the model allocates when it is built, and `backward` hands the
-same arrays to `conv2d_backward`, so a training step builds each set of
-columns once. `predict` builds its columns in the shared workspace of
-`neuralkernel.ops` and leaves the model's buffers alone, so a `predict`
-between `forward` and `backward` changes no gradient.
+Training keeps no conv workspace of its own: `forward` caches each conv's
+input, and `backward` hands it to `conv2d_backward`, which rebuilds its
+kernel rows (at 128 px, 5 x 15872 values for conv1) in the shared
+workspace of `neuralkernel.ops`. So a `predict` between `forward` and
+`backward` changes no gradient.
 """
 from __future__ import annotations
 
@@ -73,8 +71,9 @@ HEAD_CLASSICAL = "classical_softmax"
 
 Dataset = list[tuple[np.ndarray, int]]  # (image (H, W) in [0,1], label in {0,1})
 
-# Images per trunk call in `predict`. Each one keeps 1.5 MB more conv1 columns
-# (at 128 px) in the column workspace. On the classify benchmark (2-vCPU VM),
+# Images per trunk call in `predict`. Each one keeps 317,440 B more conv1
+# kernel rows (at 128 px) in the conv workspace. Measured when each image
+# still took 1.5 MB of im2col columns: on the classify benchmark (2-vCPU VM),
 # chunk 2 evaluated about 12% faster than chunk 1 for +1 MB of peak RSS;
 # in a standalone 108-image evaluate, chunks 4 and 8 cost +6 and +14 MB.
 EVAL_CHUNK = 2
@@ -167,10 +166,6 @@ class CqcnnModel:
             p["w_out"].fill(1.0)
             p["theta"] = rng.derive("init:theta").uniform(config.n_qubits) * np.pi
         self._cache: dict | None = None
-        trace = config.shape_trace()
-        # each conv's columns for one image, kept from `forward` to `backward` (module docstring)
-        self._cols1 = np.empty((1, KERNEL * KERNEL, trace["conv1"][1] ** 2), np.float32)
-        self._cols2 = np.empty((1, CONV1_OUT * KERNEL * KERNEL, trace["conv2"][1] ** 2), np.float32)
 
     def params(self) -> Params:
         """Trainable tensors of the active head, as views into one flat vector."""
@@ -183,20 +178,13 @@ class CqcnnModel:
             raise InvalidArgument(f"expected {size}x{size} image, got {img.shape}")
         return img
 
-    def _trunk(self, x0: np.ndarray, keep: bool = False) -> dict[str, np.ndarray]:
-        """Conv outputs and pooled activations for one (1, H, W) image or an (N, 1, H, W) stack.
-
-        keep (one image only): build each conv's columns in this model's own
-        buffers and return them too, for `backward`.
-        """
+    def _trunk(self, x0: np.ndarray) -> dict[str, np.ndarray]:
+        """Conv outputs and pooled activations for one (1, H, W) image or an (N, 1, H, W) stack."""
         p = self._params
-        cols1 = self._cols1 if keep else None
-        z1 = conv2d(x0, p["conv1_w"], p["conv1_b"], cols=cols1)
+        z1 = conv2d(x0, p["conv1_w"], p["conv1_b"])
         p1 = relu(maxpool2x2(z1))  # pool first (module docstring)
-        cols2 = self._cols2 if keep else None
-        z2 = conv2d(p1, p["conv2_w"], p["conv2_b"], cols=cols2)
-        return {"x0": x0, "z1": z1, "p1": p1, "z2": z2, "p2": relu(maxpool2x2(z2)),
-                "cols1": cols1, "cols2": cols2}
+        z2 = conv2d(p1, p["conv2_w"], p["conv2_b"])
+        return {"x0": x0, "z1": z1, "p1": p1, "z2": z2, "p2": relu(maxpool2x2(z2))}
 
     def _head(self, fc_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """(class distributions (R, 2), p_q, o1) for head inputs (R, fc_width).
@@ -216,7 +204,7 @@ class CqcnnModel:
 
     def forward(self, img: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
         """Class distribution (2,) for one image; caches activations for backward."""
-        cache = self._trunk(self._image(img)[None], keep=True)
+        cache = self._trunk(self._image(img)[None])
         d, cache["mask"] = dropout(cache["p2"], self.config.dropout_rate, mode, rng)
         cache["rate"] = self.config.dropout_rate if mode == "train" else 0.0  # eval mode scales nothing
         cache["flat"] = d.reshape(-1)
@@ -271,10 +259,9 @@ class CqcnnModel:
         dd = dflat.reshape(c["p2"].shape)
         dp2 = dropout_backward(dd, c["mask"], c["rate"])
         dz2 = relu_maxpool2x2_backward(dp2, c["z2"])
-        dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"], cols=c["cols2"])
+        dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"])
         dz1 = relu_maxpool2x2_backward(dp1, c["z1"])
-        _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(
-            dz1, c["x0"], p["conv1_w"], input_grad=False, cols=c["cols1"])
+        _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(dz1, c["x0"], p["conv1_w"], input_grad=False)
         return grads
 
 

@@ -21,46 +21,37 @@ element no window routes to, the odd trailing row and column included, is
 +0.0.
 
 Backward without selects: `relu_backward` and both pool backward kernels
-pass dy on as a bit mask of its integer view (int32 for float32, int64 for
-float64): dy's bits AND -keep, where keep is 0 or 1, so a kept element is dy
-exactly (NaN payloads and -0.0 included) and every other element is +0.0's
-all-zero bits. The product dy * keep would differ: NaN * 0 is NaN and
+pass dy on through its integer view (int32 for float32, int64 for float64)
+times keep, where keep is False or True: a kept element is dy's bits exactly
+(NaN payloads and -0.0 included) and every other element is +0.0's all-zero
+bits. The float product dy * keep would differ: NaN * 0 is NaN and
 -x * 0 is -0.0.
 
-Same-padded convs on taps: a same-padded conv with K > 1 and C_in > 1
-builds no columns; it sums one GEMM per kernel tap instead (kn2row,
-Anderson et al. 2017, arXiv:1709.03395). It copies x once into the
-interior of a zeroed grid (N, C_in, H+2P, W+2P). Read flat per map, the
-input that tap (ki, kj) weighs for output (i, j) is at q + ki*(W+2P) + kj,
-where q = i*(W+2P) + j. So over the run q < span = (H-1)*(W+2P) + W, the
-outputs are the sum, over taps in row-major order, of the GEMMs
-w[:, :, ki, kj] @ grid[n, :, off : off + span], off = ki*(W+2P) + kj; the
-run's 2P junk entries per row (j >= W) are cropped away when the output is
-copied out. Each map gets GEMMs of its own, so a batch item's result is
-its one-item result bit for bit. Backward puts dy on a grid the same way:
-dw[:, :, ki, kj] is the sum over maps of dy's run times the transpose of
-tap (ki, kj)'s run of x, and dx is the tap kernel run on dy's grid with
-the kernel flipped in both spatial axes and its two channel axes swapped.
+Kernel rows: every conv runs one lowering (MEC, Cho & Brand 2017,
+arXiv:1706.06873). With P the padding and W_out = W + 2P - K + 1, `_expand`
+copies x K times along the row into ex (N, C_in*K, (H+2P)*W_out), where
+ex[n, (c, kj), r*W_out + j] = x_pad[n, c, r, j + kj]: one slice copy of x's
+in-range rectangle per kj, with the border strips that the padding covers
+zeroed, so no padded copy of x is made. Read flat per map, the run of
+H_out*W_out entries from ki*W_out holds, for every output (i, j), the inputs
+that kernel row ki weighs. So y is the sum over ki of the GEMMs
+w[:, :, ki, :] (C_out, C_in*K) @ ex[n, :, ki*W_out : ki*W_out + H_out*W_out],
+written straight into the output's shape with nothing to crop. The output
+starts as the bias and each row's GEMM is added to it in ki order. Each map
+gets GEMMs of its own, so a batch item's result is its one-item result bit
+for bit. A stride s > 1 conv is the stride-1 conv read at [::s, ::s], so the
+expansion never sees a stride.
 
-Columns for the rest: valid convs (the classifier's, the 1x1 head) and
-same-padded ones with C_in = 1 or K = 1 build im2col columns and run one
-GEMM. A tap GEMM over one input channel is a K = 1 product, which OpenBLAS
-runs far slower than the columns cost to build. `_im2col` (any padding,
-any stride) is one `np.copyto` from a read-only strided view of the input,
-indexed (n, c, ki, kj, i, j), into the columns; with padding it first
-copies its input into the interior of a zeroed padded array, which lives
-only until `_im2col` returns.
-
-Input gradients of column convs as a conv of dy: dx is formed as the
-forward forms y, with `_im2col` and one GEMM. dx is dy, spread `stride`
-apart into a zeroed array when stride > 1, zero-padded by K - 1 - P and
-correlated with the kernel flipped in both spatial axes and its two
-channel axes swapped (Dumoulin & Visin 2016, arXiv:1603.07285): dx[c, r, s]
-is the sum over o, ki, kj of
+Backward on kernel rows: dw[:, :, ki, :] is the sum over maps of dy's run
+times the transpose of x's ex run from ki*W_out. dx is the forward's code
+run on dy, spread `stride` apart into a zeroed array when stride > 1,
+zero-padded by K - 1 - P and correlated with the kernel flipped in both
+spatial axes and its two channel axes swapped (Dumoulin & Visin 2016,
+arXiv:1603.07285): dx[c, r, s] is the sum over o, ki, kj of
 dy_spread[o, r + ki - (K-1-P), s + kj - (K-1-P)] * w[o, c, K-1-ki, K-1-kj],
-reading zero outside dy_spread. Order: `conv2d_backward` forms dw from x's
-columns before it builds dy's, since without caller-owned columns both
-sets live in the same workspace buffer and dy's overwrite x's.
+reading zero outside dy_spread. Without a bias, its first row's GEMM writes
+dx. Order: `conv2d_backward` forms dw from x's ex before it expands dy,
+since both live in the same workspace buffer and dy's overwrites x's.
 
 The 2x2 transposed conv is one GEMM of the (C_out*4, C_in) weight matrix,
 rows (o, di, dj), against each map, plus one copy that interleaves those
@@ -68,22 +59,16 @@ rows into the doubled output. Its backward de-interleaves dy into such
 rows with one copy, then forms dx with one GEMM against the same matrix
 and dw with one GEMM of the rows against each map of x.
 
-Workspace: grids, tap sums, transposed-conv rows and columns are carved
-from one grow-only workspace buffer per dtype and per thread, instead of
-fresh arrays per call (1.5 MB of columns for a 128 px first layer, which
-the allocator would otherwise hand back to the system and page in again
-on every call). Lifetime rule: they live only until the kernel that
-carved them returns. A kernel carves all it needs in one call, except a
-column backward, which builds dy's columns over x's once dw is formed. No
-kernel returns or keeps them, and every returned array is freshly
-allocated, so no output aliases the buffer. The buffer keeps the size of
-the largest set the thread has carved.
-Caller-owned columns, valid padding only: `conv2d(..., cols=buf)` builds
-the columns in the caller's contiguous (N, C_in*K*K, H_out*W_out) array
-instead, and `conv2d_backward(dy, x, w, ..., cols=buf)` then takes them as
-x's columns instead of building its own. They live as long as the caller
-keeps them; the caller must pass them only with the x that built them,
-before filling them again.
+Workspace: kernel rows, their GEMM accumulator, per-map dw products and
+transposed-conv rows are carved from one grow-only workspace buffer per
+dtype and per thread, instead of fresh arrays per call (317,440 B of
+kernel rows for a 128 px first layer, which the allocator would otherwise
+hand back to the system and page in again on every call). Lifetime rule:
+they live only until the kernel that carved them returns. A kernel carves
+all it needs in one call, except a conv backward, which expands dy over
+x's kernel rows once dw is formed. No kernel returns or keeps them, and
+every returned array is freshly allocated, so no output aliases the
+buffer. The buffer keeps the size of the largest set the thread has carved.
 """
 from __future__ import annotations
 
@@ -91,7 +76,6 @@ import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import InvalidArgument
 from ..rng import Rng
@@ -141,81 +125,8 @@ def _workspace_arrays(dtype: np.dtype, *shapes: tuple[int, ...]) -> list[np.ndar
     return views
 
 
-def _check_columns(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int, pad: int) -> None:
-    """Reject caller-owned columns that do not fit x's conv, or any padded conv."""
-    if pad:
-        raise InvalidArgument("caller-owned columns are for valid padding only")
-    shape = (x.shape[0], x.shape[1] * k * k, h_out * w_out)
-    if cols.shape != shape or cols.dtype != x.dtype or not cols.flags.c_contiguous:
-        raise InvalidArgument(f"columns must be a contiguous {x.dtype} array of shape {shape}, "
-                              f"got {cols.dtype} {cols.shape}")
-
-
-def _im2col(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int, pad: int,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Columns (N, C*K*K, H_out*W_out) in `out`, or else in the workspace (see module docstring).
-
-    x is the unpadded input. With padding it is first copied into the interior of
-    a zeroed padded array; the columns are then one copy of a strided view of that.
-    """
-    n, c, h, w = x.shape
-    if out is None:
-        (cols,) = _workspace_arrays(x.dtype, (n, c, k, k, h_out, w_out))
-    else:
-        cols = out.reshape(n, c, k, k, h_out, w_out)
-    if pad:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-        x = padded
-    sn, sc, sh, sw = x.strides
-    np.copyto(cols, as_strided(x, cols.shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False))
-    return cols.reshape(n, c * k * k, h_out * w_out)
-
-
-def _uses_taps(padding: str, k: int, c_in: int) -> bool:
-    """Whether a conv runs the tap kernel (see module docstring) rather than building columns."""
-    return padding == "same" and k > 1 and c_in > 1
-
-
-def _fill_grid(grid: np.ndarray, x: np.ndarray) -> None:
-    """Copy x (N, C, H, W) into the interior of grid (N, C, H+2P, W+2P) and zero its border."""
-    pad = (grid.shape[2] - x.shape[2]) // 2
-    grid.fill(0.0)
-    grid[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]] = x
-
-
-def _tap_conv(taps: np.ndarray, grid: np.ndarray, acc: np.ndarray, product: np.ndarray,
-              dtype: np.dtype) -> np.ndarray:
-    """A fresh (N, C_out, H, W) same-padded correlation of the maps on grid (N, C_in, H+2P, W+2P).
-
-    taps is (K, K, C_out, C_in); acc and product are (N, C_out, span) workspace views,
-    product holding each later tap's GEMM (see module docstring).
-    """
-    k, span, row = taps.shape[0], acc.shape[2], grid.shape[3]
-    flat = grid.reshape(*grid.shape[:2], -1)
-    for ki in range(k):
-        for kj in range(k):
-            shifted = flat[:, :, ki * row + kj :][:, :, :span]
-            if ki == kj == 0:
-                np.matmul(taps[0, 0], shifted, out=acc)
-            else:
-                np.matmul(taps[ki, kj], shifted, out=product)
-                acc += product
-    n, c, _ = acc.shape
-    out = np.empty((n, c, grid.shape[2] - k + 1, row - k + 1), dtype)
-    np.copyto(out, as_strided(acc, out.shape, (*acc.strides[:2], row * acc.itemsize, acc.itemsize),
-                              writeable=False))
-    return out
-
-
-def _tap_shapes(x: np.ndarray, k: int) -> tuple[int, int, int]:
-    """(H+2P, W+2P, span) of a same-padded conv of x with kernel K: a padded map, and its flat run of outputs."""
-    h, w = x.shape[2:]
-    return h + k - 1, w + k - 1, (h - 1) * (w + k - 1) + w
-
-
 def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
-    """(c_out, c_in, k, h_out, w_out, pad) of a conv, after checking every shape."""
+    """(c_out, h_out, w_out, pad) of a conv, after checking every shape."""
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise InvalidArgument(f"weights must be (C_out, C_in, K, K), got {w.shape}")
     c_out, c_in, k, _ = w.shape
@@ -236,101 +147,101 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
         h_out, w_out, pad = (h - k) // stride + 1, (wdt - k) // stride + 1, 0
     else:
         raise InvalidArgument(f"padding must be 'valid' or 'same', got {padding!r}")
-    return c_out, c_in, k, h_out, w_out, pad
+    return c_out, h_out, w_out, pad
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding: str = "valid",
-           cols: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K).
+def _expand(x: np.ndarray, k: int, pad: int, dtype: np.dtype,
+            scratch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(ex, a `scratch`-shaped view) in the workspace; ex (N, C*K, (H+2P)*W_out) is x's kernel rows.
 
-    With `cols` (N, C_in*K*K, H_out*W_out), valid padding only, the columns are
-    built there, for the caller to pass to `conv2d_backward` (see module docstring).
+    ex[n, (c, kj), r*W_out + j] = x_pad[n, c, r, j + kj], W_out = W + 2P - K + 1: one
+    copy of x's in-range rectangle per kj, and the border strips zeroed (see module docstring).
     """
+    n, c, h, w = x.shape
+    w_out = w + 2 * pad - k + 1
+    ex, view = _workspace_arrays(dtype, (n, c, k, h + 2 * pad, w_out), scratch)
+    ex[:, :, :, :pad] = 0.0
+    ex[:, :, :, pad + h :] = 0.0
+    for kj in range(k):
+        lo = min(max(pad - kj, 0), w_out)
+        hi = max(min(w + pad - kj, w_out), lo)
+        rows = ex[:, :, kj, pad : pad + h]
+        rows[..., :lo] = 0.0
+        rows[..., hi:] = 0.0
+        rows[..., lo:hi] = x[..., lo + kj - pad : hi + kj - pad]
+    return ex.reshape(n, c * k, -1), view
+
+
+def _row_conv(x: np.ndarray, w: np.ndarray, pad: int, b: np.ndarray | None) -> np.ndarray:
+    """A fresh stride-1 correlation (N, C_out, H+2P-K+1, W+2P-K+1) of x (N, C_in, H, W) with w, plus b if given.
+
+    On kernel rows (see module docstring): the output starts as b and every kernel
+    row's GEMM is added to it; without b, the first row's GEMM writes the output.
+    """
+    n, _, h, wdt = x.shape
+    c_out, c_in, k, _ = w.shape
+    h_out, w_out = h + 2 * pad - k + 1, wdt + 2 * pad - k + 1
+    size = h_out * w_out
+    dtype = np.result_type(x, w)
+    ex, acc = _expand(x, k, pad, dtype, (n, c_out, size))
+    w_rows = np.ascontiguousarray(w.transpose(2, 0, 1, 3), dtype).reshape(k, c_out, c_in * k)
+    y = np.empty((n, c_out, h_out, w_out), dtype if b is None else np.result_type(dtype, b))
+    y_flat = y.reshape(n, c_out, size)
+    if b is None:
+        np.matmul(w_rows[0], ex[:, :, :size], out=y_flat)
+        first = 1
+    else:
+        y_flat[...] = b[:, None]
+        first = 0
+    for ki in range(first, k):
+        np.matmul(w_rows[ki], ex[:, :, ki * w_out : ki * w_out + size], out=acc)
+        y_flat += acc
+    return y
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding: str = "valid") -> np.ndarray:
+    """Cross-correlation plus bias; x (C_in,H,W) or (N,C_in,H,W), w (C_out,C_in,K,K)."""
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
-    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
+    c_out, _, _, pad = _conv_geometry(xb, w, stride, padding)
     if b.shape != (c_out,):
         raise InvalidArgument(f"bias must be ({c_out},), got {b.shape}")
-    if cols is not None:
-        _check_columns(cols, xb, k, h_out, w_out, pad)
-    if _uses_taps(padding, k, c_in):
-        n = xb.shape[0]
-        hp, wp, span = _tap_shapes(xb, k)
-        grid, acc, product = _workspace_arrays(
-            np.result_type(xb, w), (n, c_in, hp, wp), (n, c_out, span), (n, c_out, span))
-        _fill_grid(grid, xb)
-        y = _tap_conv(w.transpose(2, 3, 0, 1), grid, acc, product, np.result_type(grid, b))
-    else:
-        cols = _im2col(xb, k, stride, h_out, w_out, pad, cols)
-        y = np.matmul(w.reshape(c_out, -1), cols).reshape(xb.shape[0], c_out, h_out, w_out)
-        y = y.astype(np.result_type(y, b), copy=False)
-    y += b[:, None, None]  # in place: no second output-sized temporary
+    y = _row_conv(xb, w, pad, b)
+    if stride > 1:  # the stride-1 output at every `stride`-th row and column
+        y = np.ascontiguousarray(y[:, :, ::stride, ::stride])
     return y[0] if single else y
 
 
 def conv2d_backward(
     dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: str = "valid",
-    input_grad: bool = True, cols: np.ndarray | None = None,
+    input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of conv2d for upstream dy; dx is None unless input_grad.
-
-    `cols` are x's columns as a `conv2d(..., cols=cols)` call built them; given, they are not rebuilt.
-    """
+    """Gradients (dx, dw, db) of conv2d for upstream dy; dx is None unless input_grad."""
     x, w, dy = _as_f32(x), _as_f32(w), _as_f32(dy)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(dy, 3)
-    c_out, c_in, k, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
+    c_out, h_out, w_out, pad = _conv_geometry(xb, w, stride, padding)
     if dyb.shape[1:] != (c_out, h_out, w_out):
         raise InvalidArgument(f"upstream must be (*, {c_out}, {h_out}, {w_out}), got {dyb.shape}")
-    if cols is not None:
-        _check_columns(cols, xb, k, h_out, w_out, pad)
-    dy_mat = dyb.reshape(dyb.shape[0], c_out, -1)
-    db = dy_mat.sum(axis=(0, 2))
-    if _uses_taps(padding, k, c_in):
-        dx, dw = _tap_backward(dyb, xb, w, input_grad)
-        return (dx[0] if single and input_grad else dx), dw, db
-
-    if cols is None:
-        cols = _im2col(xb, k, stride, h_out, w_out, pad)
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    if not input_grad:
-        return None, dw, db
-    # dx is dy, spread `stride` apart, correlated with the flipped kernel (see module
-    # docstring); dw is already formed, so dy's columns may take x's workspace
-    if stride > 1:
+    n, c_in, k = xb.shape[0], w.shape[1], w.shape[2]
+    db = dyb.reshape(n, c_out, -1).sum(axis=(0, 2))
+    if stride > 1:  # the stride-1 backward of dy spread `stride` apart
         spread = np.zeros(dyb.shape[:2] + ((h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dyb.dtype)
         spread[:, :, ::stride, ::stride] = dyb
         dyb = spread
-    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-    dx = np.matmul(w_flip, _im2col(dyb, k, 1, *xb.shape[2:], k - 1 - pad)).reshape(xb.shape)
-    return (dx[0] if single else dx), dw, db
-
-
-def _tap_backward(dyb: np.ndarray, xb: np.ndarray, w: np.ndarray,
-                  input_grad: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(dx, dw) of a batched same-padded conv on the tap kernel, x and dy each on a grid (see module docstring)."""
-    c_out, c_in, k, _ = w.shape
-    n = xb.shape[0]
-    hp, wp, span = _tap_shapes(xb, k)
-    grid, dy_grid, acc, product, per_map = _workspace_arrays(
-        np.result_type(xb, w, dyb), (n, c_in, hp, wp), (n, c_out, hp, wp), (n, c_in, span), (n, c_in, span),
-        (n, c_out, c_in))
-    _fill_grid(grid, xb)
-    _fill_grid(dy_grid, dyb)
-    # output q's dy sits at q + first on its grid, tap (ki, kj)'s input at q + ki*(W+2P) + kj
-    first = (k - 1) // 2 * (wp + 1)
-    dy_flat = dy_grid.reshape(n, c_out, -1)[:, :, first : first + span]
-    x_flat = grid.reshape(n, c_in, -1)
-    dw = np.empty((k, k, c_out, c_in), grid.dtype)
+    row, size = dyb.shape[3], dyb.shape[2] * dyb.shape[3]  # the stride-1 output's width and size
+    ex, per_map = _expand(xb, k, pad, np.result_type(xb, w, dyb), (n, c_out, c_in * k))
+    dy_flat = dyb.reshape(n, c_out, size)
+    dw = np.empty((k, c_out, c_in * k), ex.dtype)
     for ki in range(k):
-        for kj in range(k):
-            np.matmul(dy_flat, x_flat[:, :, ki * wp + kj :][:, :, :span].transpose(0, 2, 1), out=per_map)
-            per_map.sum(axis=0, out=dw[ki, kj])
-    dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
+        np.matmul(dy_flat, ex[:, :, ki * row : ki * row + size].transpose(0, 2, 1), out=per_map)
+        per_map.sum(axis=0, out=dw[ki])
+    dw = np.ascontiguousarray(dw.reshape(k, c_out, c_in, k).transpose(1, 2, 0, 3))
     if not input_grad:
-        return None, dw
-    dx = _tap_conv(w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0), dy_grid, acc, product, acc.dtype)
-    return dx, dw
+        return None, dw, db
+    # dw is formed, so dy's kernel rows may take x's workspace (see module docstring)
+    dx = _row_conv(dyb, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad, None)
+    return (dx[0] if single else dx), dw, db
 
 
 def _transpose_matrix(w: np.ndarray) -> np.ndarray:
@@ -411,13 +322,8 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _masked(dy: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """dy's bits where `keep` (broadcast), +0.0's bits elsewhere: dy AND a mask of -keep.
-
-    Without `out` the result is written over the mask, so only one array of its size is allocated.
-    """
-    bits = _bits(dy)
-    mask = np.negative(keep, dtype=bits.dtype)
-    return np.bitwise_and(bits, mask, out=mask if out is None else out)
+    """dy's bits where `keep` (broadcast), +0.0's bits elsewhere: dy's integer view times keep."""
+    return np.multiply(_bits(dy), keep, out=out)
 
 
 def _pool_backward(dy: np.ndarray, x: np.ndarray, positive_only: bool) -> np.ndarray:

@@ -186,16 +186,6 @@ def _conv_operands(*arrays: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def im2col_taps(x: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """Valid-padded columns (N, C*K*K, H_out*W_out), one strided copy per tap."""
-    n, c = x.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = x[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride]
-    return cols.reshape(n, c * k * k, h_out * w_out)
-
-
 def col2im_taps(dcols: np.ndarray, x_shape: tuple, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
     """Valid-padded col2im: each tap's rectangle added into a zeroed dx, taps in row-major order."""
     n, c = x_shape[:2]
@@ -265,12 +255,46 @@ def conv_transpose2x2_einsum_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarr
     return (dx[0] if single else dx), dw, dyb.sum(axis=(0, 2, 3))
 
 
+def kernel_rows(padded: np.ndarray, k: int) -> np.ndarray:
+    """Kernel rows (N, C*K, H_p*W_out) of an already padded map: row (c, kj) is channel c shifted left by kj.
+
+    W_out = W_p - K + 1; one slice copy per kj.
+    """
+    n, c, hp, wp = padded.shape
+    w_out = wp - k + 1
+    ex = np.empty((n, c, k, hp, w_out), padded.dtype)
+    for kj in range(k):
+        ex[:, :, kj] = padded[:, :, :, kj : kj + w_out]
+    return ex.reshape(n, c * k, hp * w_out)
+
+
+def conv2d_rows(padded: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Stride-1 correlation of a padded map with w, plus b: one GEMM per kernel row ki against `kernel_rows`.
+
+    The sum starts at b if given, else at row 0's GEMM, and adds the other rows' GEMMs in ki order.
+    """
+    c_out, _, k, _ = w.shape
+    n, _, hp, wp = padded.shape
+    h_out, w_out = hp - k + 1, wp - k + 1
+    ex, size = kernel_rows(padded, k), h_out * w_out
+    rows = [np.ascontiguousarray(w[:, :, ki]).reshape(c_out, -1) for ki in range(k)]  # BLAS sees one layout
+    if b is None:
+        y = np.matmul(rows[0], ex[:, :, :size])
+    else:
+        y = np.empty((n, c_out, size), np.result_type(padded, w, b))
+        y[...] = b[:, None]
+        y += np.matmul(rows[0], ex[:, :, :size])
+    for ki in range(1, k):
+        y += np.matmul(rows[ki], ex[:, :, ki * w_out : ki * w_out + size])
+    return y.reshape(n, c_out, h_out, w_out)
+
+
 def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """dx of a conv with `stride` and padding `pad`, as a correlation of dy with the flipped kernel.
 
     dy (N, C_out, H_out, W_out) is spread `stride` apart into zeros, np.pad-ed by
-    K - 1 - pad, cut into per-tap columns, and multiplied by the kernel flipped in
-    both spatial axes with its channel axes swapped.
+    K - 1 - pad, and correlated by `conv2d_rows` with the kernel flipped in both
+    spatial axes and its channel axes swapped.
     """
     dy, w = _conv_operands(dy, w)
     n, c_out, h_out, w_out = dy.shape
@@ -279,9 +303,7 @@ def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, pad: int) -> n
     spread[:, :, ::stride, ::stride] = dy
     q = k - 1 - pad
     padded = np.pad(spread, ((0, 0), (0, 0), (q, q), (q, q)))
-    h, wdt = padded.shape[2] - k + 1, padded.shape[3] - k + 1
-    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(w.shape[1], -1)
-    return np.matmul(w_flip, im2col_taps(padded, k, 1, h, wdt)).reshape(n, w.shape[1], h, wdt)
+    return conv2d_rows(padded, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 def col2im_padded(dcols: np.ndarray, x_shape: tuple, k: int) -> np.ndarray:

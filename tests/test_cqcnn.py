@@ -220,57 +220,52 @@ class TestBackward:
         assert calls == [("relu_maxpool2x2_backward", trace["conv2"]), ("relu_maxpool2x2_backward", trace["conv1"])]
 
 
-class TestKeptColumns:
-    """A training step builds each conv's columns once: forward keeps them in the model, backward reuses them."""
+class TestTrainingStepRows:
+    """A training step keeps no conv workspace: backward rebuilds each conv's kernel rows from the cached input."""
 
     @staticmethod
-    def _step_after_predict(model: CqcnnModel, rng: np.random.Generator):
+    def _step(model: CqcnnModel, rng: np.random.Generator, predict_between: bool):
         img, others = rng.random((128, 128), np.float32), list(rng.random((3, 128, 128), np.float32))
         model.forward(img, mode="train", rng=Rng(1))
-        model.predict(others)  # refills the shared column workspace with other images' columns
+        if predict_between:
+            model.predict(others)  # refills the shared conv workspace with other images' kernel rows
         return model.backward(np.array([0.0, 1.0], np.float32))
 
     @pytest.mark.parametrize("head", [HEAD_QUANTUM, HEAD_CLASSICAL])
-    def test_gradients_equal_those_from_rebuilt_columns(self, head, monkeypatch):
-        kept = self._step_after_predict(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2))
-        real = cqcnn.conv2d_backward
+    def test_predict_between_forward_and_backward_changes_no_gradient(self, head):
+        interleaved = self._step(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2), True)
+        plain = self._step(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2), False)
+        for name in plain:
+            assert np.array_equal(interleaved[name], plain[name]), name
 
-        def rebuilding(dy, x, w, *args, cols=None, **kwargs):
-            return real(dy, x, w, *args, **kwargs)
+    def test_warm_training_step_allocates_no_conv1_expansion(self, monkeypatch):
+        # the rest of the step holds more than conv1's kernel rows at once, so each conv
+        # call is measured on its own: what it allocates beyond what it found
+        grown = []
 
-        monkeypatch.setattr(cqcnn, "conv2d_backward", rebuilding)
-        rebuilt = self._step_after_predict(CqcnnModel(CqcnnConfig(head=head)), np.random.default_rng(2))
-        for name in kept:
-            assert np.array_equal(kept[name], rebuilt[name]), name
+        def measured(kernel):
+            def call(*args, **kwargs):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = kernel(*args, **kwargs)
+                grown.append(tracemalloc.get_traced_memory()[1] - before)
+                return out
+            return call
 
-    def test_backward_builds_no_columns(self, monkeypatch):
         model = CqcnnModel(CqcnnConfig())
-        model.forward(np.random.default_rng(3).random((128, 128), np.float32))
-        calls = []
-        real = ops._im2col
-        monkeypatch.setattr(ops, "_im2col", lambda *args: calls.append(args[1:]) or real(*args))
-        model.backward(np.array([1.0, 0.0], np.float32))
-        # x's columns come from the forward; the one set built is conv2's dy, padded by K - 1
-        assert calls == [(5, 1, 62, 62, 4)]
-
-    def test_warm_training_step_allocates_no_conv1_columns(self, monkeypatch):
-        # one conv1 channel keeps the rest of the step (conv2's padded dy above all)
-        # below the size of conv1's columns; conv2's dy columns, as large, reuse the
-        # workspace that the warm-up grew
-        monkeypatch.setattr(cqcnn, "CONV1_OUT", 1)
-        model = CqcnnModel(CqcnnConfig())
-        assert model.params()["conv1_w"].shape == (1, 1, 5, 5)
         img = np.random.default_rng(4).random((128, 128), np.float32)
         y = np.array([0.0, 1.0], np.float32)
-        backward(model, img, y, rng=Rng(0))  # warm-up: allocates the model's column buffers
-        conv1_cols = 25 * 124 * 124 * 4
+        backward(model, img, y, rng=Rng(0))  # warm-up: grows the conv workspace
+        for name in ("conv2d", "conv2d_backward"):
+            monkeypatch.setattr(cqcnn, name, measured(getattr(cqcnn, name)))
+        conv1_rows = 5 * 128 * 124 * 4
         tracemalloc.start()
         try:
             backward(model, img, y, rng=Rng(0))
-            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < conv1_cols  # so no array that large was allocated
+        assert len(grown) == 4
+        assert max(grown) < conv1_rows  # so no conv call allocated an array that large
 
 
 class TestTraining:

@@ -26,13 +26,13 @@ NUMPY = "2.4.6"
 BLAS = "scipy-openblas 0.3.31.188.0"
 
 DIGESTS = {
-    ("classify", 1): "894d33cab26dc207b43e7926aa0e900985e3166a7eff57f3fab1668d7aefee72",
-    ("segment", 1): "f7b2f7de8e324eb60f814f78d7bd9f9d3dd4fa8e9a30cfcaafa20b4cfc6fbe4a",
-    ("synthesize", 1): "959296cda2cd66878584a297165bd98375c44d1640d908a47762050ac4c4f66b",
-    ("classify", 2): "b967263875147fba537066478bba099e464766a4653098fc3c8b1ba34bb00ba9",
-    ("segment", 2): "415348e3a3e400e483c2d14b9c37050d4ad2b3030593a1fe18e9d3480d3fcb17",
-    ("synthesize", 2): "94bd20718d39ea109e9a0c064512ae62f311680d0eba8126f9b9056693d0a062",
-    ("classify", 3): "d60485bbe3a805a8cec463f7467e229425d3c8f7d63f653048a04e8a35325fd8",
+    ("classify", 1): "f1bb8076c72658285aad905d61df18bb08be2ed1a0ab960bf8f06574fc7dac6c",
+    ("segment", 1): "b9d72e9f24f5325894761b671272021ce53cc4961aa855ba3199a682561bbc58",
+    ("synthesize", 1): "cab096347769fb176690dc5af8642767c296ee3c7b3031cb209c21c2f2c2ddb8",
+    ("classify", 2): "5ffedb153f40df2f112be6fdff9992a54896d71a17b3b6148d427d73f2f451f9",
+    ("segment", 2): "740f71c04b8491a1c5b497df2e13988926c14b184ce02f5e99a7cb0eff55d7b4",
+    ("synthesize", 2): "63ede4565501b185ab596eb03c30210d4ca4b835251ccca55fa81cdf52a72308",
+    ("classify", 3): "6ef78fd9b8a994cfb869d2bece9b740fc17d32797316421a446892e4cb0c339e",
 }
 
 

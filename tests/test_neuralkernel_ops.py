@@ -31,13 +31,14 @@ from oracles import (
     col2im_padded,
     col2im_taps,
     conv2d_input_grad,
+    conv2d_rows,
     conv2d_same_taps,
     conv2d_same_taps_backward,
     conv_transpose2x2_einsum,
     conv_transpose2x2_einsum_backward,
     finite_difference_grad,
     grads_close,
-    im2col_taps,
+    kernel_rows,
     maxpool2x2_backward_argmax,
     maxpool2x2_backward_copyto,
     relu_backward_where,
@@ -130,8 +131,8 @@ class TestConv2d:
         assert np.array_equal(dw, dw_full) and np.array_equal(db, db_full)
 
 
-class TestColumnWorkspace:
-    """conv columns come from one reused buffer per dtype and thread (ops module docstring)."""
+class TestConvWorkspace:
+    """conv kernel rows come from one reused buffer per dtype and thread (ops module docstring)."""
 
     @staticmethod
     def _first_layer(batch: int = 1):
@@ -139,9 +140,9 @@ class TestColumnWorkspace:
         x = rng.random((batch, 1, 128, 128)).astype(np.float32)
         return x, rng.standard_normal((2, 1, 5, 5)).astype(np.float32), np.zeros(2, np.float32)
 
-    def test_warm_call_allocates_no_columns(self):
+    def test_warm_call_allocates_no_kernel_rows(self):
         x, w, b = self._first_layer()
-        out = conv2d(x, w, b)  # warm-up: grows the workspace to 1.5 MB of columns
+        out = conv2d(x, w, b)  # warm-up: grows the workspace to 317,440 B of kernel rows
         tracemalloc.start()
         try:
             out = conv2d(x, w, b)
@@ -154,21 +155,21 @@ class TestColumnWorkspace:
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_outputs_never_alias_the_workspace(self, padding, channels):
         x, w, b = self._first_layer(batch=2)
-        x, w = np.repeat(x, channels, axis=1), np.repeat(w, channels, axis=1)  # same-padded C_in > 1 runs taps
+        x, w = np.repeat(x, channels, axis=1), np.repeat(w, channels, axis=1)
         y = conv2d(x, w, b, padding=padding)
         grads = conv2d_backward(np.ones_like(y), x, w, padding=padding)
         buffer = ops._workspace.by_dtype[np.dtype(np.float32)]
         for arr in (y, *grads):
             assert not np.shares_memory(arr, buffer)
 
-    def test_float64_calls_keep_float32_columns(self):
+    def test_float64_calls_keep_float32_rows(self):
         x, _, _ = self._first_layer()
         x64, w64, b64 = x.astype(np.float64), np.ones((3, 1, 5, 5)), np.zeros(3)
         conv2d(x64, w64, b64)  # a buffer shared across dtypes would now be big enough for both
-        cols = ops._im2col(x, 5, 1, 124, 124, 0)
-        want = cols.copy()
+        ex, _ = ops._expand(x, 5, 0, np.dtype(np.float32), (0,))
+        want = ex.copy()
         conv2d(x64, w64, b64)
-        assert np.array_equal(cols, want)
+        assert np.array_equal(ex, want)
 
     def test_each_thread_has_its_own_buffer(self):
         x, w, b = self._first_layer()
@@ -251,17 +252,21 @@ class TestSamePaddingWithoutPad:
             assert _within_rounding(got[1], want[1], size[1], per_map)
             assert _within_rounding(got[2], want[2], size[2], per_map)
 
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("n, c_in, c_out, hw", [(3, 5, 4, 6), (8, 64, 64, 4)])
-    def test_batch_items_equal_one_item_results(self, n, c_in, c_out, hw, k):
+    @pytest.mark.parametrize("n, c_in, c_out, hw, k, padding", [
+        (3, 5, 4, 6, 3, "same"), (3, 5, 4, 6, 5, "same"), (8, 64, 64, 4, 3, "same"), (8, 64, 64, 4, 5, "same"),
+        pytest.param(2, 1, 2, 128, 5, "valid", id="classifier-conv1"),
+    ])
+    def test_batch_items_equal_one_item_results(self, n, c_in, c_out, hw, k, padding):
         # each map gets GEMMs of its own, so a batch's shape cannot change an item's rounding
         rng = np.random.default_rng(n + c_in + k)
         x = rng.standard_normal((n, c_in, hw, hw)).astype(np.float32)
         w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
-        y = conv2d(x, w, b, padding="same")
-        for item, y_item in zip(x, y):
-            assert _same_bits(y_item, conv2d(item, w, b, padding="same"))
+        y = conv2d(x, w, b, padding=padding)
+        dx, _, _ = conv2d_backward(y, x, w, padding=padding)
+        for item, y_item, dx_item in zip(x, y, dx):
+            assert _same_bits(y_item, conv2d(item, w, b, padding=padding))
+            assert _same_bits(dx_item, conv2d_backward(y_item, item, w, padding=padding)[0])
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_input_gradient_owns_no_larger_buffer(self, batched):
@@ -299,14 +304,14 @@ class TestSamePaddingWithoutPad:
         assert np.all(np.abs(got - tap_sum(w, dy)) <= 1e-12 * tap_sum(np.abs(w), np.abs(dy)))
 
     @pytest.mark.parametrize("k", [3, 5])
-    def test_stale_workspace_columns_are_overwritten(self, k):
+    def test_stale_workspace_is_overwritten(self, k):
         rng = np.random.default_rng(5)
         big = rng.standard_normal((4, 3, 40, 40)).astype(np.float32) + 100.0
         conv2d(big, rng.standard_normal((2, 3, 5, 5)).astype(np.float32), np.zeros(2, np.float32))
         conv2d_backward(np.ones((4, 2, 36, 36), np.float32), big,
                         rng.standard_normal((2, 3, 5, 5)).astype(np.float32))
-        # the workspace now holds a larger conv's columns, then NaN everywhere; a reused
-        # grid must read +0.0 at its border, and every tap sum must overwrite its run
+        # the workspace now holds a larger conv's kernel rows, then NaN everywhere; reused
+        # rows must read +0.0 in their border strips, and every GEMM must overwrite its output
         ops._workspace.by_dtype[np.dtype(np.float32)].fill(np.nan)
         x, w, b, dy = self._operands(6, k, (7, 9), True, np.float32)
         want, size = conv2d_same_taps(x, w, b), conv2d_same_taps(*_abs(x, w, b))
@@ -317,8 +322,8 @@ class TestSamePaddingWithoutPad:
             assert _within_rounding(got_g, want_g, size_g, terms)
 
     def test_warm_backward_allocates_only_dx(self):
-        # x's and dy's grids, the tap sums and the per-map dw products are all carved
-        # from the workspace; of the arrays backward returns, only dx is large
+        # x's and dy's kernel rows, the row sum and the per-map dw products are all
+        # carved from the workspace; of the arrays backward returns, only dx is large
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 8, 64, 64)).astype(np.float32)
         w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
@@ -333,9 +338,9 @@ class TestSamePaddingWithoutPad:
         assert peak <= dx.nbytes + 64 * 1024
 
     def test_warm_call_allocates_only_its_output(self):
-        # the grid (8 x 4 x 66 x 66 float32, 557,568 B), the tap sum and the per-tap
-        # product come from the workspace; the output is the sum's crop, copied out
-        # once, with the bias then added in place
+        # the kernel rows (8 x 12 x 66 x 64 float32, 1,622,016 B) and the row-sum
+        # accumulator come from the workspace; the first row's GEMM writes the output,
+        # the others add into it, and the bias is added in place
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
@@ -358,21 +363,19 @@ class TestSamePaddingWithoutPad:
                             padding="same")
 
 
-class TestValidColumns:
-    """Columns (one strided copy) equal the per-tap loops; a valid conv's dx equals `conv2d_input_grad`.
+class TestKernelRows:
+    """The expansion equals the per-kj loop over an np.pad copy; a conv's dx equals `conv2d_input_grad`.
 
-    Same-padded columns are compared with the loops over an np.pad copy of x.
-    The input gradient's oracle builds dy's columns with the per-tap loops over
-    an np.pad copy and runs the same GEMM, so the two agree byte for byte on
-    -0.0, NaN and infinite terms as well.
+    The input gradient's oracle builds dy's kernel rows with the per-kj loop over
+    an np.pad copy and runs the same per-row GEMMs in the same order, so the two
+    agree byte for byte on -0.0, NaN and infinite terms as well.
     """
 
     GEOMETRY = [(k, stride, hw) for k in (1, 3, 5) for stride in (1, 2) for hw in ((1, 1), (2, 5), (4, 3))]
-    # (k, stride, hw, pad): the valid geometries, then same padding at stride 1
-    COLUMN_CASES = ([pytest.param(k, stride, hw, 0, id=f"{k}-{stride}-hw{i}")
-                     for i, (k, stride, hw) in enumerate(GEOMETRY)]
-                    + [pytest.param(k, 1, hw, (k - 1) // 2, id=f"same-{k}-hw{i}")
-                       for k in (1, 3, 5) for i, hw in enumerate(((1, 1), (2, 5), (4, 3)))])
+    # (k, pad, x's spatial shape): valid, same and a backward's K - 1 padding, wherever a row fits
+    ROW_CASES = [pytest.param(k, pad, hw, id=f"{k}-pad{pad}-hw{i}")
+                 for k in (1, 3, 5) for pad in sorted({0, (k - 1) // 2, k - 1})
+                 for i, hw in enumerate(((1, 1), (2, 5), (4, 3), (7, 6))) if min(hw) + 2 * pad >= k]
 
     @staticmethod
     def _terms(rng: np.random.Generator, shape: tuple[int, ...], dtype, specials: tuple[float, ...]) -> np.ndarray:
@@ -384,13 +387,29 @@ class TestValidColumns:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 2])
-    @pytest.mark.parametrize("k, stride, hw, pad", COLUMN_CASES)
-    def test_im2col_matches_tap_loop(self, k, stride, hw, pad, batch, dtype):
-        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1] + pad)
-        x = self._terms(rng, (batch, 3, (hw[0] - 1) * stride + k - 2 * pad, (hw[1] - 1) * stride + k - 2 * pad),
+    @pytest.mark.parametrize("k, pad, hw", ROW_CASES)
+    def test_expansion_matches_row_loop(self, k, pad, hw, batch, dtype):
+        rng = np.random.default_rng(k * 100 + pad * 10 + hw[1])
+        x = self._terms(rng, (batch, 3, *hw), dtype, (np.nan, np.inf))
+        ops._workspace_arrays(np.dtype(dtype), (4096,))[0].fill(np.nan)  # stale values the border strips must clear
+        ex, _ = ops._expand(x, k, pad, np.dtype(dtype), (0,))
+        assert _same_bits(ex, kernel_rows(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, hw, padding", [
+        pytest.param(k, stride, hw, padding, id=f"{padding}-{k}-{stride}-hw{i}")
+        for i, (k, stride, hw) in enumerate(GEOMETRY) for padding in ("valid", "same")
+        if padding == "valid" or stride == 1])
+    def test_forward_matches_oracle(self, k, stride, hw, padding, dtype):
+        rng = np.random.default_rng(k * 100 + stride * 10 + hw[1])
+        pad = (k - 1) // 2 if padding == "same" else 0
+        x = self._terms(rng, (2, 3, (hw[0] - 1) * stride + k - 2 * pad, (hw[1] - 1) * stride + k - 2 * pad),
                         dtype, (np.nan, np.inf))
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        assert _same_bits(ops._im2col(x, k, stride, *hw, pad), im2col_taps(padded, k, stride, *hw))
+        w, b = _with_signed_zeros(rng, (2, 3, k, k), dtype), _with_signed_zeros(rng, (2,), dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = conv2d(x, w, b, stride, padding)
+            want = conv2d_rows(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), w, b)[:, :, ::stride, ::stride]
+        assert _same_bits(got, np.ascontiguousarray(want))
 
     @pytest.mark.parametrize("specials", [(), (np.nan, np.inf), (np.inf, -np.inf)], ids=["finite", "nan", "infs"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -420,42 +439,6 @@ class TestValidColumns:
         finally:
             tracemalloc.stop()
         assert peak <= dx.nbytes + 64 * 1024
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_caller_columns_are_built_and_reused(self, dtype):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 9, 7)).astype(dtype)
-        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
-        b = rng.standard_normal(4).astype(dtype)
-        cols = np.empty((2, 27, 35), dtype)
-        assert _same_bits(conv2d(x, w, b, cols=cols), conv2d(x, w, b))
-        assert _same_bits(cols, im2col_taps(x, 3, 1, 7, 5))
-        dy = rng.standard_normal((2, 4, 7, 5)).astype(dtype)
-        for got, want in zip(conv2d_backward(dy, x, w, cols=cols), conv2d_backward(dy, x, w)):
-            assert _same_bits(got, want)
-        cols[...] = 0.0  # backward reads the columns it is given, not x
-        assert not conv2d_backward(dy, x, w, cols=cols)[1].any()
-
-    @pytest.mark.parametrize("shape, dtype", [((2, 27, 34), np.float32), ((1, 27, 35), np.float32),
-                                              ((2, 27, 35), np.float64)])
-    def test_mismatched_columns_rejected(self, shape, dtype):
-        x = np.zeros((2, 3, 9, 7), np.float32)
-        w, cols = np.zeros((4, 3, 3, 3), np.float32), np.empty(shape, dtype)
-        with pytest.raises(InvalidArgument, match="columns"):
-            conv2d(x, w, np.zeros(4, np.float32), cols=cols)
-        with pytest.raises(InvalidArgument, match="columns"):
-            conv2d_backward(np.zeros((2, 4, 7, 5), np.float32), x, w, cols=cols)
-
-
-    @pytest.mark.parametrize("c_in", [1, 3])
-    def test_columns_need_valid_padding(self, c_in):
-        # a same-padded conv builds a grid (C_in > 1) or a padded copy (C_in = 1), never the caller's columns
-        x, w = np.zeros((2, c_in, 9, 7), np.float32), np.zeros((4, c_in, 3, 3), np.float32)
-        cols = np.empty((2, c_in * 9, 63), np.float32)
-        with pytest.raises(InvalidArgument, match="valid padding"):
-            conv2d(x, w, np.zeros(4, np.float32), padding="same", cols=cols)
-        with pytest.raises(InvalidArgument, match="valid padding"):
-            conv2d_backward(np.zeros((2, 4, 9, 7), np.float32), x, w, padding="same", cols=cols)
 
 
 class TestConvTranspose:
