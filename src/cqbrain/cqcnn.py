@@ -6,7 +6,8 @@ a small feature vector. The convs are the paper's and no config sets them.
 Each stage computes relu(maxpool2x2(z)), pooling before the ReLU: both are
 monotone, so the output equals maxpool2x2(relu(z)) byte for byte (the ReLU
 turns a pooled -0.0 into the +0.0 it gives each element), at a quarter of
-the ReLU work. Backward runs `relu_maxpool2x2_backward` once per stage.
+the ReLU work. Backward runs `relu_maxpool2x2_backward` once per stage, on
+the pooled activation the forward kept, so no window max is formed twice.
 The quantum head feeds the first n_qubits features into the simulated
 circuit, squashes the resulting probability through a scalar affine +
 sigmoid stage o1, and emits the class distribution (o1, 1 - o1). The
@@ -258,9 +259,9 @@ class CqcnnModel:
         dflat, grads["fc_w"], grads["fc_b"] = dense_backward(dfc, c["flat"], p["fc_w"])
         dd = dflat.reshape(c["p2"].shape)
         dp2 = dropout_backward(dd, c["mask"], c["rate"])
-        dz2 = relu_maxpool2x2_backward(dp2, c["z2"])
+        dz2 = relu_maxpool2x2_backward(dp2, c["z2"], c["p2"])
         dp1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(dz2, c["p1"], p["conv2_w"])
-        dz1 = relu_maxpool2x2_backward(dp1, c["z1"])
+        dz1 = relu_maxpool2x2_backward(dp1, c["z1"], c["p1"])
         _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(dz1, c["x0"], p["conv1_w"], input_grad=False)
         return grads
 

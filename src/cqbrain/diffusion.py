@@ -138,19 +138,26 @@ class NoisePredictor:
     def params(self) -> Params:
         return self.unet.params()
 
-    def forward(self, x_t: np.ndarray, t) -> np.ndarray:
-        """Noise estimate with x_t's shape; x_t is (N, 1, H, W), t scalar or (N,)."""
+    def forward(self, x_t: np.ndarray, t, keep: bool = True) -> np.ndarray:
+        """Noise estimate with x_t's shape; x_t is (N, 1, H, W), t scalar or (N,).
+
+        keep=False (sampling) keeps nothing for backward, as `UNet.forward` does.
+        """
         x_t = np.asarray(x_t)
         ts = _timestep_index(t, x_t.shape[0], np.iinfo(np.int64).max)
         p = self.params()
-        emb = self._emb = sinusoidal_embedding(ts, self.config.emb_dim).astype(p.flat.dtype)
+        emb = sinusoidal_embedding(ts, self.config.emb_dim).astype(p.flat.dtype)
         badd = emb @ p["temb_w"].T + p["temb_b"]
-        return self.unet.forward(x_t, bottleneck_add=badd)
+        eps_hat = self.unet.forward(x_t, bottleneck_add=badd, keep=keep)
+        if keep:
+            self._emb = emb
+        return eps_hat
 
     def backward(self, dy: np.ndarray) -> Params:
-        """Gradients of every parameter, in the layout of `params()`."""
+        """Gradients of every parameter, in the layout of `params()`; uses up the forward's cache."""
         grads, dba = self.unet.backward(dy)
-        grads["temb_w"] = dba.T @ self._emb
+        emb, self._emb = self._emb, None
+        grads["temb_w"] = dba.T @ emb
         grads["temb_b"] = dba.sum(axis=0)
         return grads
 
@@ -189,7 +196,7 @@ def sample(predictor, schedule: NoiseSchedule, shape: tuple[int, int], rng: Rng,
     z_rng = rng.derive("z")
     for t in range(schedule.T, 0, -1):
         beta, alpha, abar = schedule.at(t)
-        eps_hat = predictor.forward(x, t)
+        eps_hat = predictor.forward(x, t, keep=False)
         mean = (x - np.float32(beta / math.sqrt(1.0 - abar)) * eps_hat) / np.float32(math.sqrt(alpha))
         if t > 1:
             mean = mean + np.float32(math.sqrt(beta)) * z_rng.normal(x.shape).astype(np.float32)

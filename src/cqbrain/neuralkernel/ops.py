@@ -13,12 +13,15 @@ Max-pool tie rule: `maxpool2x2_backward` routes each window's upstream
 gradient to the first of its maxima in row-major order
 ((0,0), (0,1), (1,0), (1,1)); -0.0 and 0.0 count as equal. A window
 holding a NaN has no element equal to its max and receives no gradient.
-`relu_maxpool2x2_backward(dy, z)`, the gradient of maxpool2x2(relu(z)),
-follows the same rule on z, and routes only where the window's max is
-above 0; its result equals
+`relu_maxpool2x2_backward(dy, z, pooled)`, the gradient of
+maxpool2x2(relu(z)), follows the same rule on z, and routes only where the
+window's max is above 0; it reads each window's max from the forward's
+`pooled`, maxpool2x2(z) or its ReLU, which agree wherever the max is above
+0 and so give the same result. Its result equals
 `relu_backward(maxpool2x2_backward(dy, relu(z)), z)` byte for byte. Every
 element no window routes to, the odd trailing row and column included, is
-+0.0.
++0.0. The pool kernels read x through strided views, so a view into a
+wider array (the U-Net's skip inside its decoder input) is read in place.
 
 Backward without selects: `relu_backward` and both pool backward kernels
 pass dy on through its integer view (int32 for float32, int64 for float64)
@@ -40,7 +43,8 @@ written straight into the output's shape with nothing to crop. The output
 starts as the bias and each row's GEMM is added to it in ki order. Each map
 gets GEMMs of its own, so a batch item's result is its one-item result bit
 for bit. A stride s > 1 conv is the stride-1 conv read at [::s, ::s], so the
-expansion never sees a stride.
+expansion never sees a stride. A 1x1 conv without padding copies nothing:
+x's own maps, read as (N, C_in, H*W), are its one kernel row.
 
 Backward on kernel rows: dw[:, :, ki, :] is the sum over maps of dy's run
 times the transpose of x's ex run from ki*W_out. dx is the forward's code
@@ -99,6 +103,12 @@ def _as_f32(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=dtype)
 
 
+def _as_float(x: np.ndarray) -> np.ndarray:
+    """`_as_f32`'s dtype without its contiguous copy: for kernels that read x only through strided views."""
+    x = np.asarray(x)
+    return x.astype(np.float64 if x.dtype == np.float64 else np.float32, copy=False)
+
+
 def _batched(x: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
     """Add a leading batch axis if `x` is a single item of rank `ndim`."""
     if x.ndim == ndim:
@@ -152,12 +162,16 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
 
 def _expand(x: np.ndarray, k: int, pad: int, dtype: np.dtype,
             scratch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(ex, a `scratch`-shaped view) in the workspace; ex (N, C*K, (H+2P)*W_out) is x's kernel rows.
+    """(ex, a `scratch`-shaped view in the workspace); ex (N, C*K, (H+2P)*W_out) is x's kernel rows.
 
-    ex[n, (c, kj), r*W_out + j] = x_pad[n, c, r, j + kj], W_out = W + 2P - K + 1: one
-    copy of x's in-range rectangle per kj, and the border strips zeroed (see module docstring).
+    ex[n, (c, kj), r*W_out + j] = x_pad[n, c, r, j + kj], W_out = W + 2P - K + 1: one copy
+    of x's in-range rectangle per kj in the workspace, and the border strips zeroed, or, for
+    K = 1 and P = 0, x's own contiguous maps (see module docstring).
     """
     n, c, h, w = x.shape
+    if k == 1 and pad == 0:  # x's own maps are its one kernel row
+        (view,) = _workspace_arrays(dtype, scratch)
+        return x.reshape(n, c, h * w).astype(dtype, copy=False), view
     w_out = w + 2 * pad - k + 1
     ex, view = _workspace_arrays(dtype, (n, c, k, h + 2 * pad, w_out), scratch)
     ex[:, :, :, :pad] = 0.0
@@ -310,7 +324,7 @@ def _window_max(views: list[np.ndarray]) -> np.ndarray:
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
     """Per-window max over 2x2 tiles; odd trailing row/column dropped."""
-    x = _as_f32(x)
+    x = _as_float(x)
     xb, single = _batched(x, 3)
     y = _window_max(_pool_windows(xb))
     return y[0] if single else y
@@ -326,18 +340,26 @@ def _masked(dy: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> 
     return np.multiply(_bits(dy), keep, out=out)
 
 
-def _pool_backward(dy: np.ndarray, x: np.ndarray, positive_only: bool) -> np.ndarray:
-    """Routes dy to each window's first max of x, only where that max is above 0 if `positive_only`."""
-    x = _as_f32(x)
+def _pool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray | None, positive_only: bool) -> np.ndarray:
+    """Routes dy to each window's first max of x, only where that max is above 0 if `positive_only`.
+
+    y is maxpool2x2(x) (or, if `positive_only`, its ReLU) as the caller kept it, else None and formed here.
+    """
+    x = _as_float(x)
     xb, single = _batched(x, 3)
     dyb, _ = _batched(np.ascontiguousarray(dy, dtype=x.dtype), 3)
     h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
     if dyb.shape != (*xb.shape[:2], h2, w2):
         raise InvalidArgument(f"upstream shape {dyb.shape} does not match pooled {xb.shape}")
     views = _pool_windows(xb)
-    y = _window_max(views)
+    if y is None:
+        y = _window_max(views)
+    else:
+        y, _ = _batched(np.asarray(y, x.dtype), 3)
+        if y.shape != dyb.shape:
+            raise InvalidArgument(f"window max shape {y.shape} does not match pooled {xb.shape}")
     unclaimed = y > 0 if positive_only else np.ones(y.shape, dtype=bool)
-    dx = np.empty_like(xb)
+    dx = np.empty(xb.shape, xb.dtype)
     dx[:, :, 2 * h2 :] = 0.0
     dx[:, :, :, 2 * w2 :] = 0.0
     for view, dx_bits in zip(views, _pool_windows(_bits(dx))):
@@ -350,16 +372,17 @@ def _pool_backward(dy: np.ndarray, x: np.ndarray, positive_only: bool) -> np.nda
 
 def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Routes dy to each window's first max in row-major order (see module docstring)."""
-    return _pool_backward(dy, x, positive_only=False)
+    return _pool_backward(dy, x, None, positive_only=False)
 
 
-def relu_maxpool2x2_backward(dy: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Gradient of maxpool2x2(relu(z)) in one pass (see module docstring)."""
-    return _pool_backward(dy, z, positive_only=True)
+def relu_maxpool2x2_backward(dy: np.ndarray, z: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Gradient of maxpool2x2(relu(z)) in one pass, given the forward's pooled z (see module docstring)."""
+    return _pool_backward(dy, z, pooled, positive_only=True)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(_as_f32(x), 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), written into `out` if given (x itself for a ReLU in place)."""
+    return np.maximum(_as_f32(x), 0.0, out=out)
 
 
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:

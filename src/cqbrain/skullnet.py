@@ -9,6 +9,19 @@ SkullNet and the denoiser both use it so. An optional per-channel vector
 can be broadcast-added at the bottleneck (the denoiser injects its
 timestep embedding there).
 
+Activation lifetime: `forward` keeps each activation once, for `backward`:
+the input, each conv's ReLU output, each pooled map, the bottleneck and
+each level's decoder input. The ReLU runs in place over its conv output,
+and `relu_backward` reads y > 0, the same mask as z > 0 (NaN and +-0
+included). A level's decoder input is one (N, 2C, H, W) buffer: the
+encoder's last ReLU at that level writes its skip into the second half
+and the transposed conv fills the first, so no concatenation copies the
+skip, and the cached skip is a view into that buffer. `backward` drops each
+entry once the gradients that read it are formed and ends holding nothing,
+so a second `backward` needs a new `forward`. Inference (`segment_many`,
+the denoiser's sampling) runs `forward(..., keep=False)`: the same code,
+which keeps no cache and leaves a kept one as it is.
+
 Training for brain masks minimizes binary cross-entropy plus (1 - soft
 Dice); predictions are binarized at 0.5 before scoring or mask application.
 """
@@ -112,87 +125,106 @@ class UNet:
     def params(self) -> Params:
         return self._params
 
-    def _conv_block(self, name: str, x: np.ndarray, cache: dict) -> np.ndarray:
-        for stage in ("c1", "c2"):
-            key = f"{name}_{stage}"
-            z = conv2d(x, self._params[f"{key}_w"], self._params[f"{key}_b"], padding="same")
-            cache[f"{key}_in"] = x
-            cache[f"{key}_z"] = z
-            x = relu(z)
-        return x
+    def _conv(self, key: str, x: np.ndarray, cache: dict | None, out: np.ndarray | None = None) -> np.ndarray:
+        """ReLU of conv `key` over x, written over the conv output or into `out`; kept as cache[key]."""
+        z = conv2d(x, self._params[f"{key}_w"], self._params[f"{key}_b"], padding="same")
+        y = relu(z, out=z if out is None else out)
+        if cache is not None:
+            cache[key] = y
+        return y
 
-    def _conv_block_backward(self, name: str, dy: np.ndarray, cache: dict,
-                             grads: Params, input_grad: bool) -> np.ndarray | None:
-        """Gradient of the block's input; None (not computed) when input_grad is False."""
-        for stage in ("c2", "c1"):
-            key = f"{name}_{stage}"
-            dz = relu_backward(dy, cache[f"{key}_z"])
-            dy, grads[f"{key}_w"], grads[f"{key}_b"] = conv2d_backward(
-                dz, cache[f"{key}_in"], self._params[f"{key}_w"], padding="same",
-                input_grad=input_grad or stage == "c2")
-        return dy
+    def _upsample(self, lvl: int, x: np.ndarray, cat: np.ndarray, cache: dict | None) -> np.ndarray:
+        """cat (N, 2C, H, W), its second half the skip, with level lvl's transposed conv of x in the first.
 
-    def forward(self, x: np.ndarray, bottleneck_add: np.ndarray | None = None) -> np.ndarray:
-        """Logits (N, 1, H, W) for x (N, 1, H, W)."""
+        Kept as cache[f"cat{lvl}"].
+        """
+        up = conv_transpose2x2(x, self._params[f"up{lvl}_w"], self._params[f"up{lvl}_b"])
+        if up.dtype == cat.dtype:
+            cat[:, : up.shape[1]] = up
+        else:  # a float64 bottleneck vector widened the maps past the float32 skip
+            cat = np.concatenate([up, cat[:, up.shape[1] :]], axis=1)
+        if cache is not None:
+            cache[f"cat{lvl}"] = cat
+        return cat
+
+    def forward(self, x: np.ndarray, bottleneck_add: np.ndarray | None = None, keep: bool = True) -> np.ndarray:
+        """Logits (N, 1, H, W) for x (N, 1, H, W).
+
+        keep=False (inference) runs the same code without a cache and leaves a kept one as it is.
+        """
         cfg = self.config
         if x.ndim != 4 or x.shape[1:] != (1, cfg.input_size, cfg.input_size):
             raise InvalidArgument(f"expected (N, 1, {cfg.input_size}, {cfg.input_size}), got {x.shape}")
-        cache: dict = {}
-        for lvl in range(cfg.depth):
-            x = self._conv_block(f"enc{lvl}", x, cache)
-            if lvl < cfg.depth - 1:
-                cache[f"pool{lvl}_in"] = x  # also the decoder's skip input at this level
-                x = maxpool2x2(x)
-
         if bottleneck_add is not None:
             add = np.asarray(bottleneck_add)
             add = add.astype(np.float64 if add.dtype == np.float64 else np.float32)
             if add.shape != (x.shape[0], cfg.widths[-1]):
                 raise InvalidArgument(f"bottleneck vector must be (N, {cfg.widths[-1]}), got {add.shape}")
+        cache = None
+        if keep:
+            self._cache = None  # superseded: it goes before this forward builds its own
+            cache = {"x": x, "add": bottleneck_add is not None}
+        top = cfg.depth - 1
+        cats = []  # level lvl's decoder input: the transposed conv's channels, then the skip's
+        for lvl in range(top):
+            x = self._conv(f"enc{lvl}_c1", x, cache)
+            n, c, h, w = x.shape
+            cats.append(np.empty((n, 2 * c, h, w), np.result_type(x, self._params.flat)))
+            x = maxpool2x2(self._conv(f"enc{lvl}_c2", x, cache, out=cats[lvl][:, c:]))
+            if cache is not None:
+                cache[f"pool{lvl}"] = x
+        x = self._conv(f"enc{top}_c2", self._conv(f"enc{top}_c1", x, cache), cache)
+        if bottleneck_add is not None:
             x = x + add[:, :, None, None]
-        cache["used_bottleneck_add"] = bottleneck_add is not None
+        if cache is not None:
+            cache["bottleneck"] = x  # the deepest transposed conv's input
 
-        for lvl in range(cfg.depth - 2, -1, -1):
-            up = conv_transpose2x2(x, self._params[f"up{lvl}_w"], self._params[f"up{lvl}_b"])
-            cache[f"up{lvl}_in"] = x
-            x = self._conv_block(f"dec{lvl}", np.concatenate([up, cache[f"pool{lvl}_in"]], axis=1), cache)
-
+        for lvl in range(top - 1, -1, -1):
+            x = self._conv(f"dec{lvl}_c1", self._upsample(lvl, x, cats.pop(), cache), cache)
+            x = self._conv(f"dec{lvl}_c2", x, cache)
         logits = conv2d(x, self._params["head_w"], self._params["head_b"])
-        cache["head_in"] = x
-        self._cache = cache
+        if keep:
+            self._cache = cache
         return logits
 
     def backward(self, dlogits: np.ndarray) -> tuple[Params, np.ndarray | None]:
-        """Returns (parameter grads, bottleneck-vector grad or None).
+        """Returns (parameter grads, bottleneck-vector grad or None); uses up the forward's cache.
 
         Parameter grads have the layout of `params()`, an owner's entries zero.
         The first conv skips its input gradient: the input is data, which no
         caller differentiates.
         """
-        if self._cache is None:
-            raise InvalidArgument("backward called before forward")
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise InvalidArgument("backward needs a forward that kept its cache since the last backward")
         cfg = self.config
-        cache = self._cache
+        top = cfg.depth - 1
         grads = self._params.zeros_like()
 
-        dy, grads["head_w"], grads["head_b"] = conv2d_backward(
-            dlogits, cache["head_in"], self._params["head_w"])
+        def conv_back(key: str, dy: np.ndarray, x: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+            """Input gradient of conv `key` and its ReLU, whose output leaves the cache as the mask is read."""
+            dz = relu_backward(dy, cache.pop(key))
+            dx, grads[f"{key}_w"], grads[f"{key}_b"] = conv2d_backward(
+                dz, x, self._params[f"{key}_w"], padding="same", input_grad=input_grad)
+            return dx
 
+        dy, grads["head_w"], grads["head_b"] = conv2d_backward(dlogits, cache["dec0_c2"], self._params["head_w"])
         skip_grads = []  # level lvl's decoder-input gradient past its upsampled channels
-        for lvl in range(cfg.depth - 1):
-            dy = self._conv_block_backward(f"dec{lvl}", dy, cache, grads, input_grad=True)
+        for lvl in range(top):
+            dy = conv_back(f"dec{lvl}_c2", dy, cache[f"dec{lvl}_c1"])
+            dy = conv_back(f"dec{lvl}_c1", dy, cache.pop(f"cat{lvl}"))
             up_channels = cfg.widths[lvl]
             skip_grads.append(dy[:, up_channels:])
             dy, grads[f"up{lvl}_w"], grads[f"up{lvl}_b"] = conv_transpose2x2_backward(
-                dy[:, :up_channels], cache[f"up{lvl}_in"], self._params[f"up{lvl}_w"])
+                dy[:, :up_channels], cache[f"dec{lvl + 1}_c2"] if lvl < top - 1 else cache.pop("bottleneck"),
+                self._params[f"up{lvl}_w"])
 
-        d_bottleneck = dy.sum(axis=(2, 3)) if cache["used_bottleneck_add"] else None
-
-        for lvl in range(cfg.depth - 1, -1, -1):
-            if lvl < cfg.depth - 1:
-                dy = maxpool2x2_backward(dy, cache[f"pool{lvl}_in"])
-                dy = dy + skip_grads[lvl]
-            dy = self._conv_block_backward(f"enc{lvl}", dy, cache, grads, input_grad=lvl > 0)
+        d_bottleneck = dy.sum(axis=(2, 3)) if cache.pop("add") else None
+        for lvl in range(top, -1, -1):
+            if lvl < top:
+                dy = maxpool2x2_backward(dy, cache[f"enc{lvl}_c2"]) + skip_grads.pop()
+            dy = conv_back(f"enc{lvl}_c2", dy, cache[f"enc{lvl}_c1"])
+            dy = conv_back(f"enc{lvl}_c1", dy, cache.pop(f"pool{lvl - 1}" if lvl else "x"), input_grad=lvl > 0)
         return grads, d_bottleneck
 
 
@@ -284,7 +316,7 @@ def segment_many(model: UNet, images: Sequence[np.ndarray]) -> Iterator[tuple[np
     """
     for start in range(0, len(images), APPLY_CHUNK):
         chunk = np.stack([np.asarray(img, dtype=np.float32) for img in images[start : start + APPLY_CHUNK]])
-        logits = model.forward(chunk[:, None])
+        logits = model.forward(chunk[:, None], keep=False)
         finite = np.isfinite(logits).all(axis=(1, 2, 3))
         if not finite.all():
             raise Diverged(f"segmentation diverged at image {start + int(finite.argmin())}: "

@@ -31,7 +31,7 @@ class _WiredEpsOracle:
         self.x0 = x0
         self.schedule = schedule
 
-    def forward(self, x_t, ts):
+    def forward(self, x_t, ts, keep=True):
         abar = self.schedule.alpha_bars[np.asarray(ts) - 1].astype(np.float64)
         a = np.sqrt(abar).reshape(-1, 1, 1, 1)
         b = np.sqrt(1.0 - abar).reshape(-1, 1, 1, 1)
@@ -45,7 +45,7 @@ class _WiredEpsOracle:
 
 
 class _ZeroPredictor:
-    def forward(self, x_t, ts):
+    def forward(self, x_t, ts, keep=True):
         return np.zeros_like(x_t)
 
     def backward(self, dy):
@@ -310,7 +310,7 @@ class TestSampling:
 
     def test_non_finite_step_raises_diverged_naming_the_first_such_timestep(self):
         class NanFromStep4(_ZeroPredictor):
-            def forward(self, x_t, t):
+            def forward(self, x_t, t, keep=True):
                 return np.full_like(x_t, np.nan if t <= 4 else 0.0)
 
         with pytest.raises(Diverged, match="sampling diverged at timestep 4 of 10: the images are not finite"):

@@ -441,6 +441,32 @@ class TestKernelRows:
         assert peak <= dx.nbytes + 64 * 1024
 
 
+class TestOneByOneConv:
+    """A 1x1 conv without padding reads x's own maps as its kernel row and copies nothing."""
+
+    # the U-Net head's (C_in = widths[0], C_out = 1) at the segment and synthesize workloads' shapes
+    SHAPES = [(8, 4, 64, 64), (12, 8, 32, 32), (6, 8, 32, 32), (1, 4, 64, 64)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_row_is_x_itself(self, dtype):
+        x = np.random.default_rng(0).standard_normal((2, 3, 5, 7)).astype(dtype)
+        ex, _ = ops._expand(x, 1, 0, np.dtype(dtype), (0,))
+        assert ex.shape == (2, 3, 35) and np.shares_memory(ex, x)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_the_row_oracles(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((1, shape[1], 1, 1)).astype(np.float32)
+        b = rng.standard_normal(1).astype(np.float32)
+        y = conv2d(x, w, b)
+        assert _same_bits(y, conv2d_rows(x, w, b))
+        dx, dw, _ = conv2d_backward(y, x, w)
+        assert _same_bits(dx, conv2d_input_grad(y, w, 1, 0))
+        want_dw = sum(y[n].reshape(1, -1) @ x[n].reshape(shape[1], -1).T for n in range(shape[0]))
+        assert np.allclose(dw.reshape(1, -1), want_dw, rtol=1e-5, atol=1e-4)
+
+
 class TestConvTranspose:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 1), (2, 3, 1, 1), (4, 5, 3, 6), (8, 16, 4, 4)])
@@ -593,7 +619,8 @@ class TestSelectFreeBackward:
     def test_fused_equals_the_composition(self, shape, dtype, seed):
         rng = np.random.default_rng(seed + 500)
         z, dy = _with_specials(rng, shape, dtype), _with_specials(rng, _pooled(shape), dtype)
-        got = relu_maxpool2x2_backward(dy, z)
+        got = relu_maxpool2x2_backward(dy, z, maxpool2x2(z))
+        assert _same_bytes(got, relu_maxpool2x2_backward(dy, z, relu(maxpool2x2(z))))  # the classifier's kept form
         assert _same_bytes(got, relu_backward(maxpool2x2_backward(dy, relu(z)), z))
         assert _same_bytes(got, relu_backward_where(maxpool2x2_backward_copyto(dy, relu(z)), z))
 
@@ -630,11 +657,17 @@ class TestSelectFreeBackward:
         want = np.zeros_like(z)
         want[0, 0, 1] = 7.0  # the first 3.0 in row-major order
         want[0, 0, 8] = -0.0
-        assert _same_bytes(relu_maxpool2x2_backward(dy, z), want)  # bytes: -0.0 at [0, 0, 8] only
+        assert _same_bytes(relu_maxpool2x2_backward(dy, z, maxpool2x2(z)), want)  # bytes: -0.0 at [0, 0, 8] only
 
     def test_fused_rejects_a_mismatched_upstream(self):
+        z = np.zeros((2, 7, 8), np.float32)
         with pytest.raises(InvalidArgument, match="upstream shape"):
-            relu_maxpool2x2_backward(np.zeros((2, 3, 3), np.float32), np.zeros((2, 7, 8), np.float32))
+            relu_maxpool2x2_backward(np.zeros((2, 3, 3), np.float32), z, maxpool2x2(z))
+
+    def test_fused_rejects_a_mismatched_window_max(self):
+        z = np.zeros((2, 7, 8), np.float32)
+        with pytest.raises(InvalidArgument, match="window max shape"):
+            relu_maxpool2x2_backward(np.zeros((2, 3, 4), np.float32), z, np.zeros((2, 3, 3), np.float32))
 
     @pytest.mark.parametrize("seed", range(N_GRADCHECK_SEEDS))
     @pytest.mark.parametrize("shape", [(2, 6, 6), (2, 2, 5, 7)])
@@ -642,7 +675,7 @@ class TestSelectFreeBackward:
         rng = np.random.default_rng(seed + 900)
         z = separated_values(rng, shape)  # no ties, no kink at 0
         up = rng.standard_normal(_pooled(shape)).astype(np.float32)
-        dz = relu_maxpool2x2_backward(up, z)
+        dz = relu_maxpool2x2_backward(up, z, maxpool2x2(z))
         num = finite_difference_grad(lambda _: float((maxpool2x2(relu(z)).astype(np.float64) * up).sum()), z)
         assert grads_close(dz, num, LAYER_TOL)
 

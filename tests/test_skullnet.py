@@ -1,7 +1,11 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
+from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, sample
 from cqbrain.neuralkernel import dice_iou, make_optimizer
 from cqbrain.rng import Rng
 from cqbrain import skullnet
@@ -111,6 +115,15 @@ class TestForward:
         with pytest.raises(InvalidArgument):
             model.forward(x, bottleneck_add=np.zeros((1, 3), np.float32))
 
+    def test_float64_bottleneck_vector_widens_the_decoder(self):
+        # the decoder input takes the wider of the upsampled maps and the float32 skip, as a concatenation would
+        cfg = UNetConfig(input_size=16, widths=(2, 4))
+        model = UNet(cfg, Rng(5))
+        x = np.random.default_rng(5).random((2, 1, 16, 16)).astype(np.float32)
+        logits = model.forward(x, bottleneck_add=np.ones((2, 4)))
+        assert logits.dtype == np.float64 and model._cache["cat0"].dtype == np.float64
+        assert model._cache["enc0_c2"].dtype == np.float32
+
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -167,6 +180,7 @@ class TestSkippedInputGradient:
         real = skullnet.conv2d_backward
         monkeypatch.setattr(skullnet, "conv2d_backward",
                             lambda *args, **kwargs: real(*args, **{**kwargs, "input_grad": True}))
+        model.forward(x, bottleneck_add=badd)  # backward used up the first forward's cache
         full, dba_full = model.backward(up)
         assert full.keys() == skipped.keys()
         assert all(np.array_equal(full[k], skipped[k]) for k in full)
@@ -201,6 +215,139 @@ class TestSkippedInputGradient:
         train_segmenter(model, annulus_corpus(3, 16, seed=1), epochs=1,
                         optimizer=make_optimizer("adam"), seed=0, batch_size=2)
         assert flags.count(False) == 2  # one first conv per batch
+
+
+class TestActivationLifetime:
+    """forward keeps each activation once; backward uses the cache up; inference keeps none."""
+
+    @staticmethod
+    def _batch(cfg: UNetConfig, n: int = 2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        shape = (n, 1, cfg.input_size, cfg.input_size)
+        return rng.random(shape).astype(np.float32), rng.standard_normal(shape).astype(np.float32)
+
+    def test_forward_keeps_relu_outputs_not_conv_outputs(self):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(0))
+        x, _ = self._batch(cfg)
+        model.forward(x)
+        convs = [f"{part}{lvl}_{stage}" for lvl in range(3) for part in ("enc", "dec")
+                 for stage in ("c1", "c2") if part == "enc" or lvl < 2]
+        assert set(model._cache) == {"x", "add", "bottleneck", "pool0", "pool1", "cat0", "cat1", *convs}
+        for key in convs:
+            assert (model._cache[key] >= 0).all()  # ReLU outputs; no conv output is kept beside them
+
+    def test_each_activation_is_kept_once(self):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(0))
+        x, _ = self._batch(cfg)
+        model.forward(x)
+        cache = model._cache
+        # a skip is the second half of its level's decoder input, not a copy of it
+        shared = {frozenset(("enc0_c2", "cat0")), frozenset(("enc1_c2", "cat1")),
+                  frozenset(("enc2_c2", "bottleneck"))}  # no bottleneck vector: the same array
+        for lvl, width in enumerate(cfg.widths[:-1]):
+            assert np.array_equal(cache[f"cat{lvl}"][:, width:], cache[f"enc{lvl}_c2"])
+        keys = [k for k, v in cache.items() if isinstance(v, np.ndarray)]
+        for i, a in enumerate(keys):
+            for b in keys[i + 1 :]:
+                assert np.shares_memory(cache[a], cache[b]) == (frozenset((a, b)) in shared), (a, b)
+
+    @pytest.mark.parametrize("use_add", [False, True])
+    def test_backward_frees_each_activation_once_read(self, use_add, monkeypatch):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(1))
+        x, up = self._batch(cfg, n=3, seed=2)
+        model.forward(x, bottleneck_add=np.ones((3, cfg.widths[-1]), np.float32) if use_add else None)
+        refs = {k: weakref.ref(v) for k, v in model._cache.items() if isinstance(v, np.ndarray)}
+        del x
+        alive = []
+        real = skullnet.conv2d_backward
+
+        def spy(*args, **kwargs):
+            alive.append({k for k, ref in refs.items() if ref() is not None})
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(skullnet, "conv2d_backward", spy)
+        model.backward(up)
+        assert all(later <= earlier for earlier, later in zip(alive, alive[1:]))
+        assert alive[-1] == {"x"}  # the first conv's input, read by the last call
+        assert not any(ref() is not None for ref in refs.values())
+        assert model._cache is None
+
+    def test_second_backward_needs_a_new_forward(self):
+        cfg = UNetConfig(input_size=16, widths=(2, 4))
+        model = UNet(cfg, Rng(2))
+        x, up = self._batch(cfg)
+        with pytest.raises(InvalidArgument, match="backward needs a forward"):
+            model.backward(up)
+        model.forward(x)
+        first, _ = model.backward(up)
+        with pytest.raises(InvalidArgument, match="backward needs a forward"):
+            model.backward(up)
+        model.forward(x)
+        again, _ = model.backward(up)
+        assert all(np.array_equal(first[k], again[k]) for k in first)
+
+    def test_inference_keeps_no_cache(self):
+        cfg = UNetConfig(input_size=16, widths=(2, 4))
+        model = UNet(cfg, Rng(3))
+        x, _ = self._batch(cfg)
+        logits = model.forward(x, keep=False)
+        assert model._cache is None
+        list(segment_many(model, list(x[:, 0])))
+        assert model._cache is None
+        assert np.array_equal(logits, model.forward(x))  # the same code, with or without a cache
+
+    def test_inference_between_forward_and_backward_changes_no_gradient(self):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(4))
+        x, up = self._batch(cfg, seed=4)
+        model.forward(x)
+        want, _ = model.backward(up)
+        model.forward(x)
+        list(segment_many(model, list(np.flip(x, axis=-1)[:, 0])))
+        got, _ = model.backward(up)
+        assert all(np.array_equal(want[k], got[k]) for k in want)
+
+    def test_sampling_leaves_no_activation_in_the_denoiser(self):
+        predictor = NoisePredictor(NoisePredictorConfig(8, (4, 8), 8), Rng(6))
+        sample(predictor, build_schedule(T=3), (8, 8), Rng(7), count=2)
+        assert predictor.unet._cache is None and predictor._emb is None
+        with pytest.raises(InvalidArgument, match="backward needs a forward"):
+            predictor.backward(np.zeros((2, 1, 8, 8), np.float32))
+
+
+class TestMemory:
+    """One batch-8 training step of the segment workload's U-Net (64 px, width 1/8) under tracemalloc."""
+
+    # measured 7.59 MB (the loss's float64 temporaries on top of a 5.36 MB forward cache);
+    # a forward that cached each conv output beside its ReLU copy and a concatenated skip peaked at 15.2 MB
+    STEP_PEAK_BYTES = 8_500_000
+
+    def test_training_step_peak_and_what_stays(self):
+        model = UNet(UNetConfig(input_size=64, width_scale=1 / 8), Rng(0))
+        rng = np.random.default_rng(0)
+        imgs = rng.random((8, 1, 64, 64)).astype(np.float32)
+        masks = (rng.random((8, 1, 64, 64)) > 0.5).astype(np.float32)
+        optimizer = make_optimizer("adam")
+
+        def step():
+            _, dz = segmentation_loss(model.forward(imgs), masks)
+            optimizer.step(model.params(), model.backward(dz)[0])
+
+        step()  # warm-up: the conv workspace and the optimizer's moments
+        list(segment_many(model, list(imgs[:, 0])))
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.STEP_PEAK_BYTES
+        assert model._cache is None
+        list(segment_many(model, list(imgs[:, 0])))
+        assert model._cache is None
 
 
 class TestLoss:
