@@ -40,14 +40,25 @@ H_out*W_out entries from ki*W_out holds, for every output (i, j), the inputs
 that kernel row ki weighs. So y is the sum over ki of the GEMMs
 w[:, :, ki, :] (C_out, C_in*K) @ ex[n, :, ki*W_out : ki*W_out + H_out*W_out],
 written straight into the output's shape with nothing to crop. The output
-starts as the bias and each row's GEMM is added to it in ki order. Each map
-gets GEMMs of its own, so a batch item's result is its one-item result bit
-for bit. A stride s > 1 conv is the stride-1 conv read at [::s, ::s], so the
-expansion never sees a stride. A 1x1 conv without padding copies nothing:
-x's own maps, read as (N, C_in, H*W), are its one kernel row.
+starts as the bias and each row's GEMM is added to it in ki order. A stride
+s > 1 conv is the stride-1 conv read at [::s, ::s], so the expansion never
+sees a stride. A 1x1 conv without padding copies nothing: x's own maps, read
+as (N, C_in, H*W), are its one kernel row.
 
-Backward on kernel rows: dw[:, :, ki, :] is the sum over maps of dy's run
-times the transpose of x's ex run from ki*W_out. dx is the forward's code
+Blocks of maps: a conv expands, multiplies and writes one block of maps at a
+time, as many maps as fit `_BLOCK_BYTES` of kernel rows and never fewer than
+one (Goto & van de Geijn 2008 keep a GEMM's packed operand cache-sized the
+same way), so the rows stay in cache at any batch size. Each map gets GEMMs
+of its own, so a batch item's result is its one-item result bit for bit,
+whatever the blocks.
+
+Backward on kernel rows: dw[:, :, ki, :] is the sum over maps, in map
+order, of dy's run times the transpose of x's ex run from ki*W_out. Each
+block's products follow the earlier maps' running sum in the workspace and
+one reduction adds them on, so dw is the sum over all N products at once:
+numpy adds along the leading axis from +0.0 in map order (a product of one
+entry would be summed pairwise, but only a 1x1 conv with one channel in and
+one out has one, and its maps are always one block). dx is the forward's code
 run on dy, spread `stride` apart into a zeroed array when stride > 1,
 zero-padded by K - 1 - P and correlated with the kernel flipped in both
 spatial axes and its two channel axes swapped (Dumoulin & Visin 2016,
@@ -58,10 +69,12 @@ dx. Order: `conv2d_backward` forms dw from x's ex before it expands dy,
 since both live in the same workspace buffer and dy's overwrites x's.
 
 The 2x2 transposed conv is one GEMM of the (C_out*4, C_in) weight matrix,
-rows (o, di, dj), against each map, plus one copy that interleaves those
-rows into the doubled output. Its backward de-interleaves dy into such
-rows with one copy, then forms dx with one GEMM against the same matrix
-and dw with one GEMM of the rows against each map of x.
+rows (o, di, dj), against each map, plus four strided copies, one per
+quadrant, that interleave those rows into the doubled output: with y viewed
+as (N, C_out, H, 2, W, 2), y[:, :, :, di, :, dj] is rows (o, di, dj). Its
+backward de-interleaves dy into such rows with one copy, which reads dy's
+quadrants faster than four copies do, then forms dx with one GEMM against
+the same matrix and dw with one GEMM of the rows against each map of x.
 
 Workspace: kernel rows, their GEMM accumulator, per-map dw products and
 transposed-conv rows are carved from one grow-only workspace buffer per
@@ -72,7 +85,11 @@ they live only until the kernel that carved them returns. A kernel carves
 all it needs in one call, except a conv backward, which expands dy over
 x's kernel rows once dw is formed. No kernel returns or keeps them, and
 every returned array is freshly allocated, so no output aliases the
-buffer. The buffer keeps the size of the largest set the thread has carved.
+buffer. Bound: a conv carves one block's kernel rows (at most
+`_BLOCK_BYTES`, or one map's rows where one map alone is larger) plus that
+block's GEMM accumulator or its dw products and running sum; a transposed
+conv carves its rows. The buffer keeps the size of the largest such set the
+thread has carved.
 """
 from __future__ import annotations
 
@@ -160,56 +177,81 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, stride: int, padding: str):
     return c_out, h_out, w_out, pad
 
 
-def _expand(x: np.ndarray, k: int, pad: int, dtype: np.dtype,
-            scratch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(ex, a `scratch`-shaped view in the workspace); ex (N, C*K, (H+2P)*W_out) is x's kernel rows.
+# Bytes of kernel rows one block of maps may take (see module docstring). Swept over 256 KB
+# to 2 MB on a 2-vCPU Xeon (2 MB L2 per core), one BLAS thread, min of 20 rounds (BENCH_28.json):
+# a batch-8 training step of the 64 px, width-1/8 U-Net took 19.8, 18.5, 17.3, 18.7, 19.2 and
+# 19.4 ms at 256, 512, 768, 1024, 1536 and 2048 KB (19.6 unbounded, 25.3 at one map a block),
+# and the 32 px denoiser's batch-16 step 10.1, 8.3, 8.3, 8.5, 9.2 and 9.7 ms (9.7, 13.0).
+_BLOCK_BYTES = 768 << 10
 
-    ex[n, (c, kj), r*W_out + j] = x_pad[n, c, r, j + kj], W_out = W + 2P - K + 1: one copy
-    of x's in-range rectangle per kj in the workspace, and the border strips zeroed, or, for
-    K = 1 and P = 0, x's own contiguous maps (see module docstring).
+
+def _row_block(x_shape: tuple[int, ...], k: int, pad: int, dtype: np.dtype) -> tuple[int, tuple[int, ...]]:
+    """(maps per block, one block's kernel-row shape (M, C, K, H+2P, W_out)) for x (N, C, H, W).
+
+    A block holds as many maps as fit _BLOCK_BYTES of rows, and at least one. A 1x1 conv
+    without padding copies no rows: all N maps are one block, and the shape is empty.
+    """
+    n, c, h, w = x_shape
+    if k == 1 and pad == 0:
+        return n, (0,)
+    rows = (c, k, h + 2 * pad, w + 2 * pad - k + 1)
+    maps = min(n, max(1, _BLOCK_BYTES // (math.prod(rows) * dtype.itemsize)))
+    return maps, (maps, *rows)
+
+
+def _expand(x: np.ndarray, k: int, pad: int, rows: np.ndarray) -> np.ndarray:
+    """x's kernel rows ex (N, C*K, (H+2P)*W_out), written into the first N maps of `rows`.
+
+    rows is (M >= N, C, K, H+2P, W_out), W_out = W + 2P - K + 1, and ex[n, (c, kj), r*W_out + j]
+    = x_pad[n, c, r, j + kj]: one copy of x's in-range rectangle per kj, and the border strips
+    zeroed. For K = 1 and P = 0, ex is x's own contiguous maps and `rows` is not written (see
+    module docstring).
     """
     n, c, h, w = x.shape
     if k == 1 and pad == 0:  # x's own maps are its one kernel row
-        (view,) = _workspace_arrays(dtype, scratch)
-        return x.reshape(n, c, h * w).astype(dtype, copy=False), view
+        return x.reshape(n, c, h * w).astype(rows.dtype, copy=False)
     w_out = w + 2 * pad - k + 1
-    ex, view = _workspace_arrays(dtype, (n, c, k, h + 2 * pad, w_out), scratch)
+    ex = rows[:n]
     ex[:, :, :, :pad] = 0.0
     ex[:, :, :, pad + h :] = 0.0
     for kj in range(k):
         lo = min(max(pad - kj, 0), w_out)
         hi = max(min(w + pad - kj, w_out), lo)
-        rows = ex[:, :, kj, pad : pad + h]
-        rows[..., :lo] = 0.0
-        rows[..., hi:] = 0.0
-        rows[..., lo:hi] = x[..., lo + kj - pad : hi + kj - pad]
-    return ex.reshape(n, c * k, -1), view
+        strip = ex[:, :, kj, pad : pad + h]
+        strip[..., :lo] = 0.0
+        strip[..., hi:] = 0.0
+        strip[..., lo:hi] = x[..., lo + kj - pad : hi + kj - pad]
+    return ex.reshape(n, c * k, -1)
 
 
 def _row_conv(x: np.ndarray, w: np.ndarray, pad: int, b: np.ndarray | None) -> np.ndarray:
     """A fresh stride-1 correlation (N, C_out, H+2P-K+1, W+2P-K+1) of x (N, C_in, H, W) with w, plus b if given.
 
-    On kernel rows (see module docstring): the output starts as b and every kernel
-    row's GEMM is added to it; without b, the first row's GEMM writes the output.
+    On kernel rows, a block of maps at a time (see module docstring): a block's output starts
+    as b and every kernel row's GEMM is added to it; without b, the first row's GEMM writes it.
     """
     n, _, h, wdt = x.shape
     c_out, c_in, k, _ = w.shape
     h_out, w_out = h + 2 * pad - k + 1, wdt + 2 * pad - k + 1
     size = h_out * w_out
     dtype = np.result_type(x, w)
-    ex, acc = _expand(x, k, pad, dtype, (n, c_out, size))
+    maps, rows_shape = _row_block(x.shape, k, pad, dtype)
+    rows, acc = _workspace_arrays(dtype, rows_shape, (maps, c_out, size))
     w_rows = np.ascontiguousarray(w.transpose(2, 0, 1, 3), dtype).reshape(k, c_out, c_in * k)
     y = np.empty((n, c_out, h_out, w_out), dtype if b is None else np.result_type(dtype, b))
     y_flat = y.reshape(n, c_out, size)
-    if b is None:
-        np.matmul(w_rows[0], ex[:, :, :size], out=y_flat)
-        first = 1
-    else:
-        y_flat[...] = b[:, None]
-        first = 0
-    for ki in range(first, k):
-        np.matmul(w_rows[ki], ex[:, :, ki * w_out : ki * w_out + size], out=acc)
-        y_flat += acc
+    for start in range(0, n, maps):
+        ex = _expand(x[start : start + maps], k, pad, rows)
+        out, block_acc = y_flat[start : start + maps], acc[: len(ex)]
+        if b is None:
+            np.matmul(w_rows[0], ex[:, :, :size], out=out)
+            first = 1
+        else:
+            out[...] = b[:, None]
+            first = 0
+        for ki in range(first, k):
+            np.matmul(w_rows[ki], ex[:, :, ki * w_out : ki * w_out + size], out=block_acc)
+            out += block_acc
     return y
 
 
@@ -244,12 +286,19 @@ def conv2d_backward(
         spread[:, :, ::stride, ::stride] = dyb
         dyb = spread
     row, size = dyb.shape[3], dyb.shape[2] * dyb.shape[3]  # the stride-1 output's width and size
-    ex, per_map = _expand(xb, k, pad, np.result_type(xb, w, dyb), (n, c_out, c_in * k))
+    dtype = np.result_type(xb, w, dyb)
+    maps, rows_shape = _row_block(xb.shape, k, pad, dtype)
+    per_map, rows = _workspace_arrays(dtype, (maps + 1, c_out, c_in * k), rows_shape)
     dy_flat = dyb.reshape(n, c_out, size)
-    dw = np.empty((k, c_out, c_in * k), ex.dtype)
-    for ki in range(k):
-        np.matmul(dy_flat, ex[:, :, ki * row : ki * row + size].transpose(0, 2, 1), out=per_map)
-        per_map.sum(axis=0, out=dw[ki])
+    dw = np.empty((k, c_out, c_in * k), dtype)
+    for start in range(0, n, maps):
+        ex = _expand(xb[start : start + maps], k, pad, rows)
+        for ki in range(k):
+            np.matmul(dy_flat[start : start + maps], ex[:, :, ki * row : ki * row + size].transpose(0, 2, 1),
+                      out=per_map[1 : 1 + len(ex)])
+            if start:  # the earlier maps' sum leads, so all N products add in map order
+                per_map[0] = dw[ki]
+            per_map[0 if start else 1 : 1 + len(ex)].sum(axis=0, out=dw[ki])
     dw = np.ascontiguousarray(dw.reshape(k, c_out, c_in, k).transpose(1, 2, 0, 3))
     if not input_grad:
         return None, dw, db
@@ -266,7 +315,8 @@ def _transpose_matrix(w: np.ndarray) -> np.ndarray:
 def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2x2 stride-2 transposed conv (doubles H and W); w is (C_in, C_out, 2, 2).
 
-    One GEMM gives every output's value at (o, di, dj) rows; one copy interleaves them.
+    One GEMM gives every output's value at (o, di, dj) rows; four strided copies, one per
+    quadrant (di, dj), interleave them.
     """
     x, w, b = _as_f32(x), _as_f32(w), _as_f32(b)
     xb, single = _batched(x, 3)
@@ -283,7 +333,9 @@ def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     np.matmul(_transpose_matrix(w), xb.reshape(n, c_in, -1), out=rows)
     y = np.empty((n, c_out, 2 * h, 2 * wdt), np.result_type(dtype, b))
     # rows[n, (o, di, dj), (i, j)] is y[n, o, 2i + di, 2j + dj]
-    np.copyto(y.reshape(n, c_out, h, 2, wdt, 2), rows.reshape(n, c_out, 2, 2, h, wdt).transpose(0, 1, 4, 2, 5, 3))
+    quads, y_quads = rows.reshape(n, c_out, 2, 2, h, wdt), y.reshape(n, c_out, h, 2, wdt, 2)
+    for di, dj in _WINDOW_OFFSETS:
+        y_quads[:, :, :, di, :, dj] = quads[:, :, di, dj]
     y += b[:, None, None]
     return y[0] if single else y
 
@@ -301,6 +353,7 @@ def conv_transpose2x2_backward(
         raise InvalidArgument(f"upstream shape {dyb.shape} does not match doubled input {xb.shape}")
     dtype = np.result_type(xb, w, dyb)
     (rows,) = _workspace_arrays(dtype, (n, c_out * 4, h * wdt))
+    # one copy reads dy's quadrants faster than four (BENCH_28.json)
     np.copyto(rows.reshape(n, c_out, 2, 2, h, wdt), dyb.reshape(n, c_out, h, 2, wdt, 2).transpose(0, 1, 3, 5, 2, 4))
     dx = np.matmul(_transpose_matrix(w).T, rows).reshape(xb.shape)
     dw = np.matmul(rows, xb.reshape(n, c_in, -1).transpose(0, 2, 1)).sum(axis=0)
@@ -370,9 +423,12 @@ def _pool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray | None, positive
     return dx[0] if single else dx
 
 
-def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Routes dy to each window's first max in row-major order (see module docstring)."""
-    return _pool_backward(dy, x, None, positive_only=False)
+def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray, pooled: np.ndarray | None = None) -> np.ndarray:
+    """Routes dy to each window's first max in row-major order (see module docstring).
+
+    pooled is the forward's maxpool2x2(x) if the caller kept it; without it, the window maxima are formed again.
+    """
+    return _pool_backward(dy, x, pooled, positive_only=False)
 
 
 def relu_maxpool2x2_backward(dy: np.ndarray, z: np.ndarray, pooled: np.ndarray) -> np.ndarray:

@@ -99,6 +99,8 @@ def _convert(key: str, value: str, field: Field):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot parse {value!r} as {field.kind} ({exc})") from exc
+    except OSError as exc:  # a path the system will not look up, such as an over-long name
+        raise ConfigError(f"{key}: cannot check path {value!r} ({exc.strerror or exc})") from exc
 
 
 def resolve_config(raw: dict[str, str], schema: dict[str, Field]) -> dict:

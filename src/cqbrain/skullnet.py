@@ -222,9 +222,9 @@ class UNet:
         d_bottleneck = dy.sum(axis=(2, 3)) if cache.pop("add") else None
         for lvl in range(top, -1, -1):
             if lvl < top:
-                dy = maxpool2x2_backward(dy, cache[f"enc{lvl}_c2"]) + skip_grads.pop()
+                dy = maxpool2x2_backward(dy, cache[f"enc{lvl}_c2"], cache.pop(f"pool{lvl}")) + skip_grads.pop()
             dy = conv_back(f"enc{lvl}_c2", dy, cache[f"enc{lvl}_c1"])
-            dy = conv_back(f"enc{lvl}_c1", dy, cache.pop(f"pool{lvl - 1}" if lvl else "x"), input_grad=lvl > 0)
+            dy = conv_back(f"enc{lvl}_c1", dy, cache[f"pool{lvl - 1}"] if lvl else cache.pop("x"), input_grad=lvl > 0)
         return grads, d_bottleneck
 
 

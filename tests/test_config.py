@@ -97,6 +97,18 @@ class TestResolution:
         with pytest.raises(ConfigError, match="^dir: path .* is not a directory$"):
             resolve_config({"src": str(real), "dir": str(real)}, schema)
 
+    @pytest.mark.parametrize("kind", ["in_file", "in_dir"])
+    def test_over_long_input_path_names_the_key(self, kind):
+        # the system refuses to look the name up (ENAMETOOLONG) rather than answer "missing"
+        with pytest.raises(ConfigError, match="^src: cannot check path '1+' "):
+            resolve_config({"src": "1" * 5000}, {"src": Field(kind)})
+
+    @pytest.mark.parametrize("command, key", [("build-dataset", "input_dir"), ("segment-apply", "checkpoint")])
+    def test_over_long_input_path_exits_1(self, tmp_path, command, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {'1' * 5000}\n")
+        assert main([command, "-c", str(path)]) == 1
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("name = demo\ncount = 2\n")

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -166,7 +167,8 @@ class TestConvWorkspace:
         x, _, _ = self._first_layer()
         x64, w64, b64 = x.astype(np.float64), np.ones((3, 1, 5, 5)), np.zeros(3)
         conv2d(x64, w64, b64)  # a buffer shared across dtypes would now be big enough for both
-        ex, _ = ops._expand(x, 5, 0, np.dtype(np.float32), (0,))
+        (rows,) = ops._workspace_arrays(np.dtype(np.float32), (1, 1, 5, 128, 124))
+        ex = ops._expand(x, 5, 0, rows)
         want = ex.copy()
         conv2d(x64, w64, b64)
         assert np.array_equal(ex, want)
@@ -255,6 +257,7 @@ class TestSamePaddingWithoutPad:
     @pytest.mark.parametrize("n, c_in, c_out, hw, k, padding", [
         (3, 5, 4, 6, 3, "same"), (3, 5, 4, 6, 5, "same"), (8, 64, 64, 4, 3, "same"), (8, 64, 64, 4, 5, "same"),
         pytest.param(2, 1, 2, 128, 5, "valid", id="classifier-conv1"),
+        pytest.param(8, 4, 4, 64, 3, "same", id="segment-enc0-several-blocks"),
     ])
     def test_batch_items_equal_one_item_results(self, n, c_in, c_out, hw, k, padding):
         # each map gets GEMMs of its own, so a batch's shape cannot change an item's rounding
@@ -267,6 +270,48 @@ class TestSamePaddingWithoutPad:
         for item, y_item, dx_item in zip(x, y, dx):
             assert _same_bits(y_item, conv2d(item, w, b, padding=padding))
             assert _same_bits(dx_item, conv2d_backward(y_item, item, w, padding=padding)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, padding", [(3, "same"), (5, "same"), (5, "valid")])
+    def test_blocks_equal_one_block(self, k, padding, dtype, monkeypatch):
+        # 5 maps at 2 a block (2, 2, then 1): each map's GEMMs and dw's sum in map order are
+        # those of one block, so y, dx, dw and db keep every bit, -0.0 and stale NaN included
+        rng = np.random.default_rng(k)
+        pad = (k - 1) // 2 if padding == "same" else 0
+        x = _with_signed_zeros(rng, (5, 3, 7, 9), dtype)
+        w = _with_signed_zeros(rng, (3, 3, k, k), dtype)
+        b = rng.standard_normal(3).astype(dtype)
+        dy = _with_signed_zeros(rng, (5, 3, 7 + 2 * pad - k + 1, 9 + 2 * pad - k + 1), dtype)
+
+        def run(budget):
+            monkeypatch.setattr(ops, "_BLOCK_BYTES", budget)
+            ops._workspace_arrays(np.dtype(dtype), (1 << 16,))
+            ops._workspace.by_dtype[np.dtype(dtype)].fill(np.nan)
+            return (conv2d(x, w, b, padding=padding), *conv2d_backward(dy, x, w, padding=padding))
+
+        one_block = run(1 << 30)
+        maps, (_, *row_shape) = ops._row_block(x.shape, k, pad, np.dtype(dtype))
+        assert maps == 5
+        blocks = run(2 * math.prod(row_shape) * np.dtype(dtype).itemsize)
+        assert ops._row_block(x.shape, k, pad, np.dtype(dtype))[0] == 2
+        for got, want in zip(blocks, one_block):
+            assert _same_bits(got, want)
+
+    def test_workspace_stays_within_one_block(self, monkeypatch):
+        # the segment workload's widest conv, (8, 8, 64, 64) -> 4, forward and backward; its
+        # largest block is the input gradient's, dy's rows (4 -> 8 channels) and its accumulator
+        monkeypatch.setattr(ops, "_workspace", threading.local())
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 8, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        for _ in range(2):  # the second pair runs warm
+            y = conv2d(x, w, b, padding="same")
+            conv2d_backward(y, x, w, padding="same")
+        maps, _ = ops._row_block(y.shape, 3, 1, np.dtype(np.float32))
+        accumulator = maps * 8 * 64 * 64 * 4
+        assert ops._workspace.by_dtype[np.dtype(np.float32)].nbytes <= ops._BLOCK_BYTES + accumulator
+        assert ops._BLOCK_BYTES + accumulator < 8 * 8 * 3 * 66 * 64 * 4  # x's rows for the whole batch
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_input_gradient_owns_no_larger_buffer(self, batched):
@@ -391,8 +436,9 @@ class TestKernelRows:
     def test_expansion_matches_row_loop(self, k, pad, hw, batch, dtype):
         rng = np.random.default_rng(k * 100 + pad * 10 + hw[1])
         x = self._terms(rng, (batch, 3, *hw), dtype, (np.nan, np.inf))
-        ops._workspace_arrays(np.dtype(dtype), (4096,))[0].fill(np.nan)  # stale values the border strips must clear
-        ex, _ = ops._expand(x, k, pad, np.dtype(dtype), (0,))
+        # stale values the border strips must clear
+        rows = np.full((batch, 3, k, hw[0] + 2 * pad, hw[1] + 2 * pad - k + 1), np.nan, dtype)
+        ex = ops._expand(x, k, pad, rows)
         assert _same_bits(ex, kernel_rows(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -450,7 +496,7 @@ class TestOneByOneConv:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_kernel_row_is_x_itself(self, dtype):
         x = np.random.default_rng(0).standard_normal((2, 3, 5, 7)).astype(dtype)
-        ex, _ = ops._expand(x, 1, 0, np.dtype(dtype), (0,))
+        ex = ops._expand(x, 1, 0, np.empty(0, dtype))
         assert ex.shape == (2, 3, 35) and np.shares_memory(ex, x)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -507,6 +553,30 @@ class TestConvTranspose:
         buffer = ops._workspace.by_dtype[np.dtype(np.float32)]
         for arr in (y, *grads):
             assert not np.shares_memory(arr, buffer)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interleaving_passes_every_bit(self, dtype):
+        # NaN payloads (one with its sign bit set) cross the forward's quadrant copies from the
+        # GEMM's (o, di, dj) rows, left in the workspace, into the doubled maps unchanged; those
+        # payloads and -0.0 cross the backward's copy from dy into such rows unchanged
+        rng = np.random.default_rng(13)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        payloads = np.array([0x7FC00001, 0x7FC12345, 0xFFC00042], np.uint32).astype(bits)
+        if dtype == np.float64:
+            payloads = (payloads & 0xFFFFF) | np.uint64(0x7FF8000000000000) | ((payloads >> 31) << 63)
+        x = _with_signed_zeros(rng, (3, 1, 4, 5), dtype)
+        x.reshape(-1)[[1, 9, 30]] = payloads.view(dtype)
+        w = rng.uniform(0.5, 2.0, (1, 2, 2, 2)).astype(dtype)
+        y = conv_transpose2x2(x, w, np.full(2, -0.0, dtype))  # adding -0.0 changes no bit
+        rows = ops._workspace.by_dtype[np.dtype(dtype)][: y.size].reshape(3, 2, 2, 2, 4, 5)
+        assert len(set(rows[np.isnan(rows)].view(bits).tolist())) == 3
+        assert _same_bits(y, np.ascontiguousarray(rows.transpose(0, 1, 4, 2, 5, 3)).reshape(y.shape))
+
+        dy = _with_signed_zeros(rng, y.shape, dtype)
+        dy.reshape(-1)[[2, 50, 111]] = payloads.view(dtype)
+        conv_transpose2x2_backward(dy, x, w)
+        rows = ops._workspace.by_dtype[np.dtype(dtype)][: y.size].reshape(3, 2, 2, 2, 4, 5)
+        assert _same_bits(rows, np.ascontiguousarray(dy.reshape(3, 2, 4, 2, 5, 2).transpose(0, 1, 3, 5, 2, 4)))
 
     def test_doubles_spatial_size(self):
         x = np.random.default_rng(0).random((3, 4, 5)).astype(np.float32)
@@ -646,7 +716,9 @@ class TestSelectFreeBackward:
         rng = np.random.default_rng(seed + 800)
         x, dy = _with_specials(rng, shape, dtype), _with_specials(rng, _pooled(shape), dtype)
         for pooled_input in (x, relu(x)):
-            assert _same_bytes(maxpool2x2_backward(dy, pooled_input), maxpool2x2_backward_copyto(dy, pooled_input))
+            want = maxpool2x2_backward_copyto(dy, pooled_input)
+            assert _same_bytes(maxpool2x2_backward(dy, pooled_input), want)
+            assert _same_bytes(maxpool2x2_backward(dy, pooled_input, maxpool2x2(pooled_input)), want)
 
     def test_fused_windows(self):
         # windows left to right: a positive max tied twice, a max of 0 held by +0.0 and -0.0,

@@ -6,7 +6,7 @@ import pytest
 
 from cqbrain.errors import Diverged, EmptyInput, InvalidArgument
 from cqbrain.diffusion import NoisePredictor, NoisePredictorConfig, build_schedule, sample
-from cqbrain.neuralkernel import dice_iou, make_optimizer
+from cqbrain.neuralkernel import dice_iou, make_optimizer, ops
 from cqbrain.rng import Rng
 from cqbrain import skullnet
 from cqbrain.skullnet import (
@@ -274,6 +274,17 @@ class TestActivationLifetime:
         assert alive[-1] == {"x"}  # the first conv's input, read by the last call
         assert not any(ref() is not None for ref in refs.values())
         assert model._cache is None
+
+    def test_pool_backward_reads_the_kept_pooled_maps(self, monkeypatch):
+        cfg = UNetConfig(input_size=16, widths=(2, 4, 8))
+        model = UNet(cfg, Rng(4))
+        x, up = self._batch(cfg)
+        model.forward(x)
+        formed = []
+        real = ops._window_max
+        monkeypatch.setattr(ops, "_window_max", lambda views: formed.append(1) or real(views))
+        model.backward(up)
+        assert not formed  # every window max came from the forward's pool{lvl}
 
     def test_second_backward_needs_a_new_forward(self):
         cfg = UNetConfig(input_size=16, widths=(2, 4))
